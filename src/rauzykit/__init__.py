@@ -24,7 +24,6 @@ from .algebra import (
     minimal_polynomial_of_dominant_root,
     poly_divides,
     poly_exact_div,
-    poly_mul,
     positive_leading,
     reciprocal_poly,
 )
@@ -78,25 +77,24 @@ from .fractal import (
     reflect_cloud,
     render_svg,
 )
-from .spectral import ProjectionOperator, SpectralSplit, project, projection_operator, spectral_split
+from .spectral import ProjectionOperator, SpectralSplit, projection_operator, spectral_split
 from .words import (
     Alphabet,
     InfiniteWordStream,
     Substitution,
     Word,
     abelianization,
-    apply,
     apply_power,
     check_strong_coincidence,
     find_fixed_point_seed,
     incidence_matrix,
     load_substitution,
     parse_substitution,
+    prefix_counts,
     reverse_substitution,
     save_substitution,
     seed_power_for_letter,
     stream_for,
-    stream_prefix,
     substitution_from_dict,
     substitution_to_dict,
 )

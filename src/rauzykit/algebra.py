@@ -261,10 +261,6 @@ class IntPolynomial:
         return " ".join(parts)
 
 
-def poly_mul(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    return p * q
-
-
 def _frac_divmod(p: Sequence[Fraction], d: Sequence[Fraction]):
     """Long division over Q; returns (quotient, remainder) coefficient lists."""
     rem = list(p)
@@ -482,12 +478,16 @@ def _find_nontrivial_factor(p: IntPolynomial) -> IntPolynomial | None:
     return None
 
 
+def _check_degree_cap(p: IntPolynomial) -> None:
+    if p.degree > IRREDUCIBILITY_DEGREE_CAP:
+        raise DegreeTooLarge(f"degree {p.degree} exceeds cap {IRREDUCIBILITY_DEGREE_CAP}")
+
+
 def is_irreducible_over_q(p: IntPolynomial) -> bool:
     """Irreducibility over Q by bounded exact search; degree capped at 12."""
     if p.degree < 1:
         raise ValueError("irreducibility needs degree >= 1")
-    if p.degree > IRREDUCIBILITY_DEGREE_CAP:
-        raise DegreeTooLarge(f"degree {p.degree} exceeds cap {IRREDUCIBILITY_DEGREE_CAP}")
+    _check_degree_cap(p)
     return _find_nontrivial_factor(p) is None
 
 
@@ -626,19 +626,21 @@ def minimal_polynomial_of_dominant_root(
 
     Factors are peeled off with the bounded Kronecker search; the side
     containing the root is selected by an exact sign change over the
-    bisection bracket whenever the bracket is verified.
+    bisection bracket whenever the bracket is verified, or by an exact zero
+    when the bracket has collapsed onto the root.
     """
     if dom is None:
         dom = dominant_real_root(p)
     q = positive_leading(primitive_part(p))
     while True:
-        if q.degree > IRREDUCIBILITY_DEGREE_CAP:
-            raise DegreeTooLarge(f"degree {q.degree} exceeds cap {IRREDUCIBILITY_DEGREE_CAP}")
+        _check_degree_cap(q)
         g = _find_nontrivial_factor(q)
         if g is None:
             return positive_leading(q)
         h = positive_leading(primitive_part(poly_exact_div(q, g)))
-        if dom.verified:
+        if dom.verified and dom.lower == dom.upper:
+            q = g if g.evaluate(dom.lower) == 0 else h
+        elif dom.verified:
             if _sign(g.evaluate(dom.lower)) * _sign(g.evaluate(dom.upper)) < 0:
                 q = g
             else:
@@ -657,6 +659,8 @@ class PisotReport:
 
     margin is the smallest distance of a non-dominant minimal-polynomial
     root modulus from 1 (inf when the dominant root has no conjugates).
+    char_poly is the characteristic polynomial and minimal_polynomial its
+    irreducible factor vanishing at the Perron root.
     """
 
     perron_root: float
@@ -665,6 +669,8 @@ class PisotReport:
     is_irreducible: bool
     is_unimodular: bool
     margin: float
+    char_poly: IntPolynomial
+    minimal_polynomial: IntPolynomial
 
 
 def _as_incidence(value) -> IntMatrix:
@@ -685,19 +691,20 @@ def classify_pisot(substitution_or_matrix) -> PisotReport:
     primitive = is_primitive(m)
     unimodular = is_unimodular(m)
     p = char_poly(m)
-    irreducible = is_irreducible_over_q(p)
+    _check_degree_cap(p)  # refuse before any root work
     dom = dominant_real_root(p)
+    minpoly = minimal_polynomial_of_dominant_root(p, dom)
+    irreducible = minpoly.degree == p.degree
     lam = dom.value
 
     if abs(lam - 1) <= CLASSIFICATION_MARGIN:
         if p.evaluate(1) == 0:
             # dominant root is exactly 1: decidable, not Pisot
-            return PisotReport(1.0, primitive, False, irreducible, unimodular, math.inf)
+            return PisotReport(1.0, primitive, False, irreducible, unimodular, math.inf, p, minpoly)
         raise IndeterminateClassification(
             f"dominant root {lam!r} within {CLASSIFICATION_MARGIN} of 1"
         )
 
-    minpoly = p if irreducible else minimal_polynomial_of_dominant_root(p, dom)
     conj = all_roots(minpoly)
     nearest = min(range(len(conj)), key=lambda i: abs(conj[i].value - lam))
     moduli = [abs(r.value) for i, r in enumerate(conj) if i != nearest]
@@ -707,4 +714,4 @@ def classify_pisot(substitution_or_matrix) -> PisotReport:
             f"a conjugate modulus is within {margin:.3e} of 1"
         )
     pisot = lam > 1 and all(mu < 1 for mu in moduli)
-    return PisotReport(lam, primitive, pisot, irreducible, unimodular, margin)
+    return PisotReport(lam, primitive, pisot, irreducible, unimodular, margin, p, minpoly)

@@ -34,6 +34,7 @@ from .words import (
     Word,
     abelianization,
     incidence_matrix,
+    prefix_counts,
     seed_power_for_letter,
     stream_for,
 )
@@ -80,29 +81,19 @@ def minimal_split(pair: BalancedPair) -> list[BalancedPair]:
     Consecutive factors between balance points are minimal balanced pairs;
     their concatenation reproduces the input in order.
     """
-    k = pair.top.alphabet.size
-    diff = [0] * k
-    mismatched = 0
+    eye = np.eye(pair.top.alphabet.size, dtype=np.int64)
+    top, bottom = pair.top.indices, pair.bottom.indices
+    equal = (prefix_counts(top, eye) == prefix_counts(bottom, eye)).all(axis=1)
     factors: list[BalancedPair] = []
     start = 0
-    for t in range(pair.length):
-        a, b = pair.top.indices[t], pair.bottom.indices[t]
-        if a != b:
-            for letter, delta in ((a, 1), (b, -1)):
-                before = diff[letter]
-                diff[letter] += delta
-                if before == 0 and diff[letter] != 0:
-                    mismatched += 1
-                elif before != 0 and diff[letter] == 0:
-                    mismatched -= 1
-        if mismatched == 0:
-            factors.append(
-                BalancedPair(
-                    Word(pair.top.alphabet, pair.top.indices[start : t + 1]),
-                    Word(pair.bottom.alphabet, pair.bottom.indices[start : t + 1]),
-                )
+    for stop in (np.flatnonzero(equal) + 1).tolist():
+        factors.append(
+            BalancedPair(
+                Word(pair.top.alphabet, top[start:stop]),
+                Word(pair.bottom.alphabet, bottom[start:stop]),
             )
-            start = t + 1
+        )
+        start = stop
     return factors
 
 
@@ -126,24 +117,20 @@ def first_minimal_balanced_pair(
         raise ValueError("streams must share an alphabet")
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    k = alphabet.size
-    carry = np.zeros(k, dtype=np.int64)
+    eye = np.eye(alphabet.size, dtype=np.int64)
+    carry = np.zeros(alphabet.size, dtype=np.int64)  # top minus bottom counts before the block
     start = 0
     block = 1024
     while start < cutoff:
         stop = min(cutoff, start + block)
-        a = top_stream.indices_range(start, stop)
-        b = bottom_stream.indices_range(start, stop)
-        length = stop - start
-        steps = np.zeros((length, k), dtype=np.int64)
-        np.add.at(steps, (np.arange(length), a), 1)
-        np.add.at(steps, (np.arange(length), b), -1)
-        running = carry + np.cumsum(steps, axis=0)
-        balanced = (running == 0).all(axis=1)
+        top = prefix_counts(top_stream.indices_range(start, stop), eye)
+        top += carry
+        bottom = prefix_counts(bottom_stream.indices_range(start, stop), eye)
+        balanced = (top == bottom).all(axis=1)
         if balanced.any():
             m = start + int(np.argmax(balanced)) + 1
             return BalancedPair(top_stream.prefix(m), bottom_stream.prefix(m))
-        carry = running[-1]
+        carry = top[-1] - bottom[-1]
         start = stop
         block = min(block * 4, 1 << 18)
     return NotFound(cutoff)
@@ -395,13 +382,13 @@ def _pair_stream(pair_sub: PairSubstitution) -> InfiniteWordStream:
     return stream_for(pair_sub.as_substitution())
 
 
-def _cumulative_letter_images(pair_sub: PairSubstitution, prefix: np.ndarray) -> np.ndarray:
-    h = np.array([pair_sub.letter_image(i) for i in range(pair_sub.size)], dtype=np.int64)
-    return np.cumsum(h[prefix], axis=0)
+def _letter_image_rows(pair_sub: PairSubstitution) -> np.ndarray:
+    """Row i is the count vector of pair i's top word."""
+    return np.array([pair_sub.letter_image(i) for i in range(pair_sub.size)], dtype=np.int64)
 
 
 def intersection_cloud(
-    pair_sub: PairSubstitution, op: ProjectionOperator, n: int, *, threads: int = 1
+    pair_sub: PairSubstitution, op: ProjectionOperator, n: int
 ) -> LabeledPointCloud:
     """Projected cumulative letter-image sums along the pair fixed point.
 
@@ -412,13 +399,7 @@ def intersection_cloud(
         raise ValueError("need at least one point")
     stream = _pair_stream(pair_sub)
     prefix = stream.prefix_indices(n)
-    sums = _cumulative_letter_images(pair_sub, prefix)
-    if threads <= 1:
-        coords = op.project_many(sums)
-    else:
-        from .fractal import _project_chunked
-
-        coords = _project_chunked(op, sums, threads)
+    coords = op.project_many(prefix_counts(prefix, _letter_image_rows(pair_sub)))
     labels = tuple(pair_sub.name(int(i)) for i in prefix)
     meta = CloudMeta(
         source_id="pairs:" + pair_sub.as_substitution().rule_text(),
@@ -449,9 +430,8 @@ def verify_common_points(
         raise ValueError("need at least one prefix letter")
     stream = _pair_stream(pair_sub)
     prefix = stream.prefix_indices(n)
-    targets = _cumulative_letter_images(pair_sub, prefix)
-    lengths = np.array([pair_sub.pairs[i].length for i in range(pair_sub.size)], dtype=np.int64)
-    checkpoints = np.cumsum(lengths[prefix])
+    targets = prefix_counts(prefix, _letter_image_rows(pair_sub))
+    checkpoints = targets.sum(axis=1)  # parent prefix length at each pair-prefix end
 
     seed_pair = pair_sub.pairs[stream.seed_letter]
     failure = None
@@ -461,12 +441,8 @@ def verify_common_points(
     ):
         power = seed_power_for_letter(substitution, start_letter)
         parent = InfiniteWordStream(substitution, start_letter, power)
-        m_max = int(checkpoints[-1])
-        letters = parent.prefix_indices(m_max)
-        k = substitution.alphabet.size
-        steps = np.zeros((m_max, k), dtype=np.int64)
-        steps[np.arange(m_max), letters] = 1
-        counts = np.cumsum(steps, axis=0)
+        eye = np.eye(substitution.alphabet.size, dtype=np.int64)
+        counts = prefix_counts(parent.prefix_indices(int(checkpoints[-1])), eye)
         achieved = counts[checkpoints - 1]
         matches = (achieved == targets).all(axis=1)
         if not matches.all():

@@ -12,7 +12,7 @@ import sys
 import click
 
 from . import __version__
-from .algebra import char_poly, classify_pisot
+from .algebra import classify_pisot
 from .bpa import (
     BpaLimits,
     NonTermination,
@@ -74,7 +74,6 @@ def cmd_analyze(path, tol):
     """Classify a substitution file and print a JSON report."""
     sub = load_substitution(path)
     matrix = incidence_matrix(sub)
-    poly = char_poly(matrix)
     report = classify_pisot(sub)
     try:
         seed_letter, power = find_fixed_point_seed(sub)
@@ -99,7 +98,7 @@ def cmd_analyze(path, tol):
             "version": __version__,
             "substitution": substitution_to_dict(sub),
             "incidence_matrix": [list(row) for row in matrix.rows],
-            "char_poly": _poly_payload(poly),
+            "char_poly": _poly_payload(report.char_poly),
             "classification": {
                 "perron_root": report.perron_root,
                 "is_primitive": report.is_primitive,
@@ -129,12 +128,11 @@ def cmd_reverse(path, out):
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False, writable=True), help="Write the cloud as CSV.")
 @click.option("--svg", "svg_path", type=click.Path(dir_okay=False, writable=True), help="Render the cloud as SVG.")
 @click.option("--tol", type=float, default=1e-10, show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True, help="Projection worker threads; output is thread-count independent.")
-def cmd_fractal(path, n, csv_path, svg_path, tol, threads):
+def cmd_fractal(path, n, csv_path, svg_path, tol):
     """Generate the fractal point cloud of a substitution file."""
     sub = load_substitution(path)
     op = projection_operator(spectral_split(incidence_matrix(sub), tol))
-    cloud = rauzy_cloud(sub, n, op, threads=max(1, threads))
+    cloud = rauzy_cloud(sub, n, op)
     if csv_path:
         export_csv(cloud, csv_path)
     if svg_path:
@@ -223,14 +221,13 @@ def cmd_bpa(path1, path2, prefix_cutoff, max_pairs, max_pair_length, out):
 @click.option("--prefix-cutoff", type=int, default=10 ** 6, show_default=True)
 @click.option("--max-pairs", type=int, default=10 ** 4, show_default=True)
 @click.option("--max-pair-length", type=int, default=10 ** 5, show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True)
-def cmd_intersect(path1, path2, n, csv_path, svg_path, tol, prefix_cutoff, max_pairs, max_pair_length, threads):
+def cmd_intersect(path1, path2, n, csv_path, svg_path, tol, prefix_cutoff, max_pairs, max_pair_length):
     """Balanced pair algorithm plus the projected intersection cloud."""
     first = load_substitution(path1)
     second = load_substitution(path2)
     ps = _run_bpa_or_fail(first, second, _limits_from_flags(prefix_cutoff, max_pairs, max_pair_length))
     op = projection_operator(spectral_split(incidence_matrix(first), tol))
-    cloud = intersection_cloud(ps, op, n, threads=max(1, threads))
+    cloud = intersection_cloud(ps, op, n)
     if csv_path:
         export_csv(cloud, csv_path)
     if svg_path:

@@ -10,17 +10,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .algebra import classify_pisot
 from .errors import DimensionMismatch, NotPisot, NotPrimitive
 from .spectral import ProjectionOperator
-from .words import InfiniteWordStream, Substitution, stream_for
+from .words import InfiniteWordStream, Substitution, prefix_counts, stream_for
 
 #: Fixed fill palette; letters are assigned colors in sorted label order.
 PALETTE = (
@@ -90,20 +88,8 @@ def broken_line_prefix_sums(stream: InfiniteWordStream, n: int) -> np.ndarray:
     """Entry m is the exact integer vector sum of basis steps e_{u_0}..e_{u_m}."""
     if n < 1:
         raise ValueError("need at least one point")
-    idx = stream.prefix_indices(n)
     k = stream.substitution.alphabet.size
-    steps = np.zeros((n, k), dtype=np.int64)
-    steps[np.arange(n), idx] = 1
-    return np.cumsum(steps, axis=0)
-
-
-def _project_chunked(op: ProjectionOperator, sums: np.ndarray, threads: int) -> np.ndarray:
-    if threads <= 1 or sums.shape[0] < 2 * threads:
-        return op.project_many(sums)
-    chunks = np.array_split(np.arange(sums.shape[0]), threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda sl: op.project_many(sums[sl]), chunks))
-    return np.vstack(parts)
+    return prefix_counts(stream.prefix_indices(n), np.eye(k, dtype=np.int64))
 
 
 def rauzy_cloud(
@@ -111,13 +97,12 @@ def rauzy_cloud(
     n: int,
     op: ProjectionOperator,
     *,
-    threads: int = 1,
     stream: InfiniteWordStream | None = None,
 ) -> LabeledPointCloud:
     """First n projected broken-line points of the fixed point, labeled by the
     letter read at each step.
 
-    Deterministic for fixed substitution, n, and chart (and any thread count).
+    Deterministic for fixed substitution, n, and chart.
     """
     report = classify_pisot(substitution)
     if not report.is_primitive:
@@ -126,10 +111,11 @@ def rauzy_cloud(
         raise NotPisot("fractal generation needs a unimodular Pisot substitution")
     if stream is None:
         stream = stream_for(substitution)
-    sums = broken_line_prefix_sums(stream, n)
-    coords = _project_chunked(op, sums, threads)
+    if n < 1:
+        raise ValueError("need at least one point")
     letters = substitution.alphabet.letters
     idx = stream.prefix_indices(n)
+    coords = op.project_many(prefix_counts(idx, np.eye(len(letters), dtype=np.int64)))
     labels = tuple(letters[i] for i in idx)
     meta = CloudMeta(source_id=substitution.rule_text(), chart_id=chart_id_of(op), n_points=n)
     return LabeledPointCloud(coords, labels, np.arange(n, dtype=np.int64), meta)
@@ -195,6 +181,8 @@ def hausdorff_distance(a: LabeledPointCloud, b: LabeledPointCloud, eps: float) -
         return math.inf
     if cells_a == cells_b:
         return 0.0
+    from scipy.spatial import cKDTree  # deferred: scipy takes most of the import time
+
     arr_a, arr_b = _cell_array(cells_a), _cell_array(cells_b)
     d_ab, _ = cKDTree(arr_b).query(arr_a)
     d_ba, _ = cKDTree(arr_a).query(arr_b)

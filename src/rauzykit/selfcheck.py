@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .algebra import IntPolynomial, poly_mul
+from .algebra import IntPolynomial
 from .bpa import (
     NotFound,
     pair_incidence,
@@ -148,13 +148,13 @@ def family_expected_pairs(i: int) -> dict[str, tuple[str, str]]:
 
 
 def family_charpoly(i: int) -> IntPolynomial:
-    return poly_mul(IntPolynomial((-1, -i, -i, 1)), IntPolynomial((-1, i, i, 1)))
+    return IntPolynomial((-1, -i, -i, 1)) * IntPolynomial((-1, i, i, 1))
 
 
 def _poly_product(factor_coeffs) -> IntPolynomial:
     out = IntPolynomial((1,))
     for coeffs in factor_coeffs:
-        out = poly_mul(out, IntPolynomial(coeffs))
+        out = out * IntPolynomial(coeffs)
     return out
 
 

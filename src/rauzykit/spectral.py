@@ -13,16 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    IntMatrix,
-    all_roots,
-    char_poly,
-    classify_pisot,
-    dominant_real_root,
-    is_irreducible_over_q,
-    minimal_polynomial_of_dominant_root,
-    poly_exact_div,
-)
+from .algebra import IntMatrix, all_roots, classify_pisot, poly_exact_div
 from .errors import IllConditioned, NoConvergence, NotPisot, NotPrimitive
 
 DEFAULT_TOL = 1e-10
@@ -107,11 +98,9 @@ def spectral_split(matrix: IntMatrix, tol: float = DEFAULT_TOL) -> SpectralSplit
 
     k = matrix.dim
     mf = matrix.to_numpy()
-    p = char_poly(matrix)
-    dom = dominant_real_root(p)
-    lam = dom.value
-    minpoly = p if is_irreducible_over_q(p) else minimal_polynomial_of_dominant_root(p, dom)
-    cofactor = poly_exact_div(p, minpoly)
+    lam = report.perron_root
+    minpoly = report.minimal_polynomial
+    cofactor = poly_exact_div(report.char_poly, minpoly)
 
     basis_u = _null_columns(mf - lam * np.eye(k), 1).real
     basis_u = _canonical_sign(basis_u[:, 0]).reshape(k, 1)
@@ -220,7 +209,3 @@ def projection_operator(split: SpectralSplit) -> ProjectionOperator:
         raise IllConditioned(f"projector does not annihilate the expanding line ({kernel:.3e})")
     return ProjectionOperator(matrix=p, chart=chart, tol=tol)
 
-
-def project(operator: ProjectionOperator, v) -> np.ndarray:
-    """Chart coordinates of the projection of an integer (or real) vector."""
-    return operator.project(v)

@@ -114,6 +114,17 @@ def abelianization(word: Word) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def prefix_counts(indices, weights) -> np.ndarray:
+    """Running sums of weights[indices]: row m is weights[indices[0]] + ... + weights[indices[m]].
+
+    With the k x k identity as weights, row m counts each letter of the first
+    m + 1 letters (a broken-line vertex); two words balance after m + 1
+    letters exactly where their rows m are equal.  Exact int64 arithmetic.
+    """
+    rows = np.asarray(weights, dtype=np.int64)[np.asarray(indices, dtype=np.intp)]
+    return np.cumsum(rows, axis=0, out=rows)
+
+
 @dataclass(frozen=True)
 class Substitution:
     """Map from letters to nonempty finite words, extended by concatenation."""
@@ -174,11 +185,6 @@ class Substitution:
         return ";".join(
             f"{self.alphabet[i]}->{sep.join(img.letters())}" for i, img in enumerate(self.images)
         )
-
-
-def apply(substitution: Substitution, word: Word) -> Word:
-    """Image of a finite word: concatenation of letter images in order."""
-    return substitution.apply(word)
 
 
 def apply_power(substitution: Substitution, n: int, word: Word) -> Word:
@@ -314,11 +320,6 @@ def stream_for(substitution: Substitution, l_max: int = 64) -> InfiniteWordStrea
     return InfiniteWordStream(substitution, seed, power)
 
 
-def stream_prefix(stream: InfiniteWordStream, n: int) -> Word:
-    """First n letters of the stream's fixed point; idempotent."""
-    return stream.prefix(n)
-
-
 # ---------------------------------------------------------------------------
 # strong coincidence
 
@@ -351,6 +352,7 @@ def check_strong_coincidence(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     k = substitution.alphabet.size
+    eye = np.eye(k, dtype=np.int64)
     pending = {(i, j) for i in range(k) for j in range(i + 1, k)}
     witnesses: dict[tuple[int, int], CoincidenceWitness | None] = {p: None for p in pending}
     words: list[list[int]] = [[i] for i in range(k)]
@@ -358,25 +360,18 @@ def check_strong_coincidence(
         if not pending:
             break
         words = [substitution.apply_indices(w) for w in words]
-        view = [w[::-1] for w in words] if mode == "suffix" else words
+        view = [np.array(w[::-1] if mode == "suffix" else w, dtype=np.int64) for w in words]
+        counts = [prefix_counts(w, eye) for w in view]
         for pair in sorted(pending):
             i, j = pair
-            w1, w2 = view[i], view[j]
-            diff = [0] * k
-            mismatched = 0
-            for t in range(min(len(w1), len(w2))):
-                if mismatched == 0 and w1[t] == w2[t]:
-                    witnesses[pair] = CoincidenceWitness(n, w1[t])
-                    break
-                a, b = w1[t], w2[t]
-                if a != b:
-                    for letter, delta in ((a, 1), (b, -1)):
-                        before = diff[letter]
-                        diff[letter] += delta
-                        if before == 0 and diff[letter] != 0:
-                            mismatched += 1
-                        elif before != 0 and diff[letter] == 0:
-                            mismatched -= 1
+            length = min(len(view[i]), len(view[j]))
+            w1 = view[i][:length]
+            # position t is a witness when letter t agrees and the first t + 1
+            # letters balance (equivalently, the first t letters do)
+            balanced = (counts[i][:length] == counts[j][:length]).all(axis=1)
+            hits = np.flatnonzero(balanced & (w1 == view[j][:length]))
+            if hits.size:
+                witnesses[pair] = CoincidenceWitness(n, int(w1[hits[0]]))
         pending = {p for p in pending if witnesses[p] is None}
     return StrongCoincidenceResult(mode, n_max, witnesses)
 

@@ -42,3 +42,25 @@ def shuffled_images_copy(rng: random.Random, sub: Substitution) -> Substitution:
         rng.shuffle(names)
         rules[letter] = names
     return Substitution.from_rules(list(sub.alphabet), rules)
+
+
+def tracked_balance_points(top, bottom, k):
+    """Reference: lengths t at which top[:t] and bottom[:t] have equal letter
+    counts, found by tracking the count difference and the number of letters
+    on which it is nonzero."""
+    diff = [0] * k
+    mismatched = 0
+    points = []
+    for t in range(min(len(top), len(bottom))):
+        a, b = top[t], bottom[t]
+        if a != b:
+            for letter, delta in ((a, 1), (b, -1)):
+                before = diff[letter]
+                diff[letter] += delta
+                if before == 0 and diff[letter] != 0:
+                    mismatched += 1
+                elif before != 0 and diff[letter] == 0:
+                    mismatched -= 1
+        if mismatched == 0:
+            points.append(t + 1)
+    return points

@@ -24,7 +24,6 @@ from rauzykit import (
     PairSubstitution,
     Word,
     abelianization,
-    apply,
     apply_power,
     char_poly,
     check_incidence_homomorphism,
@@ -36,7 +35,6 @@ from rauzykit import (
     incidence_matrix,
     negate_cells,
     pair_incidence,
-    poly_mul,
     projection_operator,
     rauzy_cloud,
     reciprocal_factor_report,
@@ -85,7 +83,7 @@ def pair_contents(ps: PairSubstitution):
 def poly_product(factors):
     out = IntPolynomial((1,))
     for coeffs in factors:
-        out = poly_mul(out, IntPolynomial(coeffs))
+        out = out * IntPolynomial(coeffs)
     return out
 
 
@@ -360,7 +358,7 @@ def test_criterion_8_abelianization_homomorphism():
         k = sub.alphabet.size
         word = Word(sub.alphabet, tuple(rng.randrange(k) for _ in range(rng.randint(0, 10))))
         m = incidence_matrix(sub)
-        assert abelianization(apply(sub, word)) == m.mat_vec(abelianization(word))
+        assert abelianization(sub.apply(word)) == m.mat_vec(abelianization(word))
     criterion("C8 abelianization homomorphism", True, f"{CASES} cases")
 
 

@@ -25,7 +25,6 @@ from rauzykit import (
     minimal_polynomial_of_dominant_root,
     poly_divides,
     poly_exact_div,
-    poly_mul,
     positive_leading,
     reciprocal_poly,
 )
@@ -129,7 +128,7 @@ class TestPrimitivity:
 
 class TestPolynomialOps:
     def test_product_example(self):
-        assert poly_mul(IntPolynomial((1, -3, 1)), IntPolynomial((-1, 1))) == IntPolynomial(
+        assert IntPolynomial((1, -3, 1)) * IntPolynomial((-1, 1)) == IntPolynomial(
             (-1, 4, -4, 1)
         )
 
@@ -156,10 +155,10 @@ class TestPolynomialOps:
             q = IntPolynomial(tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 4))))
             if d.is_zero:
                 continue
-            assert poly_divides(d, poly_mul(d, q))
+            assert poly_divides(d, d * q)
 
     def test_exact_div_recovers_cofactor(self):
-        prod = poly_mul(TRIB_POLY, IntPolynomial((-1, 1, 1, 1)))
+        prod = TRIB_POLY * IntPolynomial((-1, 1, 1, 1))
         assert poly_exact_div(prod, TRIB_POLY) == IntPolynomial((-1, 1, 1, 1))
 
 
@@ -175,7 +174,7 @@ class TestIrreducibility:
 
     def test_quartic_without_rational_roots(self):
         # (x^2 + x + 1)(x^2 + 2) has no rational roots but factors
-        p = poly_mul(IntPolynomial((1, 1, 1)), IntPolynomial((2, 0, 1)))
+        p = IntPolynomial((1, 1, 1)) * IntPolynomial((2, 0, 1))
         assert not is_irreducible_over_q(p)
 
     def test_irreducible_quartic(self):
@@ -188,6 +187,15 @@ class TestIrreducibility:
     def test_minimal_polynomial_extraction(self):
         p = IntPolynomial((-1, 4, -4, 1))  # (x^2 - 3x + 1)(x - 1)
         assert minimal_polynomial_of_dominant_root(p) == IntPolynomial((1, -3, 1))
+
+    def test_minimal_polynomial_at_exact_integer_root(self):
+        # x^5 - 2x^3 - 4x^2 = x^2 (x - 2) (x^2 + 2x + 2): bisection lands on 2
+        # exactly, and the factor vanishing there is kept, not its cofactor
+        p = IntPolynomial((0, 0, -4, -2, 0, 1))
+        dom = dominant_real_root(p)
+        assert dom.lower == dom.upper == 2
+        assert minimal_polynomial_of_dominant_root(p, dom) == IntPolynomial((-2, 1))
+        assert minimal_polynomial_of_dominant_root(p) == IntPolynomial((-2, 1))
 
 
 class TestRoots:
@@ -260,6 +268,40 @@ class TestClassification:
         # dominant root is a rational integer: no conjugates, Pisot by the
         # strict definition, with infinite margin
         assert rep.is_pisot and rep.margin == math.inf
+
+    def test_integer_perron_root_with_reducible_char_poly(self):
+        sub = Substitution.from_rules(
+            ["z", "h", "q", "g", "r"],
+            {"z": "gh", "h": "gr", "q": "gh", "g": "zr", "r": "hq"},
+        )
+        rep = classify_pisot(sub)
+        assert rep.perron_root == 2.0
+        assert rep.is_primitive and rep.is_pisot and not rep.is_irreducible
+        assert rep.margin == math.inf
+        assert rep.char_poly == IntPolynomial((0, 0, -4, -2, 0, 1))
+        assert rep.minimal_polynomial == IntPolynomial((-2, 1))
+
+    def test_report_carries_polynomials(self):
+        rep = classify_pisot(tribonacci())
+        assert rep.char_poly == TRIB_POLY and rep.minimal_polynomial == TRIB_POLY
+        # reducible: (x^2 - 3x + 1)(x - 1)
+        rep = classify_pisot(IntMatrix.from_rows([[2, 0, 1], [1, 0, 0], [0, 1, 2]]))
+        assert not rep.is_irreducible
+        assert rep.minimal_polynomial == IntPolynomial((1, -3, 1))
+
+    def test_degree_cap_refuses_before_root_work(self, monkeypatch):
+        import rauzykit.algebra as algebra
+
+        def no_roots(*args, **kwargs):
+            raise AssertionError("root work before the degree refusal")
+
+        monkeypatch.setattr(algebra, "dominant_real_root", no_roots)
+        k = 13
+        cycle = IntMatrix.from_rows(
+            [[1 if j in (i, (i + 1) % k) else 0 for j in range(k)] for i in range(k)]
+        )
+        with pytest.raises(DegreeTooLarge):
+            classify_pisot(cycle)
 
     def test_identity_substitution(self):
         sub = Substitution.from_rules(["a", "b"], {"a": "a", "b": "b"})

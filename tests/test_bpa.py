@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from conftest import random_primitive_substitution, shuffled_images_copy, tribonacci
+from conftest import (
+    random_primitive_substitution,
+    shuffled_images_copy,
+    tracked_balance_points,
+    tribonacci,
+)
 from rauzykit import (
     Alphabet,
     BalancedPair,
@@ -83,6 +88,19 @@ class TestBalancedPairs:
         factors = minimal_split(BalancedPair(word, word))
         assert len(factors) == 7
         assert all(f.length == 1 for f in factors)
+
+    def test_split_points_match_tracker(self):
+        rng = random.Random(23)
+        for k in range(1, 7):
+            alphabet = Alphabet(tuple("abcdef"[:k]))
+            for _ in range(40):
+                top = [rng.randrange(k) for _ in range(rng.randint(1, 200))]
+                bottom = top[:]
+                rng.shuffle(bottom)
+                pair = BalancedPair(Word(alphabet, tuple(top)), Word(alphabet, tuple(bottom)))
+                factors = minimal_split(pair)
+                ends = [sum(f.length for f in factors[: i + 1]) for i in range(len(factors))]
+                assert ends == tracked_balance_points(top, bottom, k)
 
     def test_split_reconstructs_input(self):
         rng = random.Random(17)
@@ -230,11 +248,6 @@ class TestIntersectionCloud:
             parent = rauzy_cloud(sub, n, self.op)
             dists, _ = cKDTree(parent.coords).query(cloud.coords)
             assert dists.max() < 0.02 * parent.diameter()
-
-    def test_thread_count_invariance(self):
-        one = intersection_cloud(self.ps, self.op, 4000, threads=1)
-        four = intersection_cloud(self.ps, self.op, 4000, threads=4)
-        assert np.array_equal(one.coords, four.coords)
 
 
 class TestVerifyCommonPoints:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -83,7 +86,7 @@ class TestFractal:
         svg_path = files["dir"] / "cloud.svg"
         code, out, _ = run(
             capsys,
-            ["fractal", files["trib"], "--n", "1500", "--csv", str(csv_path), "--svg", str(svg_path), "--threads", "2"],
+            ["fractal", files["trib"], "--n", "1500", "--csv", str(csv_path), "--svg", str(svg_path)],
         )
         assert code == 0
         summary = json.loads(out)
@@ -163,3 +166,16 @@ class TestSelftest:
         assert "FAIL" not in out
         lines = [line for line in out.splitlines() if line.startswith("[PASS]")]
         assert len(lines) >= 25
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    import rauzykit
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rauzykit.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, rauzykit.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -84,13 +84,6 @@ class TestRauzyCloud:
         with pytest.raises(NotPisot):
             rauzy_cloud(flat, 10, op)
 
-    def test_thread_count_does_not_change_output(self):
-        op = tribonacci_operator()
-        one = rauzy_cloud(tribonacci(), 5000, op, threads=1)
-        four = rauzy_cloud(tribonacci(), 5000, op, threads=4)
-        assert np.array_equal(one.coords, four.coords)
-        assert one.labels == four.labels
-
     def test_label_partition(self):
         op = tribonacci_operator()
         cloud = rauzy_cloud(tribonacci(), 2000, op)

@@ -12,7 +12,6 @@ from rauzykit import (
     broken_line_prefix_sums,
     classify_pisot,
     incidence_matrix,
-    project,
     projection_operator,
     spectral_split,
     stream_for,
@@ -45,6 +44,26 @@ class TestSpectralSplit:
         split = spectral_split(m)
         assert (split.basis_u.shape[1], split.stable_dim, split.basis_c.shape[1]) == (1, 1, 1)
         assert split.perron_root == pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-12)
+
+    def test_factor_search_runs_once_per_split(self, monkeypatch):
+        # the split reuses classify_pisot's minimal polynomial instead of
+        # searching for factors of the char poly again
+        import rauzykit.algebra as algebra
+
+        m = IntMatrix.from_rows([[2, 0, 1], [1, 0, 0], [0, 1, 2]])
+        calls = []
+        search = algebra._find_nontrivial_factor
+
+        def counting(p):
+            calls.append(p)
+            return search(p)
+
+        monkeypatch.setattr(algebra, "_find_nontrivial_factor", counting)
+        algebra.minimal_polynomial_of_dominant_root(algebra.char_poly(m))
+        one_search = len(calls)
+        calls.clear()
+        spectral_split(m)
+        assert len(calls) == one_search
 
     def test_perron_vector_positive(self):
         split, _ = tribonacci_operator()
@@ -94,12 +113,12 @@ class TestProjectionOperator:
 class TestProject:
     def test_zero_vector(self):
         _, op = tribonacci_operator()
-        assert np.allclose(project(op, [0, 0, 0]), 0.0)
+        assert np.allclose(op.project([0, 0, 0]), 0.0)
 
     def test_odd_symmetry(self):
         _, op = tribonacci_operator()
         v = np.array([3, -1, 2])
-        assert np.allclose(project(op, -v), -project(op, v), atol=1e-12)
+        assert np.allclose(op.project(-v), -op.project(v), atol=1e-12)
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
@@ -107,7 +126,7 @@ class TestProject:
         for _ in range(50):
             v, w = rng.integers(-9, 9, size=3), rng.integers(-9, 9, size=3)
             assert np.allclose(
-                project(op, v + w), project(op, v) + project(op, w), atol=1e-10
+                op.project(v + w), op.project(v) + op.project(w), atol=1e-10
             )
 
     def test_contracting_block_is_a_scaled_rotation(self):
@@ -132,10 +151,10 @@ class TestProject:
         rng = np.random.default_rng(5)
         for _ in range(20):
             v = rng.integers(-9, 9, size=3)
-            if np.linalg.norm(project(op, v)) < 1e-9:
+            if np.linalg.norm(op.project(v)) < 1e-9:
                 continue
             iterated = np.linalg.matrix_power(m, 12) @ v
-            assert np.linalg.norm(project(op, iterated)) < np.linalg.norm(project(op, v))
+            assert np.linalg.norm(op.project(iterated)) < np.linalg.norm(op.project(v))
 
 
 class TestBoundedness:

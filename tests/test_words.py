@@ -1,9 +1,10 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
-from conftest import random_substitution, tribonacci
+from conftest import random_substitution, tracked_balance_points, tribonacci
 from rauzykit import (
     Alphabet,
     InfiniteWordStream,
@@ -12,18 +13,18 @@ from rauzykit import (
     SubstitutionParseError,
     Word,
     abelianization,
-    apply,
     apply_power,
     check_strong_coincidence,
     find_fixed_point_seed,
     incidence_matrix,
     parse_substitution,
+    prefix_counts,
     reverse_substitution,
     stream_for,
-    stream_prefix,
     substitution_from_dict,
     substitution_to_dict,
 )
+from rauzykit.selfcheck import FORWARD_PREFIX_24, REVERSE_PREFIX_24_DERIVED
 
 
 def word(alphabet, text):
@@ -48,15 +49,15 @@ class TestApply:
     def test_tribonacci_digits(self):
         sub = Substitution.from_rules(["1", "2", "3"], {"1": "12", "2": "13", "3": "1"})
         w = Word.from_string(sub.alphabet, "12")
-        assert str(apply(sub, w)) == "1213"
+        assert str(sub.apply(w)) == "1213"
 
     def test_empty_word(self):
         sub = tribonacci()
-        assert len(apply(sub, Word(sub.alphabet, ()))) == 0
+        assert len(sub.apply(Word(sub.alphabet, ()))) == 0
 
     def test_interval_image(self):
         sub = Substitution.from_rules(["a", "b"], {"a": "aba", "b": "ab"})
-        assert str(apply(sub, word(sub.alphabet, "ab"))) == "abaab"
+        assert str(sub.apply(word(sub.alphabet, "ab"))) == "abaab"
 
     def test_homomorphism_on_random_words(self):
         rng = random.Random(7)
@@ -65,7 +66,54 @@ class TestApply:
             k = sub.alphabet.size
             w = Word(sub.alphabet, tuple(rng.randrange(k) for _ in range(rng.randint(0, 8))))
             m = incidence_matrix(sub)
-            assert abelianization(apply(sub, w)) == m.mat_vec(abelianization(w))
+            assert abelianization(sub.apply(w)) == m.mat_vec(abelianization(w))
+
+
+def kernel_balance_points(top, bottom, k):
+    eye = np.eye(k, dtype=np.int64)
+    equal = (prefix_counts(top, eye) == prefix_counts(bottom, eye)).all(axis=1)
+    return (np.flatnonzero(equal) + 1).tolist()
+
+
+class TestPrefixCounts:
+    def test_one_hot_rows_are_prefix_abelianizations(self):
+        sub = tribonacci()
+        w = stream_for(sub).prefix(60)
+        rows = prefix_counts(w.indices, np.eye(3, dtype=np.int64))
+        for m in range(60):
+            assert tuple(rows[m]) == abelianization(Word(sub.alphabet, w.indices[: m + 1]))
+
+    def test_weighted_rows_are_running_sums(self):
+        rng = random.Random(3)
+        weights = np.array([[rng.randint(-3, 9) for _ in range(4)] for _ in range(5)])
+        idx = [rng.randrange(5) for _ in range(80)]
+        running = np.zeros(4, dtype=np.int64)
+        rows = prefix_counts(idx, weights)
+        assert rows.dtype == np.int64 and rows.shape == (80, 4)
+        for m, i in enumerate(idx):
+            running = running + weights[i]
+            assert (rows[m] == running).all()
+
+    def test_empty_sequence(self):
+        assert prefix_counts([], np.eye(2, dtype=np.int64)).shape == (0, 2)
+
+    def test_balance_points_match_tracker(self):
+        rng = random.Random(11)
+        for k in range(1, 7):
+            for length in list(range(0, 12)) + [rng.randint(12, 200) for _ in range(30)] + [200]:
+                top = [rng.randrange(k) for _ in range(length)]
+                shuffled = top[:]
+                rng.shuffle(shuffled)
+                for bottom in (top[:], shuffled, [rng.randrange(k) for _ in range(length)]):
+                    assert kernel_balance_points(top, bottom, k) == tracked_balance_points(
+                        top, bottom, k
+                    )
+
+    def test_identical_words_balance_everywhere(self):
+        rng = random.Random(12)
+        for k in range(1, 7):
+            w = [rng.randrange(k) for _ in range(200)]
+            assert kernel_balance_points(w, w, k) == list(range(1, 201))
 
 
 class TestIncidenceMatrix:
@@ -144,33 +192,33 @@ class TestStreams:
     def test_growth_example_prefix(self):
         sub = Substitution.from_rules(["a", "b", "c"], {"a": "abc", "b": "a", "c": "ac"})
         stream = stream_for(sub)
-        assert str(stream_prefix(stream, 24)) == "abcaacabcabcacabcaacabca"
+        assert str(stream.prefix(24)) == FORWARD_PREFIX_24
 
     def test_zero_prefix(self):
         stream = stream_for(tribonacci())
-        assert len(stream_prefix(stream, 0)) == 0
+        assert len(stream.prefix(0)) == 0
 
     def test_reverse_prefix_satisfies_recurrence(self):
         # the fixed point is pinned by v = rules(v); check consistency directly
         sub = Substitution.from_rules(["a", "b", "c"], {"a": "abc", "b": "a", "c": "ac"})
         rev = reverse_substitution(sub)
         stream = stream_for(rev)
-        got = stream_prefix(stream, 24)
-        assert str(got) == "cacbacaacbacacbacbacaacb"
-        image = apply(rev, got)
+        got = stream.prefix(24)
+        assert str(got) == REVERSE_PREFIX_24_DERIVED
+        image = rev.apply(got)
         assert image.indices[:24] == got.indices
 
     def test_prefix_consistency(self):
         stream = stream_for(tribonacci())
-        long = stream_prefix(stream, 400).indices
+        long = stream.prefix(400).indices
         for n in (0, 1, 5, 57, 400):
-            assert stream_prefix(stream, n).indices == long[:n]
+            assert stream.prefix(n).indices == long[:n]
 
     def test_substitution_fixes_prefix(self):
         sub = tribonacci()
         stream = stream_for(sub)
-        w = stream_prefix(stream, 50)
-        assert apply(sub, w).indices[:50] == w.indices
+        w = stream.prefix(50)
+        assert sub.apply(w).indices[:50] == w.indices
 
     def test_reversed_window_property(self):
         sub = tribonacci()
@@ -190,10 +238,10 @@ class TestStreams:
         import concurrent.futures
 
         stream = stream_for(tribonacci())
-        reference = stream_prefix(stream, 5000).indices
+        reference = stream.prefix(5000).indices
 
         def read(n):
-            return stream_prefix(stream, n).indices
+            return stream.prefix(n).indices
 
         fresh = stream_for(tribonacci())
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
@@ -223,6 +271,42 @@ class TestStrongCoincidence:
             forward = check_strong_coincidence(sub, "prefix", n_max).witnesses
             backward = check_strong_coincidence(rev, "suffix", n_max).witnesses
             assert forward == backward
+
+    def test_witnesses_match_string_scan(self):
+        # plain string rewriting: the first position t of sigma^n(i), sigma^n(j)
+        # (read backwards for suffixes) where the first t letters have equal
+        # counts and letter t agrees
+        def scan(sub, mode, n_max):
+            rules = {name: "".join(img.letters()) for name, img in zip(sub.alphabet, sub.images)}
+            letters = list(sub.alphabet)
+            words = dict(zip(letters, letters))
+            found = {}
+            for n in range(1, n_max + 1):
+                words = {a: "".join(rules[c] for c in w) for a, w in words.items()}
+                for i in range(len(letters)):
+                    for j in range(i + 1, len(letters)):
+                        if (i, j) in found:
+                            continue
+                        w1, w2 = words[letters[i]], words[letters[j]]
+                        if mode == "suffix":
+                            w1, w2 = w1[::-1], w2[::-1]
+                        for t in range(min(len(w1), len(w2))):
+                            if w1[t] == w2[t] and sorted(w1[:t]) == sorted(w2[:t]):
+                                found[(i, j)] = (n, letters.index(w1[t]))
+                                break
+            return found
+
+        rng = random.Random(17)
+        for _ in range(60):
+            sub = random_substitution(rng, k=rng.choice([2, 3, 4]))
+            for mode in ("prefix", "suffix"):
+                result = check_strong_coincidence(sub, mode, 5)
+                got = {
+                    pair: (w.power, w.letter)
+                    for pair, w in result.witnesses.items()
+                    if w is not None
+                }
+                assert got == scan(sub, mode, 5)
 
     def test_not_found_is_a_value(self):
         # the two letters never align: images stay disjoint under iteration
