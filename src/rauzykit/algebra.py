@@ -90,18 +90,6 @@ class IntMatrix:
             raise ValueError("dimension mismatch")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
 
-    def power(self, n: int) -> "IntMatrix":
-        if n < 0:
-            raise ValueError("negative matrix power")
-        result = IntMatrix.identity(self.dim)
-        base = self
-        while n:
-            if n & 1:
-                result = result @ base
-            base = base @ base
-            n >>= 1
-        return result
-
     def scaled(self, c: int) -> "IntMatrix":
         return IntMatrix(tuple(tuple(c * e for e in row) for row in self.rows))
 
@@ -657,10 +645,11 @@ def minimal_polynomial_of_dominant_root(
 class PisotReport:
     """Classification flags for a substitution's incidence matrix.
 
-    margin is the smallest distance of a non-dominant minimal-polynomial
-    root modulus from 1 (inf when the dominant root has no conjugates).
-    char_poly is the characteristic polynomial and minimal_polynomial its
-    irreducible factor vanishing at the Perron root.
+    matrix is the incidence matrix classified.  margin is the smallest
+    distance of a non-dominant minimal-polynomial root modulus from 1 (inf
+    when the dominant root has no conjugates).  char_poly is the
+    characteristic polynomial and minimal_polynomial its irreducible factor
+    vanishing at the Perron root.
     """
 
     perron_root: float
@@ -671,6 +660,7 @@ class PisotReport:
     margin: float
     char_poly: IntPolynomial
     minimal_polynomial: IntPolynomial
+    matrix: IntMatrix
 
 
 def _as_incidence(value) -> IntMatrix:
@@ -700,7 +690,7 @@ def classify_pisot(substitution_or_matrix) -> PisotReport:
     if abs(lam - 1) <= CLASSIFICATION_MARGIN:
         if p.evaluate(1) == 0:
             # dominant root is exactly 1: decidable, not Pisot
-            return PisotReport(1.0, primitive, False, irreducible, unimodular, math.inf, p, minpoly)
+            return PisotReport(1.0, primitive, False, irreducible, unimodular, math.inf, p, minpoly, m)
         raise IndeterminateClassification(
             f"dominant root {lam!r} within {CLASSIFICATION_MARGIN} of 1"
         )
@@ -714,4 +704,4 @@ def classify_pisot(substitution_or_matrix) -> PisotReport:
             f"a conjugate modulus is within {margin:.3e} of 1"
         )
     pisot = lam > 1 and all(mu < 1 for mu in moduli)
-    return PisotReport(lam, primitive, pisot, irreducible, unimodular, margin, p, minpoly)
+    return PisotReport(lam, primitive, pisot, irreducible, unimodular, margin, p, minpoly, m)

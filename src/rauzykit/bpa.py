@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -165,7 +166,8 @@ class PairSubstitution:
 
     rules[i] lists pair indices whose concatenated contents reproduce the
     image of pair i under (first, second); letter_image(i) is the exact
-    integer count vector of pair i's top word.
+    integer count vector of pair i's top word.  The pair incidence is
+    computed once per object, on first use.
     """
 
     base_alphabet: Alphabet
@@ -176,6 +178,11 @@ class PairSubstitution:
     @property
     def size(self) -> int:
         return len(self.pairs)
+
+    @cached_property
+    def incidence(self) -> PairIncidence:
+        m = incidence_matrix(self.as_substitution())
+        return PairIncidence(m, char_poly(m))
 
     def name(self, i: int) -> str:
         return self.pair_alphabet[i]
@@ -321,8 +328,7 @@ class PairIncidence:
 
 def pair_incidence(pair_sub: PairSubstitution) -> PairIncidence:
     """Incidence matrix over the pair alphabet and its exact characteristic polynomial."""
-    m = incidence_matrix(pair_sub.as_substitution())
-    return PairIncidence(m, char_poly(m))
+    return pair_sub.incidence
 
 
 @dataclass(frozen=True)

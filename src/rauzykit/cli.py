@@ -73,7 +73,6 @@ def cli():
 def cmd_analyze(path, tol):
     """Classify a substitution file and print a JSON report."""
     sub = load_substitution(path)
-    matrix = incidence_matrix(sub)
     report = classify_pisot(sub)
     try:
         seed_letter, power = find_fixed_point_seed(sub)
@@ -82,7 +81,7 @@ def cmd_analyze(path, tol):
         seed = None
     spectral = None
     try:
-        split = spectral_split(matrix, tol)
+        split = spectral_split(report, tol)
         op = projection_operator(split)
         spectral = {
             "contracting_dimension": split.stable_dim,
@@ -97,7 +96,7 @@ def cmd_analyze(path, tol):
         {
             "version": __version__,
             "substitution": substitution_to_dict(sub),
-            "incidence_matrix": [list(row) for row in matrix.rows],
+            "incidence_matrix": [list(row) for row in report.matrix.rows],
             "char_poly": _poly_payload(report.char_poly),
             "classification": {
                 "perron_root": report.perron_root,

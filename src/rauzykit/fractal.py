@@ -15,10 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import classify_pisot
-from .errors import DimensionMismatch, NotPisot, NotPrimitive
+from .errors import DimensionMismatch, MatrixMismatch, NotPisot
 from .spectral import ProjectionOperator
-from .words import InfiniteWordStream, Substitution, prefix_counts, stream_for
+from .words import InfiniteWordStream, Substitution, incidence_matrix, prefix_counts, stream_for
 
 #: Fixed fill palette; letters are assigned colors in sorted label order.
 PALETTE = (
@@ -102,12 +101,13 @@ def rauzy_cloud(
     """First n projected broken-line points of the fixed point, labeled by the
     letter read at each step.
 
+    op must be built for the substitution's incidence matrix (a reversed
+    substitution shares it); its classification is not recomputed.
     Deterministic for fixed substitution, n, and chart.
     """
-    report = classify_pisot(substitution)
-    if not report.is_primitive:
-        raise NotPrimitive("fractal generation needs a primitive substitution")
-    if not (report.is_pisot and report.is_unimodular):
+    if op.report.matrix != incidence_matrix(substitution):
+        raise MatrixMismatch("the projection operator was built for another incidence matrix")
+    if not op.report.is_unimodular:
         raise NotPisot("fractal generation needs a unimodular Pisot substitution")
     if stream is None:
         stream = stream_for(substitution)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import IntMatrix, all_roots, classify_pisot, poly_exact_div
+from .algebra import IntMatrix, PisotReport, all_roots, classify_pisot, poly_exact_div
 from .errors import IllConditioned, NoConvergence, NotPisot, NotPrimitive
 
 DEFAULT_TOL = 1e-10
@@ -25,11 +25,10 @@ class SpectralSplit:
     """Bases of the expanding, contracting, and complementary subspaces.
 
     Columns of [basis_u | basis_s | basis_c] span R^k; residuals record
-    per-column invariance defects.
+    per-column invariance defects; report classifies the matrix split.
     """
 
-    matrix: IntMatrix
-    perron_root: float
+    report: PisotReport
     basis_u: np.ndarray
     basis_s: np.ndarray
     basis_c: np.ndarray
@@ -48,11 +47,12 @@ class SpectralSplit:
 @dataclass(frozen=True)
 class ProjectionOperator:
     """Projection P onto the contracting space along the other two, plus an
-    orthonormal chart of that space."""
+    orthonormal chart of that space and the classification it was built from."""
 
     matrix: np.ndarray  # k x k
     chart: np.ndarray   # d x k, rows orthonormal
     tol: float
+    report: PisotReport
 
     @property
     def ambient_dim(self) -> int:
@@ -83,21 +83,25 @@ def _null_columns(a: np.ndarray, count: int) -> np.ndarray:
     return vh[-count:].conj().T
 
 
-def spectral_split(matrix: IntMatrix, tol: float = DEFAULT_TOL) -> SpectralSplit:
+def spectral_split(matrix_or_report: IntMatrix | PisotReport, tol: float = DEFAULT_TOL) -> SpectralSplit:
     """Split R^k by the dominant eigenvalue, its conjugates, and the rest.
 
-    Requires a primitive matrix whose dominant root is Pisot (checked via
-    classify_pisot); the complementary block is empty exactly when the
-    characteristic polynomial is irreducible.
+    Takes a classify_pisot report, or a matrix that is classified here.
+    Requires a primitive matrix whose dominant root is Pisot; the
+    complementary block is empty exactly when the characteristic polynomial
+    is irreducible.
     """
-    report = classify_pisot(matrix)
+    if isinstance(matrix_or_report, PisotReport):
+        report = matrix_or_report
+    else:
+        report = classify_pisot(matrix_or_report)
     if not report.is_primitive:
         raise NotPrimitive("spectral split needs a primitive matrix")
     if not report.is_pisot:
         raise NotPisot("spectral split needs a Pisot dominant root")
 
-    k = matrix.dim
-    mf = matrix.to_numpy()
+    k = report.matrix.dim
+    mf = report.matrix.to_numpy()
     lam = report.perron_root
     minpoly = report.minimal_polynomial
     cofactor = poly_exact_div(report.char_poly, minpoly)
@@ -172,8 +176,7 @@ def spectral_split(matrix: IntMatrix, tol: float = DEFAULT_TOL) -> SpectralSplit
         raise IllConditioned("contracting dimension disagrees with the conjugate count")
 
     return SpectralSplit(
-        matrix=matrix,
-        perron_root=lam,
+        report=report,
         basis_u=basis_u,
         basis_s=basis_s,
         basis_c=basis_c,
@@ -185,7 +188,7 @@ def spectral_split(matrix: IntMatrix, tol: float = DEFAULT_TOL) -> SpectralSplit
 
 def projection_operator(split: SpectralSplit) -> ProjectionOperator:
     """P = B diag(0, I_d, 0) B^{-1} with an orthonormal chart of the contracting block."""
-    k = split.matrix.dim
+    k = split.report.matrix.dim
     d = split.stable_dim
     b = split.full_basis()
     selector = np.zeros((k, k))
@@ -207,5 +210,5 @@ def projection_operator(split: SpectralSplit) -> ProjectionOperator:
     kernel = float(np.linalg.norm(p @ split.basis_u))
     if kernel > tol:
         raise IllConditioned(f"projector does not annihilate the expanding line ({kernel:.3e})")
-    return ProjectionOperator(matrix=p, chart=chart, tol=tol)
+    return ProjectionOperator(matrix=p, chart=chart, tol=tol, report=split.report)
 

@@ -396,7 +396,7 @@ def test_criterion_8_projector_residuals():
             continue
         if not report.is_pisot:
             continue
-        op = projection_operator(spectral_split(incidence_matrix(sub)))
+        op = projection_operator(spectral_split(report))
         p = op.matrix
         assert np.max(np.abs(p @ p - p)) < 1e-9
         checked += 1

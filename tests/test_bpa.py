@@ -218,6 +218,33 @@ class TestPairIncidence:
         assert rep.p == IntPolynomial((1, -3, 1))
         assert rep.p_equals_q and rep.p_divides and rep.q_divides
 
+    def test_one_pair_char_poly_per_pair_system(self, monkeypatch):
+        import rauzykit.bpa as bpa
+
+        first, second = interval_pair()
+        ps = run_bpa(first, second)
+        dims = []
+        char_poly = bpa.char_poly
+
+        def counting(m):
+            dims.append(m.dim)
+            return char_poly(m)
+
+        monkeypatch.setattr(bpa, "char_poly", counting)
+        inc = pair_incidence(ps)
+        rep = reciprocal_factor_report(first, ps)
+        assert dims.count(ps.size) == 1
+        assert pair_incidence(ps) is inc and rep.p_divides
+
+    def test_corrupted_copy_gets_its_own_incidence(self):
+        first, second = interval_pair()
+        ps = run_bpa(first, second)
+        before = pair_incidence(ps).matrix
+        bad = corrupt_rule(ps, rule_index=2, position=1, new_letter=1)  # C -> CBC
+        assert pair_incidence(bad).matrix == incidence_matrix(bad.as_substitution())
+        assert pair_incidence(bad).matrix != before
+        assert pair_incidence(ps).matrix == before
+
 
 class TestIntersectionCloud:
     def setup_method(self):

@@ -5,10 +5,13 @@ import sys
 
 import pytest
 
-from rauzykit import substitution_from_dict
+import rauzykit.algebra as algebra
+import rauzykit.bpa as bpa
+from rauzykit import incidence_matrix, substitution_from_dict
 from rauzykit.cli import main
 
 TRIB = {"alphabet": ["a", "b", "c"], "rules": {"a": "ab", "b": "ac", "c": "a"}}
+TRIB_REV = {"alphabet": ["a", "b", "c"], "rules": {"a": "ba", "b": "ca", "c": "a"}}
 FAMILY_3 = {"alphabet": ["a", "b", "c"], "rules": {"a": "aaab", "b": "aaac", "c": "a"}}
 GROWTH = {"alphabet": ["a", "b", "c"], "rules": {"a": "abc", "b": "a", "c": "ac"}}
 
@@ -16,7 +19,7 @@ GROWTH = {"alphabet": ["a", "b", "c"], "rules": {"a": "abc", "b": "a", "c": "ac"
 @pytest.fixture
 def files(tmp_path):
     paths = {}
-    for name, data in (("trib", TRIB), ("fam3", FAMILY_3), ("growth", GROWTH)):
+    for name, data in (("trib", TRIB), ("trib_rev", TRIB_REV), ("fam3", FAMILY_3), ("growth", GROWTH)):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         paths[name] = str(path)
@@ -157,6 +160,50 @@ class TestIntersect:
         assert payload["pairs"] == 6
         assert payload["points"] == 2000
         assert csv_path.exists()
+
+
+class TestExactInvariantsComputedOnce:
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """Factor searches made from here on, and those of one classification of TRIB."""
+        calls = []
+        search = algebra._find_nontrivial_factor
+
+        def counting(p):
+            calls.append(p)
+            return search(p)
+
+        monkeypatch.setattr(algebra, "_find_nontrivial_factor", counting)
+        m = incidence_matrix(substitution_from_dict(TRIB))
+        algebra.minimal_polynomial_of_dominant_root(algebra.char_poly(m))
+        one_chain = list(calls)
+        calls.clear()
+        assert one_chain
+        return calls, one_chain
+
+    @pytest.mark.parametrize("command", ["analyze", "fractal", "intersect"])
+    def test_one_factor_search_chain_per_command(self, command, files, capsys, searches):
+        calls, one_chain = searches
+        args = {
+            "analyze": ["analyze", files["trib"]],
+            "fractal": ["fractal", files["trib"], "--n", "100"],
+            "intersect": ["intersect", files["trib"], files["trib_rev"], "--n", "100"],
+        }[command]
+        assert run(capsys, args)[0] == 0
+        assert calls == one_chain
+
+    def test_bpa_computes_one_pair_char_poly(self, files, capsys, monkeypatch):
+        dims = []
+        char_poly = bpa.char_poly
+
+        def counting(m):
+            dims.append(m.dim)
+            return char_poly(m)
+
+        monkeypatch.setattr(bpa, "char_poly", counting)
+        code, out, _ = run(capsys, ["bpa", files["trib"], files["trib_rev"]])
+        assert code == 0
+        assert dims.count(len(json.loads(out)["pairs"])) == 1
 
 
 class TestSelftest:

@@ -6,6 +6,7 @@ from rauzykit import (
     DimensionMismatch,
     GridIndex,
     LabeledPointCloud,
+    MatrixMismatch,
     NotPisot,
     Substitution,
     broken_line_prefix_sums,
@@ -80,9 +81,14 @@ class TestRauzyCloud:
 
     def test_rejects_non_unimodular(self):
         flat = Substitution.from_rules(["a", "b"], {"a": "ab", "b": "ba"})  # determinant 0
-        op = tribonacci_operator()
+        op = projection_operator(spectral_split(incidence_matrix(flat)))  # stable dimension 0
         with pytest.raises(NotPisot):
             rauzy_cloud(flat, 10, op)
+
+    def test_rejects_operator_of_another_matrix(self):
+        family2 = Substitution.from_rules(["a", "b", "c"], {"a": "aab", "b": "aac", "c": "a"})
+        with pytest.raises(MatrixMismatch):
+            rauzy_cloud(family2, 10, tribonacci_operator())
 
     def test_label_partition(self):
         op = tribonacci_operator()

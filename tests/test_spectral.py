@@ -43,7 +43,7 @@ class TestSpectralSplit:
         m = IntMatrix.from_rows([[2, 0, 1], [1, 0, 0], [0, 1, 2]])
         split = spectral_split(m)
         assert (split.basis_u.shape[1], split.stable_dim, split.basis_c.shape[1]) == (1, 1, 1)
-        assert split.perron_root == pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-12)
+        assert split.report.perron_root == pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-12)
 
     def test_factor_search_runs_once_per_split(self, monkeypatch):
         # the split reuses classify_pisot's minimal polynomial instead of
@@ -101,7 +101,7 @@ class TestProjectionOperator:
 
     def test_commutes_with_matrix(self):
         split, op = tribonacci_operator()
-        m = split.matrix.to_numpy()
+        m = split.report.matrix.to_numpy()
         assert np.max(np.abs(op.matrix @ m - m @ op.matrix)) < 10 * split.tol
 
     def test_chart_isometry(self):
@@ -133,9 +133,9 @@ class TestProject:
         # in eigenbasis coordinates the contracting action is an exact
         # rotation scaled by the conjugate modulus 1/sqrt(lambda)
         split, _ = tribonacci_operator()
-        m = split.matrix.to_numpy()
+        m = split.report.matrix.to_numpy()
         coeff_rep = np.linalg.pinv(split.basis_s) @ m @ split.basis_s
-        modulus = 1 / math.sqrt(split.perron_root)
+        modulus = 1 / math.sqrt(split.report.perron_root)
         gram = coeff_rep.T @ coeff_rep
         assert np.max(np.abs(gram - (modulus ** 2) * np.eye(2))) < 1e-9
 
@@ -143,9 +143,9 @@ class TestProject:
         # the restricted operator need not contract in one Euclidean step,
         # but its iterates decay at the conjugate-modulus rate
         split, op = tribonacci_operator()
-        m = split.matrix.to_numpy()
+        m = split.report.matrix.to_numpy()
         restricted = op.chart @ m @ op.chart.T
-        modulus = 1 / math.sqrt(split.perron_root)
+        modulus = 1 / math.sqrt(split.report.perron_root)
         power = np.linalg.matrix_power(restricted, 12)
         assert np.linalg.norm(power, 2) < 3 * modulus ** 12
         rng = np.random.default_rng(5)
@@ -181,7 +181,7 @@ class TestRandomizedResiduals:
                 continue
             if not report.is_pisot:
                 continue
-            split = spectral_split(incidence_matrix(sub))
+            split = spectral_split(report)
             op = projection_operator(split)
             p = op.matrix
             assert np.max(np.abs(p @ p - p)) < 1e-9
