@@ -7,17 +7,18 @@ with its intersection substitution.
 
 from .algebra import (
     CLASSIFICATION_MARGIN,
+    MODULAR_FACTOR_CAP,
+    Factor,
     IntMatrix,
     IntPolynomial,
     PisotReport,
     Root,
     all_roots,
     char_poly,
-    char_poly_via_cofactors,
     classify_pisot,
     determinant,
     dominant_real_root,
-    evaluate_at_matrix,
+    factor_over_z,
     is_irreducible_over_q,
     is_primitive,
     is_unimodular,
@@ -48,7 +49,6 @@ from .bpa import (
     verify_common_points,
 )
 from .errors import (
-    DegreeTooLarge,
     DimensionMismatch,
     DivideByZeroPoly,
     IllConditioned,
@@ -62,6 +62,7 @@ from .errors import (
     NotPrimitive,
     RauzykitError,
     SubstitutionParseError,
+    TooManyModularFactors,
 )
 from .fractal import (
     GridIndex,

@@ -3,13 +3,24 @@
 Everything that feeds an equality assertion stays in arbitrary-precision
 integer (or Fraction) arithmetic.  Floating point appears only in root
 estimates, and those are refined or bracketed against the exact
-coefficients before they are used for classification.
+coefficients before they are used for classification, and in filters that
+only decide which exact division to try.
+
+Characteristic polynomials and factorisations over Z share one modular
+layer: polynomials mod primes below 2^31 (multiply, divide, gcd, power).
+char_poly is a Hessenberg reduction mod several primes joined by the
+Chinese remainder theorem under a proven coefficient bound; factor_over_z
+is Zassenhaus' algorithm (distinct-degree and Cantor-Zassenhaus splitting,
+Hensel lifting, subset recombination).  No degree is capped: the subset
+search refuses when more than MODULAR_FACTOR_CAP modular factors remain
+after the single ones are taken out.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -17,19 +28,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    DegreeTooLarge,
     DivideByZeroPoly,
     IndeterminateClassification,
     NegativeEntry,
     NoConvergence,
+    TooManyModularFactors,
 )
 
 #: Refusal margin for Pisot classification: a non-dominant root modulus
 #: within this distance of 1 raises IndeterminateClassification.
 CLASSIFICATION_MARGIN = 1e-9
-
-#: Hard cap on exact irreducibility / factor searches.
-IRREDUCIBILITY_DEGREE_CAP = 12
 
 
 # ---------------------------------------------------------------------------
@@ -67,15 +75,6 @@ class IntMatrix:
     def entry(self, i: int, j: int) -> int:
         return self.rows[i][j]
 
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.dim))
-
-    def add_scaled_identity(self, c: int) -> "IntMatrix":
-        return IntMatrix(tuple(
-            tuple(e + c if i == j else e for j, e in enumerate(row))
-            for i, row in enumerate(self.rows)
-        ))
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
@@ -89,16 +88,6 @@ class IntMatrix:
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
-
-    def scaled(self, c: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(c * e for e in row) for row in self.rows))
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return IntMatrix(tuple(
-            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)
-        ))
 
     def to_numpy(self) -> np.ndarray:
         return np.array(self.rows, dtype=float)
@@ -249,46 +238,95 @@ class IntPolynomial:
         return " ".join(parts)
 
 
-def _frac_divmod(p: Sequence[Fraction], d: Sequence[Fraction]):
-    """Long division over Q; returns (quotient, remainder) coefficient lists."""
-    rem = list(p)
-    dd = len(d) - 1
-    quot = [Fraction(0)] * max(1, len(rem) - dd)
-    lead = d[-1]
-    for i in range(len(rem) - 1, dd - 1, -1):
-        if rem[i] == 0:
-            continue
-        c = rem[i] / lead
-        quot[i - dd] = c
-        for j in range(dd + 1):
-            rem[i - dd + j] -= c * d[j]
-    while len(rem) > 1 and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
+# Internally, integer polynomials are lists of ints, lowest degree first,
+# without trailing zeros; reduced mod m, their entries lie in [0, m).
+
+
+def _zmul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _zreduce(a: Sequence[int], m: int) -> list[int]:
+    out = [c % m for c in a]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _add(*polys: list[int]) -> list[int]:
+    out = [0] * max(len(a) for a in polys)
+    for a in polys:
+        for i, c in enumerate(a):
+            out[i] += c
+    return out
+
+
+def _zsub(a: list[int], b: list[int], m: int) -> list[int]:
+    return _zreduce(_add(a, [-c for c in b]), m)
+
+
+def _zdivmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder mod m of a by b, whose leading coefficient is a unit mod m."""
+    r = [c % m for c in a]
+    db = len(b) - 1
+    inv = pow(b[-1], -1, m)
+    q = [0] * max(len(a) - db, 0)
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i] * inv % m
+        if c:
+            q[i - db] = c
+            for j in range(db):
+                r[i - db + j] = (r[i - db + j] - c * b[j]) % m
+    return _zreduce(q, m), _zreduce(r[:db], m)
+
+
+def _zprimitive(a: list[int]) -> list[int]:
+    g = math.gcd(*a)
+    g = -g if a[-1] < 0 else g
+    return [c // g for c in a]
+
+
+def _zdiv(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
+    """The quotient a / b when b divides a in Z[x], else None."""
+    db = len(b) - 1
+    if not a:
+        return []
+    if len(a) - 1 < db:
+        return None
+    r = list(a)
+    q = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c, rem = divmod(r[i], b[-1])
+        if rem:
+            return None
+        if c:
+            q[i - db] = c
+            for j in range(db):
+                r[i - db + j] -= c * b[j]
+    return None if any(r[:db]) else q
 
 
 def poly_divides(d: IntPolynomial, p: IntPolynomial) -> bool:
-    """True iff division of p by d over Q leaves zero remainder (sign-insensitive)."""
+    """True iff d divides p over Q (sign-insensitive)."""
     if d.is_zero:
         raise DivideByZeroPoly("division by the zero polynomial")
-    if p.is_zero:
-        return True
-    if d.degree > p.degree:
-        return False
-    _, rem = _frac_divmod([Fraction(c) for c in p.coeffs], [Fraction(c) for c in d.coeffs])
-    return all(r == 0 for r in rem)
+    # Gauss's lemma: over Q, d divides p iff its primitive part does in Z[x]
+    return _zdiv(p.coeffs, primitive_part(d).coeffs) is not None
 
 
 def poly_exact_div(p: IntPolynomial, d: IntPolynomial) -> IntPolynomial:
     """Exact quotient p / d; requires integer quotient and zero remainder."""
     if d.is_zero:
         raise DivideByZeroPoly("division by the zero polynomial")
-    quot, rem = _frac_divmod([Fraction(c) for c in p.coeffs], [Fraction(c) for c in d.coeffs])
-    if any(r != 0 for r in rem):
-        raise ArithmeticError("division is not exact")
-    if any(q.denominator != 1 for q in quot):
-        raise ArithmeticError("quotient is not an integer polynomial")
-    return IntPolynomial(tuple(int(q) for q in quot))
+    q = _zdiv(p.coeffs, d.coeffs)
+    if q is None:
+        raise ArithmeticError("division is not exact over Z")
+    return IntPolynomial(tuple(q))
 
 
 def reciprocal_poly(p: IntPolynomial) -> IntPolynomial:
@@ -312,171 +350,516 @@ def primitive_part(p: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(tuple(c // g for c in p.coeffs))
 
 
-def evaluate_at_matrix(p: IntPolynomial, m: IntMatrix) -> IntMatrix:
-    """Exact Horner evaluation of p at a square integer matrix."""
-    k = m.dim
-    acc = IntMatrix.identity(k).scaled(p.coeffs[-1]) if not p.is_zero else IntMatrix.identity(k).scaled(0)
-    for c in reversed(p.coeffs[:-1]):
-        acc = (acc @ m).add_scaled_identity(c)
-    return acc
+# ---------------------------------------------------------------------------
+# primes and polynomials mod p
+#
+# A polynomial mod p is a numpy int64 array of residues, lowest degree first,
+# without trailing zeros.  Every prime is below 2^31, so the product of two
+# residues fits in int64; where products are summed, one operand is split into
+# 16-bit halves so that no partial sum overflows.
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5, 7: deterministic below 3.2 * 10^9."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes(start: int, step: int):
+    """The primes start, start + step, ... in that order (step is +2 or -2)."""
+    n = start
+    while True:
+        if _is_prime(n):
+            yield n
+        n += step
+
+
+def _trim(a: np.ndarray) -> np.ndarray:
+    n = len(a)
+    while n and not a[n - 1]:
+        n -= 1
+    return a[:n]
+
+
+def _mod(coeffs: Sequence[int], p: int) -> np.ndarray:
+    return _trim(np.array([c % p for c in coeffs], dtype=np.int64))
+
+
+def _dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p, for residues below 2^31 and an inner dimension below 2^16."""
+    if p < 1 << 16:
+        return a @ b % p
+    return (a @ (b & 0xFFFF) % p + (a @ (b >> 16) % p << 16)) % p
+
+
+def _mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    if not len(a) or not len(b):
+        return a[:0]
+    if p < 1 << 16:
+        return _trim(np.convolve(a, b) % p)
+    lo = np.convolve(a, b & 0xFFFF) % p
+    hi = np.convolve(a, b >> 16) % p
+    return _trim((lo + (hi << 16)) % p)
+
+
+def _sub(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    out = np.zeros(max(len(a), len(b)), dtype=np.int64)
+    out[: len(a)] = a
+    out[: len(b)] -= b
+    return _trim(out % p)
+
+
+def _divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quotient and remainder of a by the nonzero b, mod p."""
+    q, r = _zdivmod(a.tolist(), b.tolist(), p)
+    return np.array(q, dtype=np.int64), np.array(r, dtype=np.int64)
+
+
+def _monic(a: np.ndarray, p: int) -> np.ndarray:
+    return a * pow(int(a[-1]), -1, p) % p
+
+
+def _gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Monic gcd mod p of a and b, not both zero."""
+    while len(b):
+        a, b = b, _divmod(a, b, p)[1]
+    return _monic(a, p)
+
+
+def _xgcd(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(s, t) with s a + t b = gcd(a, b), monic, mod p."""
+    one = np.ones(1, dtype=np.int64)
+    s0, s1, t0, t1 = one, one[:0], one[:0], one
+    while len(b):
+        q, r = _divmod(a, b, p)
+        a, b = b, r
+        s0, s1 = s1, _sub(s0, _mul(q, s1, p), p)
+        t0, t1 = t1, _sub(t0, _mul(q, t1, p), p)
+    inv = pow(int(a[-1]), -1, p)
+    return s0 * inv % p, t0 * inv % p
+
+
+def _squarefree_mod(f: np.ndarray, p: int) -> bool:
+    """gcd(f, f') = 1 mod p; with p not dividing lc(f), this proves f squarefree over Q."""
+    return len(_gcd(f, _trim(np.arange(1, len(f)) * f[1:] % p), p)) == 1
+
+
+def _mulmod(f: np.ndarray, p: int):
+    """Multiplication mod (f, p) for monic f of degree n, on operands of
+    degree below n: the high part of a product is folded back through a
+    table of x^(n+i) mod f."""
+    n = len(f) - 1
+    table = np.zeros((max(n - 1, 0), n), dtype=np.int64)
+    row = -f[:n] % p
+    for i in range(n - 1):
+        table[i] = row
+        row = (np.concatenate(([0], row[:-1])) - row[-1] * f[:n]) % p
+
+    def mulmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        c = _mul(a, b, p)
+        if len(c) <= n:
+            return c
+        return _trim((c[:n] + _dot(c[n:], table[: len(c) - n], p)) % p)
+
+    return mulmod
+
+
+def _powmod(a: np.ndarray, e: int, mulmod) -> np.ndarray:
+    """a^e by repeated squaring with the given modular multiplication."""
+    result = np.ones(1, dtype=np.int64)
+    while e:
+        if e & 1:
+            result = mulmod(result, a)
+        e >>= 1
+        if e:
+            a = mulmod(a, a)
+    return result
 
 
 # ---------------------------------------------------------------------------
 # characteristic polynomials
 
 
+def _char_poly_mod(rows: tuple[tuple[int, ...], ...], p: int) -> list[int]:
+    """det(xI - M) mod p: reduction to Hessenberg form by similarity, then
+    the Hessenberg recurrence (Cohen, GTM 138, Algorithm 2.2.9)."""
+    n = len(rows)
+    h = np.array([[e % p for e in row] for row in rows], dtype=np.int64)
+    for j in range(1, n - 1):
+        nz = np.flatnonzero(h[j:, j - 1])
+        if not len(nz):
+            continue
+        i = j + int(nz[0])
+        if i != j:
+            h[[i, j]] = h[[j, i]]
+            h[:, [i, j]] = h[:, [j, i]]
+        u = h[j + 1 :, j - 1] * pow(int(h[j, j - 1]), -1, p) % p
+        h[j + 1 :] = (h[j + 1 :] - np.outer(u, h[j]) % p) % p  # row i -= u_i row j
+        h[:, j] = (h[:, j] + _dot(h[:, j + 1 :], u, p)) % p  # column j += u_i column i
+    hl = h.tolist()
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)  # row j: char poly of the leading j x j block
+    polys[0, 0] = 1
+    for j in range(n):
+        c, t = [0] * j, 1
+        for i in range(j - 1, -1, -1):
+            t = t * hl[i + 1][i] % p
+            c[i] = hl[i][j] * t % p
+        tail = _dot(polys[:j].T, np.array(c, dtype=np.int64), p) if j else 0
+        polys[j + 1] = (np.roll(polys[j], 1) - hl[j][j] * polys[j] % p - tail) % p
+    return polys[n].tolist()
+
+
 def char_poly(m: IntMatrix) -> IntPolynomial:
     """Monic characteristic polynomial det(xI - M), exact over the integers.
 
-    Faddeev-LeVerrier recurrence; the division by the step index is exact,
-    so no fractions ever appear.
+    Computed mod primes below 2^31 and combined by the Chinese remainder
+    theorem into symmetric residues.  Every eigenvalue is at most rho, the
+    smaller of the largest absolute row and column sums, so |c_j| <=
+    C(k, j) rho^j (Cohen, GTM 138, section 2.2); primes are added until
+    their product exceeds twice that bound.
     """
     k = m.dim
-    coeffs = [0] * (k + 1)
-    coeffs[k] = 1
-    a = m
-    c = -a.trace()
-    coeffs[k - 1] = c
-    for step in range(2, k + 1):
-        a = m @ a.add_scaled_identity(c)
-        t = a.trace()
-        q, r = divmod(t, step)
-        if r:
-            raise ArithmeticError("Faddeev-LeVerrier division was not exact")
-        c = -q
-        coeffs[k - step] = c
-    return IntPolynomial(tuple(coeffs))
-
-
-def char_poly_via_cofactors(m: IntMatrix) -> IntPolynomial:
-    """Independent characteristic-polynomial oracle: Laplace expansion of det(xI - M).
-
-    Exponential in the dimension; intended for cross-checks at small sizes.
-    """
-    k = m.dim
-    entries = [
-        [
-            IntPolynomial((-m.entry(i, j), 1)) if i == j else IntPolynomial((-m.entry(i, j),))
-            for j in range(k)
-        ]
-        for i in range(k)
-    ]
-    return _poly_det(entries)
-
-
-def _poly_det(rows: list[list[IntPolynomial]]) -> IntPolynomial:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = IntPolynomial.zero()
-    for j, head in enumerate(rows[0]):
-        if head.is_zero:
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-        term = head * _poly_det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    rho = min(
+        max(sum(abs(e) for e in row) for row in m.rows),
+        max(sum(abs(e) for e in col) for col in zip(*m.rows)),
+    )
+    bound = max(math.comb(k, j) * rho ** j for j in range(k + 1))
+    coeffs: list[int] = []
+    modulus = 1
+    for p in _primes(2 ** 31 - 1, -2):
+        residues = _char_poly_mod(m.rows, p)
+        if coeffs:
+            inv = pow(modulus, -1, p)
+            residues = [c + modulus * ((r - c) * inv % p) for c, r in zip(coeffs, residues)]
+        coeffs = residues
+        modulus *= p
+        if modulus > 2 * bound:
+            break
+    return IntPolynomial(tuple(c - modulus if 2 * c > modulus else c for c in coeffs))
 
 
 # ---------------------------------------------------------------------------
-# factor search (rational roots + Kronecker interpolation)
+# factorisation over Z
+
+#: Zassenhaus recombination tries subsets of the modular factors, so its cost
+#: is exponential in their number; past this many left after the single
+#: factors are taken out, it refuses.
+MODULAR_FACTOR_CAP = 16
+
+#: Good primes whose distinct-degree factorisations are intersected before
+#: any lifting (Musser 1975).
+_DEGREE_SET_PRIMES = 5
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
+@dataclass(frozen=True)
+class Factor:
+    """An irreducible factor over Z, primitive with positive leading coefficient."""
+
+    poly: IntPolynomial
+    multiplicity: int
+    cyclotomic: bool
+
+
+def _zgcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd in Z[x] by the primitive remainder sequence."""
+    a, b = _zprimitive(a), _zprimitive(b)
+    while len(b) > 1:
+        r = list(a)
+        while len(r) >= len(b):  # pseudo-division: r <- lc(b) r - r_top x^k b
+            top, shift = r[-1], len(r) - len(b)
+            r = [b[-1] * c for c in r[:-1]]
+            for j in range(len(b) - 1):
+                r[shift + j] -= top * b[j]
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, _zprimitive(r) if r else []
+    return [1] if b else a
+
+
+def _cyclotomic_orders(n: int) -> list[tuple[int, int]]:
+    """Every (m, phi(m)) with phi(m) <= n, built from prime powers."""
+    orders = [(1, 1)]
+    for q in range(2, n + 2):
+        if not _is_prime(q):
+            continue
+        for m, phi in list(orders):
+            qe, step = q, q - 1
+            while phi * step <= n:
+                orders.append((m * qe, phi * step))
+                qe, step = qe * q, step * q
+    return orders
+
+
+def _mobius(n: int) -> int:
+    mu, q = 1, 2
+    while q * q <= n:
+        if n % q == 0:
+            n //= q
+            if n % q == 0:
+                return 0
+            mu = -mu
+        q += 1
+    return -mu if n > 1 else mu
+
+
+def _cyclotomic(m: int, phi: int) -> list[int]:
+    """Phi_m, from the power series of prod over d | m of (1 - x^d)^mu(m/d)."""
+    if m == 1:
+        return [-1, 1]
+    c = [1] + [0] * phi
+    for d in range(1, m + 1):
+        mu = 0 if m % d else _mobius(m // d)
+        if mu == 1:  # times (1 - x^d)
+            for i in range(phi, d - 1, -1):
+                c[i] -= c[i - d]
+        elif mu == -1:  # divided by (1 - x^d)
+            for i in range(d, phi + 1):
+                c[i] += c[i - d]
+    return c
+
+
+def _frobenius(f: np.ndarray, p: int) -> np.ndarray:
+    """Rows x^(i p) mod f for i < deg f: h^p mod f is h @ this matrix mod p."""
+    n = len(f) - 1
+    mulmod = _mulmod(f, p)
+    xp = _powmod(_divmod(np.array([0, 1], dtype=np.int64), f, p)[1], p, mulmod)
+    rows = np.zeros((n, n), dtype=np.int64)
+    row = np.ones(1, dtype=np.int64)
+    for i in range(n):
+        rows[i, : len(row)] = row
+        row = mulmod(row, xp)
+    return rows
+
+
+def _ddf(f: np.ndarray, p: int) -> list[tuple[np.ndarray, int]]:
+    """Distinct-degree factorisation of the monic squarefree f mod p: pairs
+    (g, d) with g the product of f's irreducible factors of degree d."""
+    x = np.array([0, 1], dtype=np.int64)
+    parts = []
+    h, d = x, 0
+    frobenius = None
+    while 2 * (d + 1) <= len(f) - 1:
         d += 1
-    return small + large[::-1]
+        if frobenius is None:
+            frobenius = _frobenius(f, p)
+        h = _trim(_dot(h, frobenius[: len(h)], p))  # x^(p^d) mod f
+        g = _gcd(f, _sub(h, x, p), p)
+        if len(g) > 1:
+            parts.append((g, d))
+            f = _divmod(f, g, p)[0]
+            h = _divmod(h, f, p)[1]
+            frobenius = None
+    if len(f) > 1:
+        parts.append((f, len(f) - 1))
+    return parts
 
 
-def _interpolate_integer(points: Sequence[int], values: Sequence[int]) -> IntPolynomial | None:
-    """Newton interpolation; None unless all coefficients are integers."""
-    n = len(points)
-    table = [Fraction(v) for v in values]
-    # divided differences in place
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            table[i] = (table[i] - table[i - 1]) / (points[i] - points[i - level])
-    coeffs = [Fraction(0)] * n
-    coeffs[0] = table[0]
-    basis = [Fraction(1)] + [Fraction(0)] * (n - 1)
-    for level in range(1, n):
-        # basis *= (x - points[level-1])
-        new = [Fraction(0)] * n
-        for i in range(level):
-            new[i] -= basis[i] * points[level - 1]
-            new[i + 1] += basis[i]
-        basis = new
-        for i in range(level + 1):
-            coeffs[i] += table[level] * basis[i]
-    if any(c.denominator != 1 for c in coeffs):
-        return None
-    return IntPolynomial(tuple(int(c) for c in coeffs))
+def _edf(g: np.ndarray, d: int, p: int, rng: random.Random) -> list[np.ndarray]:
+    """Cantor-Zassenhaus equal-degree splitting of g mod an odd prime p into
+    its monic irreducible factors, all of degree d."""
+    n = len(g) - 1
+    if n == d:
+        return [g]
+    one = np.ones(1, dtype=np.int64)
+    mulmod = _mulmod(g, p)
+    while True:
+        a = _trim(np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64))
+        if len(a) < 2:
+            continue
+        s = _gcd(g, _sub(_powmod(a, (p ** d - 1) // 2, mulmod), one, p), p)
+        if 1 < len(s) < len(g):
+            return _edf(s, d, p, rng) + _edf(_divmod(g, s, p)[0], d, p, rng)
 
 
-def _find_nontrivial_factor(p: IntPolynomial) -> IntPolynomial | None:
-    """A nonconstant proper integer divisor of p, or None when p is irreducible over Q.
+def _hensel_step(f, g, h, s, t, m):
+    """From f = g h and s g + t h = 1 mod m, with h monic, to the same
+    identities mod m^2 (von zur Gathen and Gerhard, Algorithm 15.10)."""
+    m2 = m * m
+    e = _zsub(f, _zmul(g, h), m2)
+    q, r = _zdivmod(_zmul(s, e), h, m2)
+    g = _zreduce(_add(g, _zmul(t, e), _zmul(q, g)), m2)
+    h = _zreduce(_add(h, r), m2)
+    b = _zsub(_add(_zmul(s, g), _zmul(t, h)), [1], m2)
+    c, d = _zdivmod(_zmul(s, b), h, m2)
+    s = _zsub(s, d, m2)
+    t = _zsub(t, _add(_zmul(t, b), _zmul(c, g)), m2)
+    return g, h, s, t
 
-    Rational-root test first; then Kronecker interpolation over divisor
-    tuples, pruned by the Landau-Mignotte coefficient bound.
+
+def _hensel(f: list[int], factors: list[np.ndarray], p: int, modulus: int) -> list[list[int]]:
+    """Monic lifts mod `modulus`, a power p^(2^j), of the monic factors mod p
+    of f = lc(f) * prod(factors) mod p, by a balanced factor tree."""
+    if len(factors) == 1:
+        inv = pow(f[-1], -1, modulus)
+        return [_zreduce([c * inv for c in f], modulus)]
+    half = len(factors) // 2
+    g = np.array([f[-1] % p], dtype=np.int64)
+    for u in factors[:half]:
+        g = _mul(g, u, p)
+    h = np.ones(1, dtype=np.int64)
+    for u in factors[half:]:
+        h = _mul(h, u, p)
+    s, t = _xgcd(g, h, p)
+    g, h, s, t = g.tolist(), h.tolist(), s.tolist(), t.tolist()
+    m = p
+    while m < modulus:
+        g, h, s, t = _hensel_step(f, g, h, s, t, m)
+        m *= m
+    return _hensel(g, factors[:half], p, modulus) + _hensel(h, factors[half:], p, modulus)
+
+
+def _recombine(f: list[int], lifted: list[list[int]], modulus: int, degrees: int) -> list[list[int]]:
+    """Zassenhaus recombination: true factors of f are the subsets of the
+    lifted factors whose product, times lc(f) and taken symmetrically mod
+    `modulus`, divides f.  `degrees` has bit d set when a factor of degree d
+    is possible.  Single factors, among them every rational root, are taken
+    out first; subsets of two or more, exponential in number, are tried
+    only for at most MODULAR_FACTOR_CAP factors."""
+    found = []
+    size = 1
+    while 2 * size <= len(lifted):
+        if size > 1 and len(lifted) > MODULAR_FACTOR_CAP:
+            raise TooManyModularFactors(
+                f"{len(lifted)} modular factors left after the single ones; "
+                f"recombination is capped at {MODULAR_FACTOR_CAP}"
+            )
+        for subset in itertools.combinations(range(len(lifted)), size):
+            if not degrees >> sum(len(lifted[i]) - 1 for i in subset) & 1:
+                continue
+            c0 = f[-1]
+            for i in subset:
+                c0 = c0 * lifted[i][0] % modulus
+            c0 = c0 - modulus if 2 * c0 > modulus else c0
+            if not c0 or (f[-1] * f[0]) % c0:
+                continue
+            g = [f[-1]]
+            for i in subset:
+                g = _zreduce(_zmul(g, lifted[i]), modulus)
+            g = _zprimitive([c - modulus if 2 * c > modulus else c for c in g])
+            q = _zdiv(f, g)
+            if q is not None:
+                found.append(g)
+                f = q
+                lifted = [u for i, u in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    return found + [f]
+
+
+def _zassenhaus(f: list[int]) -> list[list[int]]:
+    """Irreducible factors of the primitive squarefree f with positive leading
+    coefficient and f(0) != 0."""
+    n = len(f) - 1
+    if n == 1:
+        return [f]
+    degrees = (1 << (n + 1)) - 1
+    best = None
+    good = 0
+    for p in _primes(101, 2):
+        if f[-1] % p == 0:
+            continue
+        fp = _mod(f, p)
+        if not _squarefree_mod(fp, p):
+            continue  # p divides the discriminant
+        parts = _ddf(_monic(fp, p), p)
+        sums, count = 1, 0
+        for g, d in parts:
+            for _ in range((len(g) - 1) // d):
+                sums |= sums << d
+                count += 1
+        degrees &= sums
+        if degrees == 1 | 1 << n:
+            return [f]
+        if best is None or count < best[0]:
+            best = (count, p, parts)
+        good += 1
+        if good == _DEGREE_SET_PRIMES:
+            break
+    _, p, parts = best
+    rng = random.Random(p)
+    modular = [u for g, d in parts for u in _edf(g, d, p, rng)]
+    bound = 2 * (math.isqrt(n + 1) + 1) * 2 ** n * f[-1] * max(abs(c) for c in f)
+    modulus = p
+    while modulus <= bound:
+        modulus *= modulus
+    return _recombine(f, _hensel(f, modular, p, modulus), modulus, degrees)
+
+
+def factor_over_z(p: IntPolynomial) -> tuple[Factor, ...]:
+    """Irreducible factors of p over Z with multiplicities; the content is dropped.
+
+    The factors x and the cyclotomic polynomials are divided out exactly
+    first.  The squarefree rest is factored mod a good prime
+    (distinct-degree then Cantor-Zassenhaus splitting), Hensel-lifted past
+    the coefficient bound and recombined (Zassenhaus 1969), single lifted
+    factors first, so that every rational root is taken out before any
+    subset search; the distinct-degree patterns mod several primes,
+    intersected, often prove the rest irreducible before any lifting.
+    Raises TooManyModularFactors when subsets of more than
+    MODULAR_FACTOR_CAP modular factors would have to be searched.
+    Deterministic; factors come sorted by degree, then by coefficients.
     """
-    q = positive_leading(primitive_part(p))
-    n = q.degree
-    if n <= 1:
-        return None
-    if q.coeffs[0] == 0:
-        return IntPolynomial((0, 1))
-    lead, const = q.leading, q.coeffs[0]
-    for r in _divisors(const):
-        for s in _divisors(lead):
-            if math.gcd(r, s) != 1:
-                continue
-            for root in (Fraction(r, s), Fraction(-r, s)):
-                if q.evaluate(root) == 0:
-                    return positive_leading(IntPolynomial((-root.numerator, root.denominator)))
-    if n <= 3:
-        return None
-    norm2 = math.isqrt(sum(c * c for c in q.coeffs)) + 1
-    point_pool = [0] + [s * v for v in range(1, n + 2) for s in (1, -1)]
-    for d in range(2, n // 2 + 1):
-        points = point_pool[: d + 1]
-        bound = (2 ** d) * norm2
-        candidate_values = []
-        for idx, x in enumerate(points):
-            v = q.evaluate(x)
-            cap = bound * sum(abs(x) ** j for j in range(d + 1))
-            divs = [t for t in _divisors(v) if t <= cap]
-            if idx == 0:
-                # fix the sign of g(points[0]) > 0: g and -g divide together
-                candidate_values.append(divs)
-            else:
-                candidate_values.append([t for t in divs] + [-t for t in divs])
-        for combo in itertools.product(*candidate_values):
-            g = _interpolate_integer(points, combo)
-            if g is None or g.degree < 1 or g.degree >= n:
-                continue
-            if poly_divides(g, q):
-                return positive_leading(primitive_part(g))
-    return None
+    if p.degree < 1:
+        return ()
+    rest = list(positive_leading(primitive_part(p)).coeffs)
+    factors = []
 
+    def take(g: list[int], cyclotomic: bool) -> None:
+        nonlocal rest
+        k = 0
+        while (q := _zdiv(rest, g)) is not None:
+            rest, k = q, k + 1
+        if k:
+            factors.append(Factor(IntPolynomial(tuple(g)), k, cyclotomic))
 
-def _check_degree_cap(p: IntPolynomial) -> None:
-    if p.degree > IRREDUCIBILITY_DEGREE_CAP:
-        raise DegreeTooLarge(f"degree {p.degree} exceeds cap {IRREDUCIBILITY_DEGREE_CAP}")
+    take([0, 1], False)
+    if max(abs(c) for c in rest) < 2 ** 1000:  # the filters below need float coefficients
+        coeffs = np.array(rest[::-1], dtype=float)
+        orders = _cyclotomic_orders(len(rest) - 1)
+        with np.errstate(all="ignore"):
+            values = np.abs(np.polyval(coeffs, np.exp(2j * np.pi / np.array([m for m, _ in orders]))))
+        # a root of unity is a root of rest only where its float value is
+        # within rounding of 0; the division decides exactly
+        tol = 1e-9 * float(np.abs(coeffs).sum())
+        for (m, phi), v in zip(orders, values):
+            if not v > tol and phi < len(rest):
+                take(_cyclotomic(m, phi), True)
+    if len(rest) > 1:
+        prime = next(q for q in _primes(101, 2) if rest[-1] % q)
+        if not _squarefree_mod(_mod(rest, prime), prime):
+            rest_derivative = [i * c for i, c in enumerate(rest)][1:]
+            core = _zdiv(rest, _zgcd(rest, rest_derivative))
+        else:
+            core = rest
+        for g in _zassenhaus(core):
+            take(g, False)
+    return tuple(sorted(factors, key=lambda f: (f.poly.degree, f.poly.coeffs)))
 
 
 def is_irreducible_over_q(p: IntPolynomial) -> bool:
-    """Irreducibility over Q by bounded exact search; degree capped at 12."""
+    """Irreducibility over Q: p has one irreducible factor, of p's degree."""
     if p.degree < 1:
         raise ValueError("irreducibility needs degree >= 1")
-    _check_degree_cap(p)
-    return _find_nontrivial_factor(p) is None
+    factors = factor_over_z(p)
+    return len(factors) == 1 and factors[0].poly.degree == p.degree
 
 
 # ---------------------------------------------------------------------------
@@ -610,31 +993,27 @@ def all_roots(p: IntPolynomial, tol: float = 1e-10) -> list[Root]:
 def minimal_polynomial_of_dominant_root(
     p: IntPolynomial, dom: DominantRoot | None = None
 ) -> IntPolynomial:
-    """Monic-up-to-sign irreducible factor of p vanishing at its largest real root.
+    """The irreducible factor of p over Z that vanishes at its largest real root.
 
-    Factors are peeled off with the bounded Kronecker search; the side
-    containing the root is selected by an exact sign change over the
-    bisection bracket whenever the bracket is verified, or by an exact zero
-    when the bracket has collapsed onto the root.
+    p is factored first (factor_over_z), so a refusal comes before any root
+    work; the bracket dom is needed, and computed when None, only when p
+    has more than one distinct irreducible factor.  The factor is the one
+    with an exact sign change over a verified bracket, or an exact zero on
+    a bracket collapsed onto the root, and otherwise the one smallest in
+    absolute value at the root estimate.
     """
+    factors = [f.poly for f in factor_over_z(p)]
+    if len(factors) == 1:
+        return factors[0]
     if dom is None:
         dom = dominant_real_root(p)
-    q = positive_leading(primitive_part(p))
-    while True:
-        _check_degree_cap(q)
-        g = _find_nontrivial_factor(q)
-        if g is None:
-            return positive_leading(q)
-        h = positive_leading(primitive_part(poly_exact_div(q, g)))
+    for f in factors:
         if dom.verified and dom.lower == dom.upper:
-            q = g if g.evaluate(dom.lower) == 0 else h
-        elif dom.verified:
-            if _sign(g.evaluate(dom.lower)) * _sign(g.evaluate(dom.upper)) < 0:
-                q = g
-            else:
-                q = h
-        else:
-            q = min((g, h), key=lambda f: abs(complex(f.evaluate(dom.value))))
+            if f.evaluate(dom.lower) == 0:
+                return f
+        elif dom.verified and _sign(f.evaluate(dom.lower)) * _sign(f.evaluate(dom.upper)) < 0:
+            return f
+    return min(factors, key=lambda f: abs(complex(f.evaluate(dom.value))))
 
 
 # ---------------------------------------------------------------------------
@@ -675,15 +1054,16 @@ def classify_pisot(substitution_or_matrix) -> PisotReport:
     """Assemble primitivity, unimodularity, irreducibility and the Pisot flag.
 
     Raises IndeterminateClassification when a root modulus (dominant or
-    conjugate) sits within CLASSIFICATION_MARGIN of 1 without being exactly 1.
+    conjugate) sits within CLASSIFICATION_MARGIN of 1 without being exactly 1,
+    and TooManyModularFactors, before any root work, when the char poly
+    cannot be factored within MODULAR_FACTOR_CAP.
     """
     m = _as_incidence(substitution_or_matrix)
     primitive = is_primitive(m)
     unimodular = is_unimodular(m)
     p = char_poly(m)
-    _check_degree_cap(p)  # refuse before any root work
+    minpoly = minimal_polynomial_of_dominant_root(p)  # factors p before any root work
     dom = dominant_real_root(p)
-    minpoly = minimal_polynomial_of_dominant_root(p, dom)
     irreducible = minpoly.degree == p.degree
     lam = dom.value
 

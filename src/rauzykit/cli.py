@@ -12,7 +12,7 @@ import sys
 import click
 
 from . import __version__
-from .algebra import classify_pisot
+from .algebra import classify_pisot, factor_over_z
 from .bpa import (
     BpaLimits,
     NonTermination,
@@ -59,6 +59,17 @@ def _emit(payload: dict) -> None:
 
 def _poly_payload(poly) -> dict:
     return {"coeffs": list(poly.coeffs), "text": str(poly)}
+
+
+def _factorization_payload(poly, report) -> list[dict]:
+    """Irreducible factors of poly with multiplicities; tags mark the factors
+    equal to the report's p or q and the cyclotomic ones."""
+    payload = []
+    for f in factor_over_z(poly):
+        tags = [name for name, g in (("p", report.p), ("q", report.q)) if f.poly == g]
+        tags += ["cyclotomic"] if f.cyclotomic else []
+        payload.append({**_poly_payload(f.poly), "multiplicity": f.multiplicity, "tags": tags})
+    return payload
 
 
 @click.group(name="rauzykit")
@@ -202,7 +213,9 @@ def cmd_bpa(path1, path2, prefix_cutoff, max_pairs, max_pair_length, out):
     payload = dict(ps.to_dict())
     payload["version"] = __version__
     payload["char_poly"] = _poly_payload(inc.char_polynomial)
-    payload["factor_report"] = reciprocal_factor_report(first, ps).to_dict()
+    report = reciprocal_factor_report(first, ps)
+    payload["factor_report"] = report.to_dict()
+    payload["factorization"] = _factorization_payload(inc.char_polynomial, report)
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)

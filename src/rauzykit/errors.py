@@ -47,8 +47,8 @@ class NegativeEntry(RauzykitError):
     """A matrix expected to be nonnegative has a negative entry."""
 
 
-class DegreeTooLarge(RauzykitError):
-    """Polynomial degree exceeds the exact factor-search cap."""
+class TooManyModularFactors(RauzykitError):
+    """Factoring over Z would recombine more modular factors than the cap allows."""
 
 
 class DivideByZeroPoly(RauzykitError):

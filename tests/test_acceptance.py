@@ -17,6 +17,7 @@ from conftest import (
     random_substitution,
     shuffled_images_copy,
 )
+from oracles import evaluate_at_matrix
 from rauzykit import (
     BpaLimits,
     IndeterminateClassification,
@@ -29,7 +30,6 @@ from rauzykit import (
     check_incidence_homomorphism,
     classify_pisot,
     dominant_real_root,
-    evaluate_at_matrix,
     grid_intersection_estimate,
     hausdorff_distance,
     incidence_matrix,

@@ -1,23 +1,26 @@
 import math
 import random
+import string
 
 import pytest
 
 from conftest import fibonacci, random_substitution, tribonacci
+from oracles import char_poly_via_cofactors, evaluate_at_matrix, sympy_char_poly, sympy_factor_list
 from rauzykit import (
-    DegreeTooLarge,
+    MODULAR_FACTOR_CAP,
+    BpaLimits,
     DivideByZeroPoly,
     IntMatrix,
     IntPolynomial,
     NegativeEntry,
     Substitution,
+    TooManyModularFactors,
     all_roots,
     char_poly,
-    char_poly_via_cofactors,
     classify_pisot,
     determinant,
     dominant_real_root,
-    evaluate_at_matrix,
+    factor_over_z,
     incidence_matrix,
     is_irreducible_over_q,
     is_primitive,
@@ -27,6 +30,7 @@ from rauzykit import (
     poly_exact_div,
     positive_leading,
     reciprocal_poly,
+    run_bpa,
 )
 
 TRIB_POLY = IntPolynomial((-1, -1, -1, 1))  # x^3 - x^2 - x - 1
@@ -34,6 +38,34 @@ TRIB_POLY = IntPolynomial((-1, -1, -1, 1))  # x^3 - x^2 - x - 1
 
 def random_matrix(rng, k, lo=-5, hi=5):
     return IntMatrix.from_rows([[rng.randint(lo, hi) for _ in range(k)] for _ in range(k)])
+
+
+def factor_pairs(p):
+    return sorted((f.poly.coeffs, f.multiplicity) for f in factor_over_z(p))
+
+
+def swinnerton_dyer_blocks():
+    """Block-diagonal nonnegative matrix whose char poly is the product of the
+    minimal polynomials x^4 - 2(a + b)x^2 + (a - b)^2 of sqrt(a) + sqrt(b) for
+    nine pairs of primes.  Each splits into at least two factors mod every
+    prime, so the product has at least 18 modular factors."""
+    pairs = [(2, 3), (2, 5), (2, 7), (2, 11), (3, 5), (3, 7), (3, 11), (5, 7), (5, 11)]
+    k = 4 * len(pairs)
+    rows = [[0] * k for _ in range(k)]
+    for n, (a, b) in enumerate(pairs):
+        o = 4 * n
+        # [[0, I], [C, 0]] has char poly det(x^2 I - C), C = [[a + b, 4ab], [1, a + b]]
+        rows[o][o + 2] = rows[o + 1][o + 3] = 1
+        rows[o + 2][o], rows[o + 2][o + 1] = a + b, 4 * a * b
+        rows[o + 3][o], rows[o + 3][o + 1] = 1, a + b
+    return IntMatrix.from_rows(rows)
+
+
+def kbonacci(k):
+    letters = list(string.ascii_lowercase[:k])
+    rules = {letters[i]: letters[0] + letters[i + 1] for i in range(k - 1)}
+    rules[letters[-1]] = letters[0]
+    return Substitution.from_rules(letters, rules)
 
 
 class TestCharPoly:
@@ -180,9 +212,12 @@ class TestIrreducibility:
     def test_irreducible_quartic(self):
         assert is_irreducible_over_q(IntPolynomial((1, 0, 0, 0, 1)))  # x^4 + 1
 
-    def test_degree_cap(self):
-        with pytest.raises(DegreeTooLarge):
-            is_irreducible_over_q(IntPolynomial((1,) + (0,) * 12 + (1,)))
+    def test_degree_thirteen_factors_exactly(self):
+        # x^13 + 1 = (x + 1) Phi_26(x), past the degree cap of the former search
+        pytest.importorskip("sympy")
+        p = IntPolynomial((1,) + (0,) * 12 + (1,))
+        assert factor_pairs(p) == sympy_factor_list(p)
+        assert not is_irreducible_over_q(p)
 
     def test_minimal_polynomial_extraction(self):
         p = IntPolynomial((-1, 4, -4, 1))  # (x^2 - 3x + 1)(x - 1)
@@ -289,19 +324,42 @@ class TestClassification:
         assert not rep.is_irreducible
         assert rep.minimal_polynomial == IntPolynomial((1, -3, 1))
 
-    def test_degree_cap_refuses_before_root_work(self, monkeypatch):
-        import rauzykit.algebra as algebra
-
-        def no_roots(*args, **kwargs):
-            raise AssertionError("root work before the degree refusal")
-
-        monkeypatch.setattr(algebra, "dominant_real_root", no_roots)
+    def test_thirteen_cycle_classifies_exactly(self):
+        # I + P for the 13-cycle P: char poly (x - 1)^13 - 1 = (x - 2) Phi_13(x - 1)
+        pytest.importorskip("sympy")
         k = 13
         cycle = IntMatrix.from_rows(
             [[1 if j in (i, (i + 1) % k) else 0 for j in range(k)] for i in range(k)]
         )
-        with pytest.raises(DegreeTooLarge):
-            classify_pisot(cycle)
+        rep = classify_pisot(cycle)
+        assert rep.char_poly.coeffs == sympy_char_poly(cycle)
+        factors = sympy_factor_list(rep.char_poly)
+        assert factor_pairs(rep.char_poly) == factors
+        assert [(len(f) - 1, k) for f, k in factors] == [(1, 1), (12, 1)]
+        assert rep.is_primitive and not rep.is_irreducible
+        assert rep.minimal_polynomial == IntPolynomial((-2, 1)) and rep.perron_root == 2.0
+
+    def test_recombination_cap_refuses_before_root_work(self, monkeypatch):
+        import rauzykit.algebra as algebra
+
+        def no_roots(*args, **kwargs):
+            raise AssertionError("root work before the recombination refusal")
+
+        monkeypatch.setattr(algebra, "dominant_real_root", no_roots)
+        monkeypatch.setattr(algebra, "all_roots", no_roots)
+        m = swinnerton_dyer_blocks()
+        assert m.dim // 2 > MODULAR_FACTOR_CAP  # two or more factors per quartic block
+        with pytest.raises(TooManyModularFactors):
+            classify_pisot(m)
+        with pytest.raises(TooManyModularFactors):
+            is_irreducible_over_q(char_poly(m))
+
+    @pytest.mark.parametrize("k", range(3, 21))
+    def test_kbonacci_classifies_without_refusal(self, k):
+        rep = classify_pisot(kbonacci(k))
+        assert rep.char_poly == IntPolynomial((-1,) * k + (1,))
+        assert rep.is_irreducible and rep.is_pisot and rep.is_unimodular
+        assert rep.minimal_polynomial == rep.char_poly
 
     def test_identity_substitution(self):
         sub = Substitution.from_rules(["a", "b"], {"a": "a", "b": "b"})
@@ -317,3 +375,43 @@ class TestClassification:
             assert char_poly(incidence_matrix(sub)) == char_poly(
                 incidence_matrix(reverse_substitution(sub))
             )
+
+
+class TestAgainstSympy:
+    def test_char_poly_matches_sympy(self):
+        pytest.importorskip("sympy")
+        rng = random.Random(61)
+        for k, hi in [(1, 9), (2, 10 ** 6), (5, 3), (9, 10 ** 6), (17, 1), (30, 50), (45, 10 ** 6), (60, 2)]:
+            for lo in (0, -hi):
+                m = random_matrix(rng, k, lo, hi)
+                assert char_poly(m).coeffs == sympy_char_poly(m), (k, lo, hi)
+
+    def test_char_poly_of_the_c8_59_pair_system(self):
+        pytest.importorskip("sympy")
+        first = Substitution.from_rules(["a", "b", "c"], {"a": "baa", "b": "acb", "c": "a"})
+        second = Substitution.from_rules(["a", "b", "c"], {"a": "baa", "b": "cab", "c": "a"})
+        pairs = run_bpa(first, second, BpaLimits(prefix_cutoff=20000, max_pairs=80, max_pair_length=20000))
+        m = incidence_matrix(pairs.as_substitution())
+        assert m.dim == 59
+        p = char_poly(m)
+        assert p.coeffs == sympy_char_poly(m)
+        assert factor_pairs(p) == sympy_factor_list(p)
+
+    def test_factorization_matches_sympy(self):
+        # seeded products of planted factors, with repeats and reciprocal pairs
+        pytest.importorskip("sympy")
+        rng = random.Random(62)
+        for _ in range(80):
+            p = IntPolynomial((rng.choice([1, 2, 6]),))
+            for _ in range(rng.randint(1, 4)):
+                d = rng.randint(1, 7)
+                f = IntPolynomial(tuple([rng.choice([-3, -1, 1, 2, 5])] + [rng.randint(-6, 6) for _ in range(d - 1)] + [rng.choice([1, 1, 2, 3])]))
+                p = p * f
+                if rng.random() < 0.3:
+                    p = p * f
+                if rng.random() < 0.3:
+                    p = p * reciprocal_poly(f)
+            factors = factor_over_z(p)
+            assert factor_pairs(p) == sympy_factor_list(p), str(p)
+            keys = [(f.poly.degree, f.poly.coeffs) for f in factors]
+            assert keys == sorted(keys)

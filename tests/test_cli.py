@@ -7,13 +7,25 @@ import pytest
 
 import rauzykit.algebra as algebra
 import rauzykit.bpa as bpa
-from rauzykit import incidence_matrix, substitution_from_dict
+from oracles import sympy_factor_list
+from rauzykit import IntPolynomial, incidence_matrix, substitution_from_dict
 from rauzykit.cli import main
 
 TRIB = {"alphabet": ["a", "b", "c"], "rules": {"a": "ab", "b": "ac", "c": "a"}}
 TRIB_REV = {"alphabet": ["a", "b", "c"], "rules": {"a": "ba", "b": "ca", "c": "a"}}
 FAMILY_3 = {"alphabet": ["a", "b", "c"], "rules": {"a": "aaab", "b": "aaac", "c": "a"}}
 GROWTH = {"alphabet": ["a", "b", "c"], "rules": {"a": "abc", "b": "a", "c": "ac"}}
+FLIPPED = {"alphabet": ["a", "b", "c"], "rules": {"a": "ab", "b": "ca", "c": "a"}}
+INTERVAL = {"alphabet": ["a", "b"], "rules": {"a": "aba", "b": "ab"}}
+INTERVAL_2 = {"alphabet": ["a", "b"], "rules": {"a": "aba", "b": "ba"}}
+
+
+def family(i):
+    return {"alphabet": ["a", "b", "c"], "rules": {"a": "a" * i + "b", "b": "a" * i + "c", "c": "a"}}
+
+
+def reversed_rules(data):
+    return {"alphabet": data["alphabet"], "rules": {a: w[::-1] for a, w in data["rules"].items()}}
 
 
 @pytest.fixture
@@ -113,6 +125,55 @@ class TestBpaCommand:
         assert payload["factor_report"]["p_divides"]
         assert json.loads(out_path.read_text()) == payload
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [(INTERVAL, INTERVAL_2)] + [(family(i), reversed_rules(family(i))) for i in (1, 2, 3, 4)]
+        + [(FLIPPED, reversed_rules(FLIPPED))],
+        ids=["interval", "family1", "family2", "family3", "family4", "flipped"],
+    )
+    def test_factorization_matches_sympy(self, first, second, files, capsys):
+        pytest.importorskip("sympy")
+        paths = []
+        for name, data in (("first", first), ("second", second)):
+            path = files["dir"] / f"{name}.json"
+            path.write_text(json.dumps(data))
+            paths.append(str(path))
+        code, out, _ = run(capsys, ["bpa", *paths])
+        assert code == 0
+        payload = json.loads(out)
+        factors = payload["factorization"]
+        big = IntPolynomial(tuple(payload["char_poly"]["coeffs"]))
+        assert sorted((tuple(f["coeffs"]), f["multiplicity"]) for f in factors) == sympy_factor_list(big)
+        report = payload["factor_report"]
+        for f in factors:
+            assert f["text"] == str(IntPolynomial(tuple(f["coeffs"])))
+            assert ("p" in f["tags"]) is (f["coeffs"] == report["p"]["coeffs"])
+            assert ("q" in f["tags"]) is (f["coeffs"] == report["q"]["coeffs"])
+        if first is FLIPPED:
+            # (x - 1)(x + 1)(x^2 - x + 1) p q (x^5 + x^4 - 2x^2 - 3x + 1)
+            assert [(f["text"], f["multiplicity"], f["tags"]) for f in factors] == [
+                ("x - 1", 1, ["cyclotomic"]),
+                ("x + 1", 1, ["cyclotomic"]),
+                ("x^2 - x + 1", 1, ["cyclotomic"]),
+                ("x^3 - x^2 - x - 1", 1, ["p"]),
+                ("x^3 + x^2 + x - 1", 1, ["q"]),
+                ("x^5 + x^4 - 2x^2 - 3x + 1", 1, []),
+            ]
+
+    def test_analyze_classifies_the_pair_system(self, files, capsys):
+        # flipped tribonacci's pair system has 15 letters and a reducible char poly
+        first, second = files["dir"] / "flipped.json", files["dir"] / "flipped_rev.json"
+        first.write_text(json.dumps(FLIPPED))
+        second.write_text(json.dumps(reversed_rules(FLIPPED)))
+        pairs = files["dir"] / "pairs.json"
+        assert run(capsys, ["bpa", str(first), str(second), "--out", str(pairs)])[0] == 0
+        code, out, _ = run(capsys, ["analyze", str(pairs)])
+        assert code == 0
+        report = json.loads(out)
+        assert len(report["substitution"]["alphabet"]) == 15
+        assert report["classification"]["is_irreducible"] is False
+        assert report["spectral"]["contracting_dimension"] == 2
+
     def test_no_balanced_prefix_exits_four(self, files, capsys):
         rev_path = files["dir"] / "growth_rev.json"
         assert run(capsys, ["reverse", files["growth"], str(rev_path)])[0] == 0
@@ -165,15 +226,15 @@ class TestIntersect:
 class TestExactInvariantsComputedOnce:
     @pytest.fixture
     def searches(self, monkeypatch):
-        """Factor searches made from here on, and those of one classification of TRIB."""
+        """Factorisations made from here on, and those of one classification of TRIB."""
         calls = []
-        search = algebra._find_nontrivial_factor
+        factor = algebra.factor_over_z
 
         def counting(p):
             calls.append(p)
-            return search(p)
+            return factor(p)
 
-        monkeypatch.setattr(algebra, "_find_nontrivial_factor", counting)
+        monkeypatch.setattr(algebra, "factor_over_z", counting)
         m = incidence_matrix(substitution_from_dict(TRIB))
         algebra.minimal_polynomial_of_dominant_root(algebra.char_poly(m))
         one_chain = list(calls)
@@ -215,7 +276,7 @@ class TestSelftest:
         assert len(lines) >= 25
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
     import rauzykit
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(rauzykit.__file__)))
@@ -226,3 +287,19 @@ def test_cli_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+    # factoring does not load sympy either: analyze 12-bonacci in a fresh process
+    letters = "abcdefghijkl"
+    rules = {a: "a" + b for a, b in zip(letters, letters[1:])}
+    rules["l"] = "a"
+    path = tmp_path / "kbonacci12.json"
+    path.write_text(json.dumps({"alphabet": list(letters), "rules": rules}))
+    code = (
+        "import contextlib, io, sys, rauzykit.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = rauzykit.cli.main(['analyze', sys.argv[1]])\n"
+        "print(code, 'sympy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["0", "False"]

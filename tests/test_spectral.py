@@ -47,18 +47,18 @@ class TestSpectralSplit:
 
     def test_factor_search_runs_once_per_split(self, monkeypatch):
         # the split reuses classify_pisot's minimal polynomial instead of
-        # searching for factors of the char poly again
+        # factoring the char poly again
         import rauzykit.algebra as algebra
 
         m = IntMatrix.from_rows([[2, 0, 1], [1, 0, 0], [0, 1, 2]])
         calls = []
-        search = algebra._find_nontrivial_factor
+        factor = algebra.factor_over_z
 
         def counting(p):
             calls.append(p)
-            return search(p)
+            return factor(p)
 
-        monkeypatch.setattr(algebra, "_find_nontrivial_factor", counting)
+        monkeypatch.setattr(algebra, "factor_over_z", counting)
         algebra.minimal_polynomial_of_dominant_root(algebra.char_poly(m))
         one_search = len(calls)
         calls.clear()
