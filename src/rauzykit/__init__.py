@@ -40,7 +40,6 @@ from .bpa import (
     check_incidence_homomorphism,
     first_minimal_balanced_pair,
     intersection_cloud,
-    is_balanced,
     minimal_split,
     pair_incidence,
     pair_letter_name,
@@ -72,7 +71,6 @@ from .fractal import (
     export_csv,
     grid_intersection_estimate,
     hausdorff_distance,
-    load_csv,
     negate_cells,
     rauzy_cloud,
     reflect_cloud,
@@ -85,7 +83,6 @@ from .words import (
     Substitution,
     Word,
     abelianization,
-    apply_power,
     check_strong_coincidence,
     find_fixed_point_seed,
     incidence_matrix,
@@ -94,7 +91,7 @@ from .words import (
     prefix_counts,
     reverse_substitution,
     save_substitution,
-    seed_power_for_letter,
+    seed_power,
     stream_for,
     substitution_from_dict,
     substitution_to_dict,

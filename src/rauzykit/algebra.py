@@ -14,6 +14,11 @@ is Zassenhaus' algorithm (distinct-degree and Cantor-Zassenhaus splitting,
 Hensel lifting, subset recombination).  No degree is capped: the subset
 search refuses when more than MODULAR_FACTOR_CAP modular factors remain
 after the single ones are taken out.
+
+classify_pisot brackets the char poly's dominant root once, by exact sign
+bisection; that one bracket both picks the minimal polynomial among the
+factors and seeds the Newton refinement of its conjugates, which the
+PisotReport carries on.
 """
 
 from __future__ import annotations
@@ -83,11 +88,6 @@ class IntMatrix:
             tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
             for row in self.rows
         ))
-
-    def mat_vec(self, v: Sequence[int]) -> tuple[int, ...]:
-        if len(v) != self.dim:
-            raise ValueError("dimension mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
 
     def to_numpy(self) -> np.ndarray:
         return np.array(self.rows, dtype=float)
@@ -164,10 +164,6 @@ class IntPolynomial:
     @classmethod
     def zero(cls) -> "IntPolynomial":
         return cls(())
-
-    @classmethod
-    def constant(cls, c: int) -> "IntPolynomial":
-        return cls((c,))
 
     @property
     def is_zero(self) -> bool:
@@ -884,7 +880,7 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def dominant_real_root(p: IntPolynomial, *, bits: int = 80) -> DominantRoot:
+def dominant_real_root(p: IntPolynomial) -> DominantRoot:
     """Largest real root, refined by sign bisection with exact evaluation.
 
     A floating estimate seeds the bracket; the bracket is then verified and
@@ -904,7 +900,7 @@ def dominant_real_root(p: IntPolynomial, *, bits: int = 80) -> DominantRoot:
 
     def bisect(lo: Fraction, hi: Fraction) -> DominantRoot:
         s_lo = _sign(q.evaluate(lo))
-        width_target = Fraction(max(1, math.ceil(abs(r0)))) / (1 << bits)
+        width_target = Fraction(max(1, math.ceil(abs(r0)))) / (1 << 80)  # 80 bits
         while hi - lo > width_target:
             mid = (lo + hi) / 2
             s_mid = _sign(q.evaluate(mid))
@@ -936,6 +932,53 @@ def dominant_real_root(p: IntPolynomial, *, bits: int = 80) -> DominantRoot:
     return DominantRoot(r0, approx - delta, approx + delta, False)
 
 
+def _newton(p: IntPolynomial, starts: Iterable[complex], tol: float) -> list[Root]:
+    """Newton-refine each start until |p(z)| / ||p|| < tol, in at most 60 steps.
+
+    p and p' are evaluated by Horner's rule on float coefficients.  A start
+    already below tol takes no step, and one refined at a looser tol goes on
+    along the same steps.  Raises NoConvergence (with the residual) if
+    refinement stalls.
+    """
+    coeffs = [float(c) for c in p.coeffs]
+    dcoeffs = [float(c) for c in p.derivative().coeffs]
+    norm = math.sqrt(sum(c * c for c in coeffs))
+
+    def horner(cs: list[float], z: complex) -> complex:
+        acc = cs[-1]
+        for c in reversed(cs[:-1]):
+            acc = acc * z + c
+        return acc
+
+    roots = []
+    for z in starts:
+        z = complex(z)
+        residual = abs(horner(coeffs, z)) / norm
+        for _ in range(60):
+            if residual < tol:
+                break
+            d = horner(dcoeffs, z)
+            if abs(d) < 1e-300:
+                z += 1e-8 * (1 + abs(z))
+                d = horner(dcoeffs, z)
+            z = z - horner(coeffs, z) / d
+            residual = abs(horner(coeffs, z)) / norm
+        if residual >= tol:
+            raise NoConvergence(f"root refinement stalled at residual {residual:.3e}")
+        roots.append(Root(z, residual))
+    return roots
+
+
+def _roots_near(p: IntPolynomial, dom: DominantRoot | None, tol: float) -> list[Root]:
+    """All deg(p) roots, from numpy's estimates with the one nearest dom.value
+    snapped to it, Newton-refined to tol."""
+    estimates = list(np.roots(np.array(p.coeffs[::-1], dtype=float)))
+    if dom is not None:
+        nearest = min(range(len(estimates)), key=lambda i: abs(estimates[i] - dom.value))
+        estimates[nearest] = complex(dom.value)
+    return _newton(p, estimates, tol)
+
+
 def all_roots(p: IntPolynomial, tol: float = 1e-10) -> list[Root]:
     """All deg(p) complex roots, Newton-refined until |p(z)| / ||p|| < tol.
 
@@ -944,50 +987,25 @@ def all_roots(p: IntPolynomial, tol: float = 1e-10) -> list[Root]:
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
-    coeffs = [float(c) for c in p.coeffs]
-    norm = math.sqrt(sum(c * c for c in coeffs))
-    deriv = p.derivative()
-
-    def pval(z: complex) -> complex:
-        acc = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            acc = acc * z + c
-        return acc
-
-    def dval(z: complex) -> complex:
-        dcs = [float(c) for c in deriv.coeffs]
-        if not dcs:
-            return 0.0
-        acc = dcs[-1]
-        for c in reversed(dcs[:-1]):
-            acc = acc * z + c
-        return acc
-
-    estimates = list(np.roots(np.array(p.coeffs[::-1], dtype=float)))
     try:
         dom = dominant_real_root(p)
-        nearest = min(range(len(estimates)), key=lambda i: abs(estimates[i] - dom.value))
-        estimates[nearest] = complex(dom.value)
     except NoConvergence:
-        pass
+        dom = None
+    return _roots_near(p, dom, tol)
 
-    roots = []
-    for z in estimates:
-        z = complex(z)
-        residual = abs(pval(z)) / norm
-        for _ in range(60):
-            if residual < tol:
-                break
-            d = dval(z)
-            if abs(d) < 1e-300:
-                z += 1e-8 * (1 + abs(z))
-                d = dval(z)
-            z = z - pval(z) / d
-            residual = abs(pval(z)) / norm
-        if residual >= tol:
-            raise NoConvergence(f"root refinement stalled at residual {residual:.3e}")
-        roots.append(Root(z, residual))
-    return roots
+
+def _factor_at(factors: list[IntPolynomial], dom: DominantRoot) -> IntPolynomial:
+    """The factor vanishing at the root bracketed by dom: the one with an
+    exact sign change over a verified bracket, or an exact zero on a bracket
+    collapsed onto the root, and otherwise the one smallest in absolute
+    value at the root estimate."""
+    for f in factors:
+        if dom.verified and dom.lower == dom.upper:
+            if f.evaluate(dom.lower) == 0:
+                return f
+        elif dom.verified and _sign(f.evaluate(dom.lower)) * _sign(f.evaluate(dom.upper)) < 0:
+            return f
+    return min(factors, key=lambda f: abs(complex(f.evaluate(dom.value))))
 
 
 def minimal_polynomial_of_dominant_root(
@@ -997,23 +1015,12 @@ def minimal_polynomial_of_dominant_root(
 
     p is factored first (factor_over_z), so a refusal comes before any root
     work; the bracket dom is needed, and computed when None, only when p
-    has more than one distinct irreducible factor.  The factor is the one
-    with an exact sign change over a verified bracket, or an exact zero on
-    a bracket collapsed onto the root, and otherwise the one smallest in
-    absolute value at the root estimate.
+    has more than one distinct irreducible factor.
     """
     factors = [f.poly for f in factor_over_z(p)]
     if len(factors) == 1:
         return factors[0]
-    if dom is None:
-        dom = dominant_real_root(p)
-    for f in factors:
-        if dom.verified and dom.lower == dom.upper:
-            if f.evaluate(dom.lower) == 0:
-                return f
-        elif dom.verified and _sign(f.evaluate(dom.lower)) * _sign(f.evaluate(dom.upper)) < 0:
-            return f
-    return min(factors, key=lambda f: abs(complex(f.evaluate(dom.value))))
+    return _factor_at(factors, dom if dom is not None else dominant_real_root(p))
 
 
 # ---------------------------------------------------------------------------
@@ -1028,7 +1035,9 @@ class PisotReport:
     distance of a non-dominant minimal-polynomial root modulus from 1 (inf
     when the dominant root has no conjugates).  char_poly is the
     characteristic polynomial and minimal_polynomial its irreducible factor
-    vanishing at the Perron root.
+    vanishing at the Perron root; roots are the minimal polynomial's roots,
+    Newton-refined to a residual below 1e-10 (empty when the Perron root is
+    exactly 1).
     """
 
     perron_root: float
@@ -1040,6 +1049,7 @@ class PisotReport:
     char_poly: IntPolynomial
     minimal_polynomial: IntPolynomial
     matrix: IntMatrix
+    roots: tuple[Root, ...]
 
 
 def _as_incidence(value) -> IntMatrix:
@@ -1062,26 +1072,27 @@ def classify_pisot(substitution_or_matrix) -> PisotReport:
     primitive = is_primitive(m)
     unimodular = is_unimodular(m)
     p = char_poly(m)
-    minpoly = minimal_polynomial_of_dominant_root(p)  # factors p before any root work
+    factors = [f.poly for f in factor_over_z(p)]
     dom = dominant_real_root(p)
+    minpoly = factors[0] if len(factors) == 1 else _factor_at(factors, dom)
     irreducible = minpoly.degree == p.degree
     lam = dom.value
 
     if abs(lam - 1) <= CLASSIFICATION_MARGIN:
         if p.evaluate(1) == 0:
             # dominant root is exactly 1: decidable, not Pisot
-            return PisotReport(1.0, primitive, False, irreducible, unimodular, math.inf, p, minpoly, m)
+            return PisotReport(1.0, primitive, False, irreducible, unimodular, math.inf, p, minpoly, m, ())
         raise IndeterminateClassification(
             f"dominant root {lam!r} within {CLASSIFICATION_MARGIN} of 1"
         )
 
-    conj = all_roots(minpoly)
-    nearest = min(range(len(conj)), key=lambda i: abs(conj[i].value - lam))
-    moduli = [abs(r.value) for i, r in enumerate(conj) if i != nearest]
+    roots = tuple(_roots_near(minpoly, dom, 1e-10))
+    nearest = min(range(len(roots)), key=lambda i: abs(roots[i].value - lam))
+    moduli = [abs(r.value) for i, r in enumerate(roots) if i != nearest]
     margin = min((abs(1 - mu) for mu in moduli), default=math.inf)
     if margin <= CLASSIFICATION_MARGIN:
         raise IndeterminateClassification(
             f"a conjugate modulus is within {margin:.3e} of 1"
         )
     pisot = lam > 1 and all(mu < 1 for mu in moduli)
-    return PisotReport(lam, primitive, pisot, irreducible, unimodular, margin, p, minpoly, m)
+    return PisotReport(lam, primitive, pisot, irreducible, unimodular, margin, p, minpoly, m, roots)

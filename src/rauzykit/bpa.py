@@ -25,10 +25,11 @@ from .algebra import (
     positive_leading,
     reciprocal_poly,
 )
-from .errors import MatrixMismatch, NotBalanced, NotPrimitive
+from .errors import MatrixMismatch, NoSeedFound, NotBalanced, NotPrimitive
 from .fractal import CloudMeta, LabeledPointCloud, chart_id_of
 from .spectral import ProjectionOperator
 from .words import (
+    SEED_POWER_LIMIT,
     Alphabet,
     InfiniteWordStream,
     Substitution,
@@ -36,7 +37,7 @@ from .words import (
     abelianization,
     incidence_matrix,
     prefix_counts,
-    seed_power_for_letter,
+    seed_power,
     stream_for,
 )
 
@@ -67,13 +68,6 @@ class BalancedPair:
 
     def __str__(self):
         return f"({self.top}/{self.bottom})"
-
-
-def is_balanced(top: Word, bottom: Word) -> bool:
-    """True iff the two words have equal letter counts."""
-    if top.alphabet != bottom.alphabet:
-        raise ValueError("words must share an alphabet")
-    return abelianization(top) == abelianization(bottom)
 
 
 def minimal_split(pair: BalancedPair) -> list[BalancedPair]:
@@ -445,7 +439,11 @@ def verify_common_points(
         (first, seed_pair.top.indices[0]),
         (second, seed_pair.bottom.indices[0]),
     ):
-        power = seed_power_for_letter(substitution, start_letter)
+        power = seed_power(substitution, start_letter)
+        if power is None:
+            raise NoSeedFound(
+                f"letter index {start_letter} seeds no growing fixed point within power {SEED_POWER_LIMIT}"
+            )
         parent = InfiniteWordStream(substitution, start_letter, power)
         eye = np.eye(substitution.alphabet.size, dtype=np.int64)
         counts = prefix_counts(parent.prefix_indices(int(checkpoints[-1])), eye)

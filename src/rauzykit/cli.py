@@ -53,6 +53,10 @@ EXIT_PRECONDITION = 3
 EXIT_LIMIT = 4
 
 
+#: Type of the point-count and BPA-limit options: a value below 1 is a usage error.
+_POSITIVE = click.IntRange(min=1)
+
+
 def _emit(payload: dict) -> None:
     click.echo(json.dumps(payload, indent=2, sort_keys=False))
 
@@ -123,6 +127,15 @@ def cmd_analyze(path, tol):
     )
 
 
+def _export(cloud, csv_path, svg_path) -> None:
+    """Write the cloud's SVG, then its CSV: render_svg refuses a cloud above
+    two dimensions before any file is written."""
+    if svg_path:
+        render_svg([cloud], svg_path)
+    if csv_path:
+        export_csv(cloud, csv_path)
+
+
 @cli.command("reverse")
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("out", type=click.Path(dir_okay=False, writable=True))
@@ -134,7 +147,7 @@ def cmd_reverse(path, out):
 
 @cli.command("fractal")
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--n", type=int, default=10 ** 5, show_default=True, help="Number of points.")
+@click.option("--n", type=_POSITIVE, default=10 ** 5, show_default=True, help="Number of points.")
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False, writable=True), help="Write the cloud as CSV.")
 @click.option("--svg", "svg_path", type=click.Path(dir_okay=False, writable=True), help="Render the cloud as SVG.")
 @click.option("--tol", type=float, default=1e-10, show_default=True)
@@ -143,10 +156,7 @@ def cmd_fractal(path, n, csv_path, svg_path, tol):
     sub = load_substitution(path)
     op = projection_operator(spectral_split(incidence_matrix(sub), tol))
     cloud = rauzy_cloud(sub, n, op)
-    if csv_path:
-        export_csv(cloud, csv_path)
-    if svg_path:
-        render_svg([cloud], svg_path)
+    _export(cloud, csv_path, svg_path)
     lo, hi = cloud.bounding_box()
     _emit(
         {
@@ -200,9 +210,9 @@ def _run_bpa_or_fail(first, second, limits):
 @cli.command("bpa")
 @click.argument("path1", type=click.Path(exists=True, dir_okay=False))
 @click.argument("path2", type=click.Path(exists=True, dir_okay=False))
-@click.option("--prefix-cutoff", type=int, default=10 ** 6, show_default=True)
-@click.option("--max-pairs", type=int, default=10 ** 4, show_default=True)
-@click.option("--max-pair-length", type=int, default=10 ** 5, show_default=True)
+@click.option("--prefix-cutoff", type=_POSITIVE, default=10 ** 6, show_default=True)
+@click.option("--max-pairs", type=_POSITIVE, default=10 ** 4, show_default=True)
+@click.option("--max-pair-length", type=_POSITIVE, default=10 ** 5, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), help="Write the pair substitution as JSON.")
 def cmd_bpa(path1, path2, prefix_cutoff, max_pairs, max_pair_length, out):
     """Run the balanced pair algorithm on two substitution files."""
@@ -226,13 +236,13 @@ def cmd_bpa(path1, path2, prefix_cutoff, max_pairs, max_pair_length, out):
 @cli.command("intersect")
 @click.argument("path1", type=click.Path(exists=True, dir_okay=False))
 @click.argument("path2", type=click.Path(exists=True, dir_okay=False))
-@click.option("--n", type=int, default=10 ** 5, show_default=True, help="Number of intersection points.")
+@click.option("--n", type=_POSITIVE, default=10 ** 5, show_default=True, help="Number of intersection points.")
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False, writable=True))
 @click.option("--svg", "svg_path", type=click.Path(dir_okay=False, writable=True))
 @click.option("--tol", type=float, default=1e-10, show_default=True)
-@click.option("--prefix-cutoff", type=int, default=10 ** 6, show_default=True)
-@click.option("--max-pairs", type=int, default=10 ** 4, show_default=True)
-@click.option("--max-pair-length", type=int, default=10 ** 5, show_default=True)
+@click.option("--prefix-cutoff", type=_POSITIVE, default=10 ** 6, show_default=True)
+@click.option("--max-pairs", type=_POSITIVE, default=10 ** 4, show_default=True)
+@click.option("--max-pair-length", type=_POSITIVE, default=10 ** 5, show_default=True)
 def cmd_intersect(path1, path2, n, csv_path, svg_path, tol, prefix_cutoff, max_pairs, max_pair_length):
     """Balanced pair algorithm plus the projected intersection cloud."""
     first = load_substitution(path1)
@@ -240,10 +250,7 @@ def cmd_intersect(path1, path2, n, csv_path, svg_path, tol, prefix_cutoff, max_p
     ps = _run_bpa_or_fail(first, second, _limits_from_flags(prefix_cutoff, max_pairs, max_pair_length))
     op = projection_operator(spectral_split(incidence_matrix(first), tol))
     cloud = intersection_cloud(ps, op, n)
-    if csv_path:
-        export_csv(cloud, csv_path)
-    if svg_path:
-        render_svg([cloud], svg_path)
+    _export(cloud, csv_path, svg_path)
     lo, hi = cloud.bounding_box()
     _emit(
         {

@@ -91,13 +91,7 @@ def broken_line_prefix_sums(stream: InfiniteWordStream, n: int) -> np.ndarray:
     return prefix_counts(stream.prefix_indices(n), np.eye(k, dtype=np.int64))
 
 
-def rauzy_cloud(
-    substitution: Substitution,
-    n: int,
-    op: ProjectionOperator,
-    *,
-    stream: InfiniteWordStream | None = None,
-) -> LabeledPointCloud:
+def rauzy_cloud(substitution: Substitution, n: int, op: ProjectionOperator) -> LabeledPointCloud:
     """First n projected broken-line points of the fixed point, labeled by the
     letter read at each step.
 
@@ -109,12 +103,10 @@ def rauzy_cloud(
         raise MatrixMismatch("the projection operator was built for another incidence matrix")
     if not op.report.is_unimodular:
         raise NotPisot("fractal generation needs a unimodular Pisot substitution")
-    if stream is None:
-        stream = stream_for(substitution)
     if n < 1:
         raise ValueError("need at least one point")
     letters = substitution.alphabet.letters
-    idx = stream.prefix_indices(n)
+    idx = stream_for(substitution).prefix_indices(n)
     coords = op.project_many(prefix_counts(idx, np.eye(len(letters), dtype=np.int64)))
     labels = tuple(letters[i] for i in idx)
     meta = CloudMeta(source_id=substitution.rule_text(), chart_id=chart_id_of(op), n_points=n)
@@ -153,12 +145,6 @@ class GridIndex:
 
     def occupied_cells(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.cells)
-
-    def total_points(self) -> int:
-        return sum(sum(per.values()) for per in self.cells.values())
-
-    def cells_for_label(self, label: str) -> frozenset[tuple[int, ...]]:
-        return frozenset(c for c, per in self.cells.items() if label in per)
 
 
 def _cell_array(cells: frozenset[tuple[int, ...]]) -> np.ndarray:
@@ -231,46 +217,21 @@ def export_csv(cloud: LabeledPointCloud, path) -> None:
             writer.writerow([int(n), label] + [format(v, ".9g") for v in row])
 
 
-def load_csv(path) -> LabeledPointCloud:
-    """Parse a cloud previously written by export_csv."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        d = len(header) - 2
-        indices, labels, coords = [], [], []
-        for row in reader:
-            indices.append(int(row[0]))
-            labels.append(row[1])
-            coords.append([float(v) for v in row[2:]])
-    arr = np.array(coords, dtype=float) if coords else np.zeros((0, d))
-    return LabeledPointCloud(
-        arr.reshape(len(labels), d),
-        tuple(labels),
-        np.array(indices, dtype=np.int64),
-        CloudMeta(source_id="csv", chart_id="", n_points=len(labels)),
-    )
-
-
 def _fmt(v: float) -> str:
     return format(v, ".6g")
 
 
-def render_svg(
-    clouds: Sequence[LabeledPointCloud],
-    path,
-    palette: Sequence[str] = PALETTE,
-    *,
-    point_radius: float | None = None,
-) -> None:
+def render_svg(clouds: Sequence[LabeledPointCloud], path) -> None:
     """One circle per point, one group per cloud, deterministic palette per letter.
 
     Clouds of dimension 1 render on the horizontal axis; dimensions above 2
-    are rejected.  The viewBox fits the data with a 5 percent margin.
+    are refused with DimensionMismatch before any file is opened.  The
+    viewBox fits the data with a 5 percent margin.
     """
     planar: list[np.ndarray] = []
     for cloud in clouds:
         if cloud.dimension > 2:
-            raise ValueError("svg rendering supports 1-d and 2-d clouds only")
+            raise DimensionMismatch("svg rendering supports 1-d and 2-d clouds only")
         pts = cloud.coords
         if cloud.dimension < 2:
             pad = np.zeros((pts.shape[0], 2 - cloud.dimension))
@@ -288,7 +249,7 @@ def render_svg(
     else:
         lo, hi = np.zeros(2), np.ones(2)
         diam = math.sqrt(2.0)
-    radius = point_radius if point_radius is not None else 0.01 * diam
+    radius = 0.01 * diam
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -299,7 +260,7 @@ def render_svg(
     for ci, (cloud, pts) in enumerate(zip(clouds, planar)):
         labels = cloud.label_set()
         colors = {
-            label: palette[(color_cursor + rank) % len(palette)]
+            label: PALETTE[(color_cursor + rank) % len(PALETTE)]
             for rank, label in enumerate(labels)
         }
         color_cursor += len(labels)

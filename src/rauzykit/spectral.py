@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import IntMatrix, PisotReport, all_roots, classify_pisot, poly_exact_div
+from .algebra import IntMatrix, PisotReport, _newton, all_roots, classify_pisot, poly_exact_div
 from .errors import IllConditioned, NoConvergence, NotPisot, NotPrimitive
 
 DEFAULT_TOL = 1e-10
@@ -53,10 +53,6 @@ class ProjectionOperator:
     chart: np.ndarray   # d x k, rows orthonormal
     tol: float
     report: PisotReport
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.matrix.shape[0]
 
     @property
     def chart_dim(self) -> int:
@@ -112,11 +108,11 @@ def spectral_split(matrix_or_report: IntMatrix | PisotReport, tol: float = DEFAU
         basis_u = -basis_u
     residuals = [float(np.linalg.norm(mf @ basis_u[:, 0] - lam * basis_u[:, 0]))]
 
-    def eig_columns(poly, skip_value=None):
+    def eig_columns(found, skip_value=None):
         cols = []
         res = []
         roots = sorted(
-            (r.value for r in all_roots(poly, tol=min(tol, 1e-10))),
+            (r.value for r in found),
             key=lambda z: (round(z.real, 9), round(z.imag, 9)),
         )
         if skip_value is not None:
@@ -159,8 +155,11 @@ def spectral_split(matrix_or_report: IntMatrix | PisotReport, tol: float = DEFAU
             return np.hstack(cols), res
         return np.zeros((k, 0)), res
 
-    basis_s, res_s = eig_columns(minpoly, skip_value=lam)
-    basis_c, res_c = eig_columns(cofactor) if cofactor.degree >= 1 else (np.zeros((k, 0)), [])
+    # the report's roots are refined to 1e-10 already; a tighter tol goes on
+    # from them along the same Newton steps
+    root_tol = min(tol, 1e-10)
+    basis_s, res_s = eig_columns(_newton(minpoly, (r.value for r in report.roots), root_tol), lam)
+    basis_c, res_c = eig_columns(all_roots(cofactor, root_tol) if cofactor.degree >= 1 else [])
     residuals.extend(res_s)
     residuals.extend(res_c)
 

@@ -174,26 +174,11 @@ class Substitution:
     def apply(self, word: Word) -> Word:
         return Word(self.alphabet, tuple(self.apply_indices(word.indices)))
 
-    def __call__(self, word: Word) -> Word:
-        return self.apply(word)
-
-    def rules_as_dict(self) -> dict[str, list[str]]:
-        return {self.alphabet[i]: list(img.letters()) for i, img in enumerate(self.images)}
-
     def rule_text(self) -> str:
         sep = "" if self.alphabet.single_char else ","
         return ";".join(
             f"{self.alphabet[i]}->{sep.join(img.letters())}" for i, img in enumerate(self.images)
         )
-
-
-def apply_power(substitution: Substitution, n: int, word: Word) -> Word:
-    if n < 0:
-        raise ValueError("negative substitution power")
-    out = word
-    for _ in range(n):
-        out = substitution.apply(out)
-    return out
 
 
 def incidence_matrix(substitution: Substitution) -> IntMatrix:
@@ -210,50 +195,47 @@ def reverse_substitution(substitution: Substitution) -> Substitution:
     )
 
 
-def _first_letter_map(substitution: Substitution) -> tuple[int, ...]:
-    return tuple(img.indices[0] for img in substitution.images)
+#: Largest power the fixed-point seed search tries.
+SEED_POWER_LIMIT = 64
 
 
-def find_fixed_point_seed(substitution: Substitution, l_max: int = 64) -> tuple[int, int]:
+def seed_power(substitution: Substitution, letter: int) -> int | None:
+    """Smallest power l <= SEED_POWER_LIMIT with sigma^l(letter) starting at
+    letter and |sigma^l(letter)| >= 2, or None when there is none.
+
+    sigma^l(a) = sigma^(l-1)(sigma(a)) begins with f^l(a), f the first-letter
+    map, and is at least two letters long once one of a, f(a), ...,
+    f^(l-1)(a) has an image that long: only the first letters and the image
+    lengths of the rules are read.
+    """
+    images = substitution.image_indices()
+    current, grown = letter, False
+    for l in range(1, SEED_POWER_LIMIT + 1):
+        grown = grown or len(images[current]) >= 2
+        current = images[current][0]
+        if current == letter and grown:
+            return l
+    return None
+
+
+def find_fixed_point_seed(substitution: Substitution) -> tuple[int, int]:
     """Smallest power l, then smallest letter a, with sigma^l(a) starting at a
     and |sigma^l(a)| >= 2.
 
     Deterministic search order makes every downstream fixed point reproducible.
     """
-    if l_max < 1:
-        raise ValueError("l_max must be >= 1")
-    k = substitution.alphabet.size
-    fmap = _first_letter_map(substitution)
-    m = incidence_matrix(substitution)
-    current = tuple(range(k))
-    power = IntMatrix.identity(k)
-    for l in range(1, l_max + 1):
-        current = tuple(fmap[c] for c in current)
-        power = power @ m
-        lengths = [sum(power.entry(i, a) for i in range(k)) for a in range(k)]
-        for a in range(k):
-            if current[a] == a and lengths[a] >= 2:
-                return a, l
-    raise NoSeedFound(
-        f"no growing fixed point seed within power {l_max}; "
-        "the substitution may not be primitive"
-    )
-
-
-def seed_power_for_letter(substitution: Substitution, letter: int, l_max: int = 64) -> int:
-    """Smallest power l with sigma^l(letter) starting at letter and length >= 2."""
-    k = substitution.alphabet.size
-    fmap = _first_letter_map(substitution)
-    m = incidence_matrix(substitution)
-    current = letter
-    power = IntMatrix.identity(k)
-    for l in range(1, l_max + 1):
-        current = fmap[current]
-        power = power @ m
-        length = sum(power.entry(i, letter) for i in range(k))
-        if current == letter and length >= 2:
-            return l
-    raise NoSeedFound(f"letter index {letter} seeds no growing fixed point within power {l_max}")
+    found = [
+        (power, a)
+        for a in range(substitution.alphabet.size)
+        if (power := seed_power(substitution, a)) is not None
+    ]
+    if not found:
+        raise NoSeedFound(
+            f"no growing fixed point seed within power {SEED_POWER_LIMIT}; "
+            "the substitution may not be primitive"
+        )
+    power, letter = min(found)
+    return letter, power
 
 
 class InfiniteWordStream:
@@ -270,12 +252,12 @@ class InfiniteWordStream:
             raise ValueError("seed letter out of range")
         if power < 1:
             raise ValueError("power must be >= 1")
-        fmap = _first_letter_map(substitution)
-        current = seed_letter
-        for _ in range(power):
-            current = fmap[current]
-        if current != seed_letter:
-            raise ValueError("sigma^power(seed) does not begin with the seed letter")
+        # a growing seed's least power is its cycle length under the first-letter
+        # map, so sigma^power(seed) begins with the seed, and is longer, exactly
+        # at the multiples of that power: _grow_to gains letters every round
+        least = seed_power(substitution, seed_letter)
+        if least is None or power % least:
+            raise ValueError("sigma^power(seed) does not begin with the seed letter and grow")
         self.substitution = substitution
         self.seed_letter = seed_letter
         self.power = power
@@ -284,20 +266,12 @@ class InfiniteWordStream:
 
     def _grow_to(self, n: int) -> None:
         with self._lock:
-            guard = 0
             while len(self._buffer) < n:
                 for _ in range(self.power):
                     self._buffer = self.substitution.apply_indices(self._buffer)
-                guard += 1
-                if guard > 4 * n + 64:
-                    raise NoSeedFound("fixed point fails to grow; substitution not expanding")
 
     def __len__(self):
         return len(self._buffer)
-
-    def letter_at(self, n: int) -> int:
-        self._grow_to(n + 1)
-        return self._buffer[n]
 
     def prefix(self, n: int) -> Word:
         if n < 0:
@@ -314,9 +288,9 @@ class InfiniteWordStream:
         return np.array(self._buffer[start:stop], dtype=np.int64)
 
 
-def stream_for(substitution: Substitution, l_max: int = 64) -> InfiniteWordStream:
+def stream_for(substitution: Substitution) -> InfiniteWordStream:
     """Stream of the canonical fixed point chosen by find_fixed_point_seed."""
-    seed, power = find_fixed_point_seed(substitution, l_max)
+    seed, power = find_fixed_point_seed(substitution)
     return InfiniteWordStream(substitution, seed, power)
 
 

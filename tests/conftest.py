@@ -1,4 +1,5 @@
 import random
+import string
 
 from rauzykit import Substitution, incidence_matrix, is_primitive
 
@@ -13,6 +14,13 @@ def fibonacci() -> Substitution:
     return Substitution.from_rules(["a", "b"], {"a": "ab", "b": "a"})
 
 
+def kbonacci(k: int) -> Substitution:
+    letters = list(string.ascii_lowercase[:k])
+    rules = {letters[i]: letters[0] + letters[i + 1] for i in range(k - 1)}
+    rules[letters[-1]] = letters[0]
+    return Substitution.from_rules(letters, rules)
+
+
 def random_substitution(rng: random.Random, k: int | None = None, max_len: int = 3) -> Substitution:
     if k is None:
         k = rng.choice([2, 3])
@@ -22,6 +30,13 @@ def random_substitution(rng: random.Random, k: int | None = None, max_len: int =
         for letter in letters
     }
     return Substitution.from_rules(letters, rules)
+
+
+def iterate(sub: Substitution, n: int, word):
+    """sigma^n(word), by n calls of Substitution.apply."""
+    for _ in range(n):
+        word = sub.apply(word)
+    return word
 
 
 def random_primitive_substitution(

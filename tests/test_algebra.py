@@ -1,10 +1,9 @@
 import math
 import random
-import string
 
 import pytest
 
-from conftest import fibonacci, random_substitution, tribonacci
+from conftest import fibonacci, kbonacci, random_substitution, tribonacci
 from oracles import char_poly_via_cofactors, evaluate_at_matrix, sympy_char_poly, sympy_factor_list
 from rauzykit import (
     MODULAR_FACTOR_CAP,
@@ -59,13 +58,6 @@ def swinnerton_dyer_blocks():
         rows[o + 2][o], rows[o + 2][o + 1] = a + b, 4 * a * b
         rows[o + 3][o], rows[o + 3][o + 1] = 1, a + b
     return IntMatrix.from_rows(rows)
-
-
-def kbonacci(k):
-    letters = list(string.ascii_lowercase[:k])
-    rules = {letters[i]: letters[0] + letters[i + 1] for i in range(k - 1)}
-    rules[letters[-1]] = letters[0]
-    return Substitution.from_rules(letters, rules)
 
 
 class TestCharPoly:

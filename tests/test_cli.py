@@ -7,8 +7,15 @@ import pytest
 
 import rauzykit.algebra as algebra
 import rauzykit.bpa as bpa
+from conftest import kbonacci
 from oracles import sympy_factor_list
-from rauzykit import IntPolynomial, incidence_matrix, substitution_from_dict
+from rauzykit import (
+    IntPolynomial,
+    incidence_matrix,
+    reverse_substitution,
+    substitution_from_dict,
+    substitution_to_dict,
+)
 from rauzykit.cli import main
 
 TRIB = {"alphabet": ["a", "b", "c"], "rules": {"a": "ab", "b": "ac", "c": "a"}}
@@ -265,6 +272,78 @@ class TestExactInvariantsComputedOnce:
         code, out, _ = run(capsys, ["bpa", files["trib"], files["trib_rev"]])
         assert code == 0
         assert dims.count(len(json.loads(out)["pairs"])) == 1
+
+
+class TestRootsComputedOnce:
+    @pytest.fixture
+    def brackets(self, monkeypatch):
+        """Polynomials whose dominant root is bracketed from here on."""
+        calls = []
+        bracket = algebra.dominant_real_root
+
+        def counting(p):
+            calls.append(p)
+            return bracket(p)
+
+        monkeypatch.setattr(algebra, "dominant_real_root", counting)
+        return calls
+
+    @pytest.mark.parametrize("command", ["analyze", "fractal", "intersect"])
+    def test_one_bracket_per_command(self, command, files, capsys, brackets):
+        args = {
+            "analyze": ["analyze", files["trib"]],
+            "fractal": ["fractal", files["trib"], "--n", "100"],
+            "intersect": ["intersect", files["trib"], files["trib_rev"], "--n", "100"],
+        }[command]
+        assert run(capsys, args)[0] == 0
+        assert len(brackets) == 1
+
+    def test_reducible_char_poly_adds_only_the_cofactor(self, files, capsys, brackets):
+        # one bracket classifies and seeds the conjugates, one seeds the
+        # cofactor's roots in the spectral split
+        path = files["dir"] / "reducible.json"
+        rules = {"z": "gh", "h": "gr", "q": "gh", "g": "zr", "r": "hq"}
+        path.write_text(json.dumps({"alphabet": list("zhqgr"), "rules": rules}))
+        code, out, _ = run(capsys, ["analyze", str(path)])
+        assert code == 0
+        assert json.loads(out)["spectral"]["complementary_dimension"] > 0
+        assert len(brackets) == 2
+
+
+class TestRefusals:
+    """Bad option values and impossible renderings exit with typed errors."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["fractal", "{trib}", "--n", "0"],
+            ["intersect", "{trib}", "{trib_rev}", "--n", "-5"],
+            ["bpa", "{trib}", "{trib_rev}", "--max-pairs", "0"],
+            ["bpa", "{trib}", "{trib_rev}", "--prefix-cutoff", "0"],
+            ["intersect", "{trib}", "{trib_rev}", "--max-pair-length", "0"],
+        ],
+    )
+    def test_nonpositive_counts_are_usage_errors(self, args, files, capsys):
+        code, out, err = run(capsys, [a.format(**files) for a in args])
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err and "range" in err
+
+    @pytest.mark.parametrize("command", ["fractal", "intersect"])
+    def test_svg_above_two_dimensions_writes_nothing(self, command, files, capsys):
+        sub = kbonacci(4)  # contracting dimension 3
+        paths = []
+        for name, data in (("k4", sub), ("k4_rev", reverse_substitution(sub))):
+            path = files["dir"] / f"{name}.json"
+            path.write_text(json.dumps(substitution_to_dict(data)))
+            paths.append(str(path))
+        csv_path, svg_path = files["dir"] / "out.csv", files["dir"] / "out.svg"
+        inputs = paths[:1] if command == "fractal" else paths
+        args = [command, *inputs, "--n", "100", "--csv", str(csv_path), "--svg", str(svg_path)]
+        code, out, err = run(capsys, args)
+        assert code == 3
+        assert out == "" and "svg" in err
+        assert not csv_path.exists() and not svg_path.exists()
 
 
 class TestSelftest:

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from rauzykit import (
     grid_intersection_estimate,
     hausdorff_distance,
     incidence_matrix,
-    load_csv,
     projection_operator,
     rauzy_cloud,
     reflect_cloud,
@@ -94,7 +95,7 @@ class TestRauzyCloud:
         op = tribonacci_operator()
         cloud = rauzy_cloud(tribonacci(), 2000, op)
         grid = GridIndex.from_cloud(cloud, 0.05)
-        assert grid.total_points() == len(cloud)
+        assert sum(sum(per.values()) for per in grid.cells.values()) == len(cloud)
         per_label = sum(cloud.labels.count(label) for label in cloud.label_set())
         assert per_label == len(cloud)
 
@@ -183,10 +184,13 @@ class TestExports:
         cloud = rauzy_cloud(tribonacci(), 300, op)
         path = tmp_path / "cloud.csv"
         export_csv(cloud, path)
-        again = load_csv(path)
-        assert again.labels == cloud.labels
-        assert np.array_equal(again.indices, cloud.indices)
-        assert np.max(np.abs(again.coords - cloud.coords)) < 1e-8
+        with open(path, newline="") as handle:
+            header, *rows = list(csv.reader(handle))
+        assert header == ["n", "letter", "x1", "x2"]
+        assert tuple(row[1] for row in rows) == cloud.labels
+        assert np.array_equal([int(row[0]) for row in rows], cloud.indices)
+        coords = np.array([[float(v) for v in row[2:]] for row in rows])
+        assert np.max(np.abs(coords - cloud.coords)) < 1e-8
 
     def test_csv_bytes_deterministic(self, tmp_path):
         op = tribonacci_operator()
@@ -227,5 +231,6 @@ class TestExports:
 
     def test_svg_rejects_high_dimensions(self, tmp_path):
         cloud = point_cloud(np.zeros((1, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch):
             render_svg([cloud], tmp_path / "bad.svg")
+        assert not (tmp_path / "bad.svg").exists()

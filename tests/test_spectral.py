@@ -4,11 +4,14 @@ import random
 import numpy as np
 import pytest
 
-from conftest import fibonacci, random_primitive_substitution, tribonacci
+import rauzykit.spectral as spectral
+from conftest import fibonacci, kbonacci, random_primitive_substitution, tribonacci
 from rauzykit import (
     IndeterminateClassification,
     IntMatrix,
+    NoConvergence,
     NotPisot,
+    all_roots,
     broken_line_prefix_sums,
     classify_pisot,
     incidence_matrix,
@@ -187,3 +190,64 @@ class TestRandomizedResiduals:
             assert np.max(np.abs(p @ p - p)) < 1e-9
             assert np.linalg.norm(p @ split.basis_u) < 1e-9
             checked += 1
+
+
+def random_pisot_substitutions(seed, count):
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        sub = random_primitive_substitution(rng, k=rng.choice([2, 3, 4, 5]), max_len=4)
+        try:
+            if classify_pisot(sub).is_pisot:
+                found.append(sub)
+        except IndeterminateClassification:
+            continue
+    return found
+
+
+def without_nearest(values, target):
+    nearest = min(range(len(values)), key=lambda i: abs(values[i] - target))
+    return [z for i, z in enumerate(values) if i != nearest]
+
+
+class TestContractingRootsFromReport:
+    """spectral_split refines the conjugates carried by the report instead of
+    recomputing the minimal polynomial's roots."""
+
+    SUBSTITUTIONS = [kbonacci(k) for k in range(3, 9)] + random_pisot_substitutions(71, 30)
+
+    # at 1e-15 some roots take further Newton steps and some stall
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-15])
+    def test_equal_to_fresh_roots(self, tol, monkeypatch):
+        refined, fresh = [], []
+        newton, roots_of = spectral._newton, spectral.all_roots
+
+        def recording_newton(p, starts, t):
+            roots = newton(p, starts, t)
+            refined.append((p, [r.value for r in roots]))
+            return roots
+
+        def recording_all_roots(p, tol):
+            fresh.append(p)
+            return roots_of(p, tol=tol)
+
+        monkeypatch.setattr(spectral, "_newton", recording_newton)
+        monkeypatch.setattr(spectral, "all_roots", recording_all_roots)
+        for sub in self.SUBSTITUTIONS:
+            report = classify_pisot(sub)
+            refined.clear()
+            fresh.clear()
+            try:
+                spectral_split(report, tol)
+            except NoConvergence:  # a stalled root, or an eigenvector residual above tol
+                pass
+            assert report.minimal_polynomial not in fresh
+            if not refined:
+                with pytest.raises(NoConvergence):
+                    all_roots(report.minimal_polynomial, tol)
+                continue
+            [(p, values)] = refined
+            assert p == report.minimal_polynomial
+            lam = report.perron_root
+            want = [r.value for r in all_roots(report.minimal_polynomial, tol)]
+            assert without_nearest(values, lam) == without_nearest(want, lam)

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_substitution, tracked_balance_points, tribonacci
+from conftest import iterate, random_substitution, tracked_balance_points, tribonacci
 from rauzykit import (
     Alphabet,
     InfiniteWordStream,
@@ -13,13 +13,13 @@ from rauzykit import (
     SubstitutionParseError,
     Word,
     abelianization,
-    apply_power,
     check_strong_coincidence,
     find_fixed_point_seed,
     incidence_matrix,
     parse_substitution,
     prefix_counts,
     reverse_substitution,
+    seed_power,
     stream_for,
     substitution_from_dict,
     substitution_to_dict,
@@ -66,7 +66,7 @@ class TestApply:
             k = sub.alphabet.size
             w = Word(sub.alphabet, tuple(rng.randrange(k) for _ in range(rng.randint(0, 8))))
             m = incidence_matrix(sub)
-            assert abelianization(sub.apply(w)) == m.mat_vec(abelianization(w))
+            assert abelianization(sub.apply(w)) == tuple(sum(row[i] for i in w) for row in m.rows)
 
 
 def kernel_balance_points(top, bottom, k):
@@ -133,11 +133,11 @@ class TestIncidenceMatrix:
 class TestReverseSubstitution:
     def test_tribonacci(self):
         rev = reverse_substitution(tribonacci())
-        assert rev.rules_as_dict() == {"a": ["b", "a"], "b": ["c", "a"], "c": ["a"]}
+        assert substitution_to_dict(rev)["rules"] == {"a": "ba", "b": "ca", "c": "a"}
 
     def test_single_palindromic_letter(self):
         sub = Substitution.from_rules(["a"], {"a": "a"})
-        assert reverse_substitution(sub).rules_as_dict() == {"a": ["a"]}
+        assert substitution_to_dict(reverse_substitution(sub))["rules"] == {"a": "a"}
 
     def test_family_reverse_is_mirrored_family(self):
         for i in (1, 2, 3):
@@ -165,7 +165,7 @@ class TestReverseSubstitution:
             k = sub.alphabet.size
             w = Word(sub.alphabet, tuple(rng.randrange(k) for _ in range(rng.randint(1, 5))))
             n = rng.randint(1, 5)
-            assert apply_power(sub, n, w).reversed_() == apply_power(rev, n, w.reversed_())
+            assert iterate(sub, n, w).reversed_() == iterate(rev, n, w.reversed_())
 
 
 class TestFixedPointSeed:
@@ -185,7 +185,40 @@ class TestFixedPointSeed:
     def test_no_seed_for_pure_cycle(self):
         swap = Substitution.from_rules(["a", "b"], {"a": "b", "b": "a"})
         with pytest.raises(NoSeedFound):
-            find_fixed_point_seed(swap, l_max=16)
+            find_fixed_point_seed(swap)
+
+
+def rewriting_seed_power(rules, letter, limit=64):
+    """sigma^l(letter) cut to its first two letters, by string rewriting: the
+    first two letters of sigma(u) depend only on those of u."""
+    word = letter
+    for power in range(1, limit + 1):
+        word = "".join(rules[a] for a in word)[:2]
+        if word[0] == letter and len(word) == 2:
+            return power
+    return None
+
+
+class TestSeedSearchOracle:
+    def test_matches_string_rewriting(self):
+        rng = random.Random(29)
+        seeded = refused = 0
+        for _ in range(300):
+            k = rng.randint(1, 5)
+            sub = random_substitution(rng, k=k, max_len=rng.choice([1, 2, 3]))
+            rules = {a: str(img) for a, img in zip(sub.alphabet, sub.images)}
+            powers = [rewriting_seed_power(rules, a) for a in sub.alphabet]
+            assert [seed_power(sub, i) for i in range(k)] == powers
+            found = [(p, i) for i, p in enumerate(powers) if p is not None]
+            if found:
+                power, letter = min(found)
+                assert find_fixed_point_seed(sub) == (letter, power)
+                seeded += 1
+            else:
+                with pytest.raises(NoSeedFound):
+                    find_fixed_point_seed(sub)
+                refused += 1
+        assert seeded >= 100 and refused >= 20
 
 
 class TestStreams:
@@ -226,13 +259,18 @@ class TestStreams:
         seed_letter, power = find_fixed_point_seed(sub)
         seed = Word(sub.alphabet, (seed_letter,))
         for n in range(1, 5):
-            assert apply_power(sub, power * n, seed).reversed_() == apply_power(
-                rev, power * n, seed
-            )
+            assert iterate(sub, power * n, seed).reversed_() == iterate(rev, power * n, seed)
 
     def test_invalid_seed_rejected(self):
         with pytest.raises(ValueError):
             InfiniteWordStream(tribonacci(), seed_letter=1, power=1)
+
+    def test_seed_must_grow(self):
+        # a -> a is a fixed letter that never grows; b -> ba grows at every power
+        sub = Substitution.from_rules(["a", "b"], {"a": "a", "b": "ba"})
+        with pytest.raises(ValueError):
+            InfiniteWordStream(sub, seed_letter=0, power=1)
+        assert str(InfiniteWordStream(sub, seed_letter=1, power=2).prefix(4)) == "baaa"
 
     def test_concurrent_readers_see_consistent_prefixes(self):
         import concurrent.futures
@@ -326,7 +364,7 @@ class TestJsonInterchange:
         sub = parse_substitution(
             '{"alphabet": ["a", "b", "c"], "rules": {"a": "abc", "b": "a", "c": "ac"}}'
         )
-        assert sub.rules_as_dict()["a"] == ["a", "b", "c"]
+        assert sub.image(0).letters() == ("a", "b", "c")
 
     def test_multicharacter_symbols_need_arrays(self):
         data = {"alphabet": ["x1", "x2"], "rules": {"x1": ["x1", "x2"], "x2": ["x1"]}}
