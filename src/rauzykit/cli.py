@@ -7,6 +7,7 @@ classification, 3 precondition violation, 4 search or termination limit.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -23,11 +24,8 @@ from .bpa import (
     run_bpa,
 )
 from .errors import (
-    DimensionMismatch,
     IllConditioned,
     IndeterminateClassification,
-    MatrixMismatch,
-    NegativeEntry,
     NoSeedFound,
     NotPisot,
     NotPrimitive,
@@ -57,6 +55,22 @@ EXIT_LIMIT = 4
 _POSITIVE = click.IntRange(min=1)
 
 
+class _Tolerance(click.ParamType):
+    """Type of the --tol options, a finite float above 0 (click.FloatRange lets
+    nan and inf through, and with either every residual check passes)."""
+
+    name = "float"
+
+    def convert(self, value, param, ctx):
+        tol = click.FLOAT.convert(value, param, ctx)
+        if not (math.isfinite(tol) and tol > 0):
+            self.fail(f"{value!r} is not a finite number above 0.", param, ctx)
+        return tol
+
+
+_TOLERANCE = _Tolerance()
+
+
 def _emit(payload: dict) -> None:
     click.echo(json.dumps(payload, indent=2, sort_keys=False))
 
@@ -84,7 +98,7 @@ def cli():
 
 @cli.command("analyze")
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--tol", type=float, default=1e-10, show_default=True, help="Spectral residual tolerance.")
+@click.option("--tol", type=_TOLERANCE, default=1e-10, show_default=True, help="Spectral residual tolerance.")
 def cmd_analyze(path, tol):
     """Classify a substitution file and print a JSON report."""
     sub = load_substitution(path)
@@ -150,7 +164,7 @@ def cmd_reverse(path, out):
 @click.option("--n", type=_POSITIVE, default=10 ** 5, show_default=True, help="Number of points.")
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False, writable=True), help="Write the cloud as CSV.")
 @click.option("--svg", "svg_path", type=click.Path(dir_okay=False, writable=True), help="Render the cloud as SVG.")
-@click.option("--tol", type=float, default=1e-10, show_default=True)
+@click.option("--tol", type=_TOLERANCE, default=1e-10, show_default=True)
 def cmd_fractal(path, n, csv_path, svg_path, tol):
     """Generate the fractal point cloud of a substitution file."""
     sub = load_substitution(path)
@@ -169,12 +183,6 @@ def cmd_fractal(path, n, csv_path, svg_path, tol):
             "csv": csv_path,
             "svg": svg_path,
         }
-    )
-
-
-def _limits_from_flags(prefix_cutoff, max_pairs, max_pair_length) -> BpaLimits:
-    return BpaLimits(
-        prefix_cutoff=prefix_cutoff, max_pairs=max_pairs, max_pair_length=max_pair_length
     )
 
 
@@ -218,7 +226,8 @@ def cmd_bpa(path1, path2, prefix_cutoff, max_pairs, max_pair_length, out):
     """Run the balanced pair algorithm on two substitution files."""
     first = load_substitution(path1)
     second = load_substitution(path2)
-    ps = _run_bpa_or_fail(first, second, _limits_from_flags(prefix_cutoff, max_pairs, max_pair_length))
+    limits = BpaLimits(prefix_cutoff=prefix_cutoff, max_pairs=max_pairs, max_pair_length=max_pair_length)
+    ps = _run_bpa_or_fail(first, second, limits)
     inc = pair_incidence(ps)
     payload = dict(ps.to_dict())
     payload["version"] = __version__
@@ -239,7 +248,7 @@ def cmd_bpa(path1, path2, prefix_cutoff, max_pairs, max_pair_length, out):
 @click.option("--n", type=_POSITIVE, default=10 ** 5, show_default=True, help="Number of intersection points.")
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False, writable=True))
 @click.option("--svg", "svg_path", type=click.Path(dir_okay=False, writable=True))
-@click.option("--tol", type=float, default=1e-10, show_default=True)
+@click.option("--tol", type=_TOLERANCE, default=1e-10, show_default=True)
 @click.option("--prefix-cutoff", type=_POSITIVE, default=10 ** 6, show_default=True)
 @click.option("--max-pairs", type=_POSITIVE, default=10 ** 4, show_default=True)
 @click.option("--max-pair-length", type=_POSITIVE, default=10 ** 5, show_default=True)
@@ -247,7 +256,8 @@ def cmd_intersect(path1, path2, n, csv_path, svg_path, tol, prefix_cutoff, max_p
     """Balanced pair algorithm plus the projected intersection cloud."""
     first = load_substitution(path1)
     second = load_substitution(path2)
-    ps = _run_bpa_or_fail(first, second, _limits_from_flags(prefix_cutoff, max_pairs, max_pair_length))
+    limits = BpaLimits(prefix_cutoff=prefix_cutoff, max_pairs=max_pairs, max_pair_length=max_pair_length)
+    ps = _run_bpa_or_fail(first, second, limits)
     op = projection_operator(spectral_split(incidence_matrix(first), tol))
     cloud = intersection_cloud(ps, op, n)
     _export(cloud, csv_path, svg_path)
@@ -296,33 +306,21 @@ def main(argv=None) -> int:
         return EXIT_OK
     except click.exceptions.Exit as exc:  # --help / --version
         return int(exc.exit_code)
-    except click.UsageError as exc:
+    except click.ClickException as exc:  # usage errors included
         exc.show()
         return EXIT_USAGE
-    except click.ClickException as exc:
-        exc.show()
-        return EXIT_USAGE
-    except SubstitutionParseError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (SubstitutionParseError, OSError, _SelftestFailed) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_USAGE
     except IndeterminateClassification as exc:
         click.echo(f"error: indeterminate classification: {exc}", err=True)
         return EXIT_INDETERMINATE
-    except (MatrixMismatch, NotPrimitive, NotPisot, NegativeEntry, DimensionMismatch, IllConditioned) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_PRECONDITION
     except _LimitHit as exc:
         _emit(exc.payload)
         return EXIT_LIMIT
     except NoSeedFound as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_LIMIT
-    except _SelftestFailed as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_USAGE
     except RauzykitError as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_PRECONDITION

@@ -119,12 +119,13 @@ def reflect_cloud(cloud: LabeledPointCloud) -> LabeledPointCloud:
 
 
 class GridIndex:
-    """Occupied grid cells of a cloud at cell size eps, with per-label counts.
+    """Occupied grid cells of a cloud at cell size eps.
 
-    The cell of a point is floor(coordinate / eps) componentwise.
+    The cell of a point is floor(coordinate / eps) componentwise; cells is the
+    (m, d) int64 array of distinct cells in lexicographic order.
     """
 
-    def __init__(self, eps: float, cells: dict[tuple[int, ...], dict[str, int]]):
+    def __init__(self, eps: float, cells: np.ndarray):
         if eps <= 0:
             raise ValueError("cell size must be positive")
         self.eps = eps
@@ -134,21 +135,16 @@ class GridIndex:
     def from_cloud(cls, cloud: LabeledPointCloud, eps: float) -> "GridIndex":
         if eps <= 0:
             raise ValueError("cell size must be positive")
-        cells: dict[tuple[int, ...], dict[str, int]] = {}
-        if len(cloud):
-            keys = np.floor(cloud.coords / eps).astype(np.int64)
-            for row, label in zip(keys, cloud.labels):
-                cell = tuple(int(v) for v in row)
-                per = cells.setdefault(cell, {})
-                per[label] = per.get(label, 0) + 1
-        return cls(eps, cells)
+        keys = np.floor(cloud.coords / eps).astype(np.int64)
+        # lexsort's last key is its primary one and it refuses zero keys: the
+        # point index, least significant, is a key in every dimension
+        keys = keys[np.lexsort((np.arange(len(keys)), *keys.T[::-1]))]
+        fresh = np.ones(len(keys), dtype=bool)
+        fresh[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+        return cls(eps, keys[fresh])
 
     def occupied_cells(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.cells)
-
-
-def _cell_array(cells: frozenset[tuple[int, ...]]) -> np.ndarray:
-    return np.array(sorted(cells), dtype=float)
+        return frozenset(map(tuple, self.cells.tolist()))
 
 
 def hausdorff_distance(a: LabeledPointCloud, b: LabeledPointCloud, eps: float) -> float:
@@ -159,19 +155,16 @@ def hausdorff_distance(a: LabeledPointCloud, b: LabeledPointCloud, eps: float) -
     """
     if a.dimension != b.dimension:
         raise DimensionMismatch(f"dimensions {a.dimension} and {b.dimension} differ")
-    cells_a = GridIndex.from_cloud(a, eps).occupied_cells()
-    cells_b = GridIndex.from_cloud(b, eps).occupied_cells()
-    if not cells_a and not cells_b:
+    cells_a = GridIndex.from_cloud(a, eps).cells
+    cells_b = GridIndex.from_cloud(b, eps).cells
+    if np.array_equal(cells_a, cells_b):
         return 0.0
-    if not cells_a or not cells_b:
+    if not len(cells_a) or not len(cells_b):
         return math.inf
-    if cells_a == cells_b:
-        return 0.0
     from scipy.spatial import cKDTree  # deferred: scipy takes most of the import time
 
-    arr_a, arr_b = _cell_array(cells_a), _cell_array(cells_b)
-    d_ab, _ = cKDTree(arr_b).query(arr_a)
-    d_ba, _ = cKDTree(arr_a).query(arr_b)
+    d_ab, _ = cKDTree(cells_b).query(cells_a)
+    d_ba, _ = cKDTree(cells_a).query(cells_b)
     return eps * float(max(d_ab.max(), d_ba.max()))
 
 

@@ -9,6 +9,7 @@ become (real, imaginary) column pairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +86,10 @@ def spectral_split(matrix_or_report: IntMatrix | PisotReport, tol: float = DEFAU
     Takes a classify_pisot report, or a matrix that is classified here.
     Requires a primitive matrix whose dominant root is Pisot; the
     complementary block is empty exactly when the characteristic polynomial
-    is irreducible.
+    is irreducible.  tol, which bounds every residual check, must be finite and > 0.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
     if isinstance(matrix_or_report, PisotReport):
         report = matrix_or_report
     else:

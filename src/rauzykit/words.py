@@ -52,7 +52,7 @@ class Alphabet:
     def index(self, name: str) -> int:
         try:
             return self._index[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name, say a list
             raise KeyError(f"unknown letter {name!r}") from None
 
     @property
@@ -273,19 +273,22 @@ class InfiniteWordStream:
     def __len__(self):
         return len(self._buffer)
 
+    def _letters(self, start: int, stop: int) -> list[int]:
+        # every public reader comes here and none calls another, so a wrapper
+        # that counts growth per call (perfbench's tracer) counts it once
+        if start < 0 or stop < start:
+            raise ValueError(f"letter range [{start}, {stop}) needs 0 <= start <= stop")
+        self._grow_to(stop)
+        return self._buffer[start:stop]
+
     def prefix(self, n: int) -> Word:
-        if n < 0:
-            raise ValueError("prefix length must be >= 0")
-        self._grow_to(n)
-        return Word(self.substitution.alphabet, tuple(self._buffer[:n]))
+        return Word(self.substitution.alphabet, tuple(self._letters(0, n)))
 
     def prefix_indices(self, n: int) -> np.ndarray:
-        self._grow_to(n)
-        return np.array(self._buffer[:n], dtype=np.int64)
+        return np.array(self._letters(0, n), dtype=np.int64)
 
     def indices_range(self, start: int, stop: int) -> np.ndarray:
-        self._grow_to(stop)
-        return np.array(self._buffer[start:stop], dtype=np.int64)
+        return np.array(self._letters(start, stop), dtype=np.int64)
 
 
 def stream_for(substitution: Substitution) -> InfiniteWordStream:
@@ -405,7 +408,7 @@ def substitution_from_dict(data) -> Substitution:
         try:
             images.append(Word.from_letters(alphabet, symbols))
         except KeyError as exc:
-            raise SubstitutionParseError(f"unknown symbol {exc.args[0]}", field=fieldname) from None
+            raise SubstitutionParseError(exc.args[0], field=fieldname) from None
     return Substitution(alphabet, tuple(images))
 
 

@@ -329,6 +329,31 @@ class TestRefusals:
         assert out == ""
         assert "Traceback" not in err and "range" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize(
+        "args",
+        [["analyze", "{trib}"], ["fractal", "{trib}", "--n", "10"], ["intersect", "{trib}", "{trib_rev}", "--n", "10"]],
+        ids=["analyze", "fractal", "intersect"],
+    )
+    def test_tolerance_must_be_finite_and_positive(self, args, tol, files, capsys):
+        code, out, err = run(capsys, [a.format(**files) for a in args] + ["--tol", tol])
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err and "--tol" in err
+
+    @pytest.mark.parametrize(
+        "rules, message",
+        [({"a": [["a"]], "b": "a"}, "unknown letter ['a']"), ({"a": "ac", "b": "a"}, "unknown letter 'c'")],
+        ids=["nested-array", "unknown-letter"],
+    )
+    def test_bad_image_letter_is_a_parse_error(self, rules, message, files, capsys):
+        path = files["dir"] / "bad.json"
+        path.write_text(json.dumps({"alphabet": ["a", "b"], "rules": rules}), encoding="utf-8")
+        code, out, err = run(capsys, ["analyze", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message} (field 'rules.a')\n"
+
     @pytest.mark.parametrize("command", ["fractal", "intersect"])
     def test_svg_above_two_dimensions_writes_nothing(self, command, files, capsys):
         sub = kbonacci(4)  # contracting dimension 3

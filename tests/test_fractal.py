@@ -1,4 +1,5 @@
 import csv
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -39,6 +40,14 @@ def point_cloud(points, labels=None):
         tuple(labels or ("a",) * n),
         np.arange(n, dtype=np.int64),
         CloudMeta("test", "", n),
+    )
+
+
+def label_cloud(cloud, label):
+    """The points of cloud that carry label."""
+    mask = np.array([lab == label for lab in cloud.labels], dtype=bool)
+    return LabeledPointCloud(
+        cloud.coords[mask], (label,) * int(mask.sum()), cloud.indices[mask], cloud.meta
     )
 
 
@@ -94,8 +103,10 @@ class TestRauzyCloud:
     def test_label_partition(self):
         op = tribonacci_operator()
         cloud = rauzy_cloud(tribonacci(), 2000, op)
-        grid = GridIndex.from_cloud(cloud, 0.05)
-        assert sum(sum(per.values()) for per in grid.cells.values()) == len(cloud)
+        parts = [label_cloud(cloud, label) for label in cloud.label_set()]
+        assert sum(len(part) for part in parts) == len(cloud)
+        union = frozenset().union(*(GridIndex.from_cloud(part, 0.05).occupied_cells() for part in parts))
+        assert union == GridIndex.from_cloud(cloud, 0.05).occupied_cells()
         per_label = sum(cloud.labels.count(label) for label in cloud.label_set())
         assert per_label == len(cloud)
 
@@ -105,16 +116,37 @@ class TestRauzyCloud:
         op = tribonacci_operator()
         cloud = rauzy_cloud(tribonacci(), 2 * 10 ** 5, op)
         assert cloud.label_set() == ("a", "b", "c")
+        parts = [label_cloud(cloud, label) for label in cloud.label_set()]
 
         def shared_fraction(scale):
-            grid = GridIndex.from_cloud(cloud, scale * cloud.diameter())
-            occupied = grid.occupied_cells()
-            multi = sum(1 for counts in grid.cells.values() if len(counts) > 1)
+            eps = scale * cloud.diameter()
+            occupied = GridIndex.from_cloud(cloud, eps).occupied_cells()
+            labels_per_cell = Counter(
+                cell for part in parts for cell in GridIndex.from_cloud(part, eps).occupied_cells()
+            )
+            multi = sum(1 for count in labels_per_cell.values() if count > 1)
             return multi / len(occupied)
 
         coarse, fine = shared_fraction(0.02), shared_fraction(0.005)
         assert fine < 0.02
         assert fine < coarse
+
+
+class TestGridIndex:
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 300])
+    def test_matches_floor_oracle(self, d, n):
+        rng = np.random.default_rng(100 * d + n)
+        eps = 0.25  # a power of two: the multiples of eps below lie exactly on cell boundaries
+        spread = rng.uniform(-4, 4, size=(n, d))
+        on_boundary = rng.integers(-16, 16, size=(n, d)) * eps
+        coords = np.where(rng.random((n, 1)) < 0.3, on_boundary, spread)
+        coords = np.vstack([coords, coords[: n // 4]])  # duplicate points
+        grid = GridIndex.from_cloud(point_cloud(coords), eps)
+        oracle = {tuple(int(v) for v in np.floor(row / eps)) for row in coords}
+        assert grid.occupied_cells() == oracle
+        assert grid.cells.dtype == np.int64 and grid.cells.shape == (len(oracle), d)
+        assert [tuple(row) for row in grid.cells.tolist()] == sorted(oracle)
 
 
 class TestReflection:

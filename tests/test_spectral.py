@@ -87,6 +87,11 @@ class TestSpectralSplit:
         op = projection_operator(split)
         assert op.chart.shape == (0, 2)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_tolerance_that_is_not_finite_and_positive(self, tol):
+        with pytest.raises(ValueError):
+            spectral_split(incidence_matrix(tribonacci()), tol)
+
 
 class TestProjectionOperator:
     def test_idempotent(self):

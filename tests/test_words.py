@@ -265,6 +265,23 @@ class TestStreams:
         with pytest.raises(ValueError):
             InfiniteWordStream(tribonacci(), seed_letter=1, power=1)
 
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda s: s.prefix(-1),
+            lambda s: s.prefix_indices(-1),
+            lambda s: s.indices_range(-1, 3),
+            lambda s: s.indices_range(5, 4),
+        ],
+        ids=["prefix", "prefix_indices", "indices_range-negative", "indices_range-reversed"],
+    )
+    def test_readers_refuse_out_of_range_bounds(self, read):
+        stream = stream_for(tribonacci())
+        buffered = len(stream)
+        with pytest.raises(ValueError):
+            read(stream)
+        assert len(stream) == buffered
+
     def test_seed_must_grow(self):
         # a -> a is a fixed letter that never grows; b -> ba grows at every power
         sub = Substitution.from_rules(["a", "b"], {"a": "a", "b": "ba"})
@@ -388,6 +405,20 @@ class TestJsonInterchange:
         with pytest.raises(SubstitutionParseError) as err:
             substitution_from_dict({"alphabet": ["a"], "rules": {"a": "ax"}})
         assert err.value.field == "rules.a"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"alphabet": ["a", "b"], "rules": {"a": [["a"]], "b": "a"}}', "unknown letter ['a']"),
+            ('{"alphabet": ["a", "b"], "rules": {"a": "ac", "b": "a"}}', "unknown letter 'c'"),
+        ],
+        ids=["nested-array", "unknown-letter"],
+    )
+    def test_bad_image_letter_names_the_rule(self, text, message):
+        with pytest.raises(SubstitutionParseError) as err:
+            parse_substitution(text)
+        assert err.value.field == "rules.a"
+        assert str(err.value) == f"{message} (field 'rules.a')"
 
     def test_empty_image_rejected(self):
         with pytest.raises(SubstitutionParseError):
