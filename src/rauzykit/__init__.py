@@ -16,13 +16,10 @@ from .algebra import (
     all_roots,
     char_poly,
     classify_pisot,
-    determinant,
     dominant_real_root,
     factor_over_z,
     is_irreducible_over_q,
     is_primitive,
-    is_unimodular,
-    minimal_polynomial_of_dominant_root,
     poly_divides,
     poly_exact_div,
     positive_leading,

@@ -15,10 +15,12 @@ Hensel lifting, subset recombination).  No degree is capped: the subset
 search refuses when more than MODULAR_FACTOR_CAP modular factors remain
 after the single ones are taken out.
 
-classify_pisot brackets the char poly's dominant root once, by exact sign
-bisection; that one bracket both picks the minimal polynomial among the
-factors and seeds the Newton refinement of its conjugates, which the
-PisotReport carries on.
+classify_pisot reads every exact flag off the char poly p and its
+factorisation: unimodularity off p(0), irreducibility off the factor list.
+It picks the minimal polynomial first, as the factor with the largest float
+estimate of a real root, and brackets the Perron root once, by exact sign
+bisection on that squarefree factor alone; the bracket also seeds the
+Newton refinement of its conjugates, which the PisotReport carries on.
 """
 
 from __future__ import annotations
@@ -69,57 +71,15 @@ class IntMatrix:
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
         return cls(tuple(tuple(int(e) for e in row) for row in rows))
 
-    @classmethod
-    def identity(cls, k: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k)))
-
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        cols = tuple(zip(*other.rows))
-        return IntMatrix(tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.rows
-        ))
 
     def to_numpy(self) -> np.ndarray:
         return np.array(self.rows, dtype=float)
 
     def __str__(self):
         return "\n".join(" ".join(str(e) for e in row) for row in self.rows)
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = m.dim
-    a = [list(row) for row in m.rows]
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        pivot = next((r for r in range(i, n) if a[r][i] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != i:
-            a[i], a[pivot] = a[pivot], a[i]
-            sign = -sign
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                # Bareiss update: the division by the previous pivot is exact
-                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
-            a[r][i] = 0
-        prev = a[i][i]
-    return sign * a[n - 1][n - 1]
-
-
-def is_unimodular(m: IntMatrix) -> bool:
-    return abs(determinant(m)) == 1
 
 
 def is_primitive(m: IntMatrix) -> bool:
@@ -870,66 +830,66 @@ class Root:
 
 @dataclass(frozen=True)
 class DominantRoot:
+    """Largest real root: value lies in [lower, upper], over which the
+    polynomial changes sign exactly (or vanishes, when lower == upper)."""
+
     value: float
     lower: Fraction
     upper: Fraction
-    verified: bool  # True when the bracket carries an exact sign change
 
 
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def dominant_real_root(p: IntPolynomial) -> DominantRoot:
-    """Largest real root, refined by sign bisection with exact evaluation.
+def _largest_real_estimate(p: IntPolynomial) -> float:
+    """numpy's estimate of the largest real root of p, -inf when it finds none."""
+    est = np.roots(np.array(p.coeffs[::-1], dtype=float))
+    return max((z.real for z in est if abs(z.imag) <= 1e-7 * (1 + abs(z))), default=-math.inf)
 
-    A floating estimate seeds the bracket; the bracket is then verified and
-    shrunk using Fraction arithmetic on the exact coefficients.  Falls back
-    to the Cauchy-bound interval (1, 1 + max|coeff|) when the local bracket
-    cannot be verified, and returns an unverified estimate (e.g. at an
-    even-multiplicity root) as a last resort.
+
+def dominant_real_root(p: IntPolynomial) -> DominantRoot:
+    """Largest real root, bracketed by an exact sign change and bisected.
+
+    A floating estimate seeds a bracket, widened at most six times until p
+    changes sign over it in Fraction arithmetic on the exact coefficients;
+    bisection then narrows it to 80 bits.  A simple root, such as every
+    root of a squarefree p, always has such a bracket; when none is found
+    (at a root of even multiplicity, say), NoConvergence is raised rather
+    than a guess returned.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
     q = positive_leading(primitive_part(p))
-    est = np.roots(np.array(q.coeffs[::-1], dtype=float))
-    reals = [z.real for z in est if abs(z.imag) <= 1e-7 * (1 + abs(z))]
-    if not reals:
+    r0 = _largest_real_estimate(q)
+    if r0 == -math.inf:
         raise NoConvergence("no real root found")
-    r0 = max(reals)
-
-    def bisect(lo: Fraction, hi: Fraction) -> DominantRoot:
-        s_lo = _sign(q.evaluate(lo))
-        width_target = Fraction(max(1, math.ceil(abs(r0)))) / (1 << 80)  # 80 bits
-        while hi - lo > width_target:
-            mid = (lo + hi) / 2
-            s_mid = _sign(q.evaluate(mid))
-            if s_mid == 0:
-                lo = hi = mid
-                break
-            if s_mid == s_lo:
-                lo = mid
-            else:
-                hi = mid
-        return DominantRoot(float((lo + hi) / 2), lo, hi, True)
-
+    approx = Fraction(r0).limit_denominator(10 ** 18)
     delta = Fraction(1e-7 * (1 + abs(r0))).limit_denominator(10 ** 18)
     for _ in range(6):
-        lo = Fraction(r0).limit_denominator(10 ** 18) - delta
-        hi = Fraction(r0).limit_denominator(10 ** 18) + delta
+        lo, hi = approx - delta, approx + delta
         s_lo, s_hi = _sign(q.evaluate(lo)), _sign(q.evaluate(hi))
         if s_lo == 0:
-            return DominantRoot(float(lo), lo, lo, True)
+            return DominantRoot(float(lo), lo, lo)
         if s_hi == 0:
-            return DominantRoot(float(hi), hi, hi, True)
+            return DominantRoot(float(hi), hi, hi)
         if s_lo != s_hi:
-            return bisect(lo, hi)
+            break
         delta *= 16
-    cauchy_hi = Fraction(1 + max(abs(c) for c in q.coeffs))
-    if _sign(q.evaluate(Fraction(1))) * _sign(q.evaluate(cauchy_hi)) < 0:
-        return bisect(Fraction(1), cauchy_hi)
-    approx = Fraction(r0).limit_denominator(10 ** 18)
-    return DominantRoot(r0, approx - delta, approx + delta, False)
+    else:
+        raise NoConvergence(f"no exact sign change near the root estimate {r0!r}")
+    width_target = Fraction(max(1, math.ceil(abs(r0)))) / (1 << 80)  # 80 bits
+    while hi - lo > width_target:
+        mid = (lo + hi) / 2
+        s_mid = _sign(q.evaluate(mid))
+        if s_mid == 0:
+            lo = hi = mid
+            break
+        if s_mid == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return DominantRoot(float((lo + hi) / 2), lo, hi)
 
 
 def _newton(p: IntPolynomial, starts: Iterable[complex], tol: float) -> list[Root]:
@@ -982,8 +942,10 @@ def _roots_near(p: IntPolynomial, dom: DominantRoot | None, tol: float) -> list[
 def all_roots(p: IntPolynomial, tol: float = 1e-10) -> list[Root]:
     """All deg(p) complex roots, Newton-refined until |p(z)| / ||p|| < tol.
 
-    The dominant real root, when present, is snapped to its sign-bisected
-    value.  Raises NoConvergence (with the residual) if refinement stalls.
+    The largest real root is snapped to its sign-bisected value when
+    dominant_real_root can bracket it, and otherwise, as at a root of even
+    multiplicity, left to numpy's estimate and Newton's steps.  Raises
+    NoConvergence (with the residual) if refinement stalls.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
@@ -992,35 +954,6 @@ def all_roots(p: IntPolynomial, tol: float = 1e-10) -> list[Root]:
     except NoConvergence:
         dom = None
     return _roots_near(p, dom, tol)
-
-
-def _factor_at(factors: list[IntPolynomial], dom: DominantRoot) -> IntPolynomial:
-    """The factor vanishing at the root bracketed by dom: the one with an
-    exact sign change over a verified bracket, or an exact zero on a bracket
-    collapsed onto the root, and otherwise the one smallest in absolute
-    value at the root estimate."""
-    for f in factors:
-        if dom.verified and dom.lower == dom.upper:
-            if f.evaluate(dom.lower) == 0:
-                return f
-        elif dom.verified and _sign(f.evaluate(dom.lower)) * _sign(f.evaluate(dom.upper)) < 0:
-            return f
-    return min(factors, key=lambda f: abs(complex(f.evaluate(dom.value))))
-
-
-def minimal_polynomial_of_dominant_root(
-    p: IntPolynomial, dom: DominantRoot | None = None
-) -> IntPolynomial:
-    """The irreducible factor of p over Z that vanishes at its largest real root.
-
-    p is factored first (factor_over_z), so a refusal comes before any root
-    work; the bracket dom is needed, and computed when None, only when p
-    has more than one distinct irreducible factor.
-    """
-    factors = [f.poly for f in factor_over_z(p)]
-    if len(factors) == 1:
-        return factors[0]
-    return _factor_at(factors, dom if dom is not None else dominant_real_root(p))
 
 
 # ---------------------------------------------------------------------------
@@ -1061,25 +994,30 @@ def _as_incidence(value) -> IntMatrix:
 
 
 def classify_pisot(substitution_or_matrix) -> PisotReport:
-    """Assemble primitivity, unimodularity, irreducibility and the Pisot flag.
+    """Primitivity, unimodularity, irreducibility and the Pisot flag, read
+    off the char poly p and its factorisation over Z.
 
-    Raises IndeterminateClassification when a root modulus (dominant or
-    conjugate) sits within CLASSIFICATION_MARGIN of 1 without being exactly 1,
-    and TooManyModularFactors, before any root work, when the char poly
-    cannot be factored within MODULAR_FACTOR_CAP.
+    det M = (-1)^k p(0) settles unimodularity.  The minimal polynomial is the
+    distinct irreducible factor with the largest float estimate of a real
+    root; being squarefree, it changes sign at its largest real root, the
+    Perron root, which is bracketed on it alone.  Raises
+    IndeterminateClassification when a root modulus (dominant or conjugate)
+    sits within CLASSIFICATION_MARGIN of 1 without being exactly 1, and
+    TooManyModularFactors, before any root work, when p cannot be factored
+    within MODULAR_FACTOR_CAP.
     """
     m = _as_incidence(substitution_or_matrix)
     primitive = is_primitive(m)
-    unimodular = is_unimodular(m)
     p = char_poly(m)
+    unimodular = abs(p.coeffs[0]) == 1
     factors = [f.poly for f in factor_over_z(p)]
-    dom = dominant_real_root(p)
-    minpoly = factors[0] if len(factors) == 1 else _factor_at(factors, dom)
+    minpoly = factors[0] if len(factors) == 1 else max(factors, key=_largest_real_estimate)
     irreducible = minpoly.degree == p.degree
+    dom = dominant_real_root(minpoly)
     lam = dom.value
 
     if abs(lam - 1) <= CLASSIFICATION_MARGIN:
-        if p.evaluate(1) == 0:
+        if minpoly.evaluate(1) == 0:
             # dominant root is exactly 1: decidable, not Pisot
             return PisotReport(1.0, primitive, False, irreducible, unimodular, math.inf, p, minpoly, m, ())
         raise IndeterminateClassification(

@@ -118,6 +118,12 @@ def reflect_cloud(cloud: LabeledPointCloud) -> LabeledPointCloud:
     return LabeledPointCloud(-cloud.coords, cloud.labels, cloud.indices, cloud.meta)
 
 
+def _cell_size(eps: float) -> float:
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"cell size must be finite and positive, got {eps!r}")
+    return eps
+
+
 class GridIndex:
     """Occupied grid cells of a cloud at cell size eps.
 
@@ -126,16 +132,12 @@ class GridIndex:
     """
 
     def __init__(self, eps: float, cells: np.ndarray):
-        if eps <= 0:
-            raise ValueError("cell size must be positive")
-        self.eps = eps
+        self.eps = _cell_size(eps)
         self.cells = cells
 
     @classmethod
     def from_cloud(cls, cloud: LabeledPointCloud, eps: float) -> "GridIndex":
-        if eps <= 0:
-            raise ValueError("cell size must be positive")
-        keys = np.floor(cloud.coords / eps).astype(np.int64)
+        keys = np.floor(cloud.coords / _cell_size(eps)).astype(np.int64)
         # lexsort's last key is its primary one and it refuses zero keys: the
         # point index, least significant, is a key in every dimension
         keys = keys[np.lexsort((np.arange(len(keys)), *keys.T[::-1]))]

@@ -1,16 +1,18 @@
 """Built-in verification suite over classical worked examples.
 
 Five fixed substitution pairs with known balanced-pair systems, exact
-characteristic polynomial identities, fixed-point prefixes, and grid-level
-symmetry estimates.  Everything here is embedded; no files are read.
+characteristic polynomial identities, fixed-point prefixes, grid-level
+symmetry estimates, and the classification of a char poly whose largest
+root is a double root.  Everything here is embedded; no files are read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .algebra import IntPolynomial
+from .algebra import IntPolynomial, classify_pisot
 from .bpa import (
     NotFound,
     pair_incidence,
@@ -65,6 +67,15 @@ def no_balanced_prefix_substitution() -> Substitution:
     return Substitution.from_rules(["a", "b", "c"], {"a": "abc", "b": "a", "c": "ac"})
 
 
+def doubled_fibonacci_plastic() -> Substitution:
+    """Two copies of Fibonacci beside the plastic-number substitution: char
+    poly (x^2 - x - 1)^2 (x^3 - x - 1), whose largest root is a double root."""
+    return Substitution.from_rules(
+        list("abcdefg"),
+        {"a": "ab", "b": "a", "c": "cd", "d": "c", "e": "f", "f": "g", "g": "ef"},
+    )
+
+
 # expected outcomes, hand-derived and machine-cross-checked
 
 INTERVAL_PAIRS = {"A": ("a", "a"), "B": ("b", "b"), "C": ("ab", "ba")}
@@ -109,6 +120,9 @@ NONPALINDROMIC_DISCOVERY_RULES = {
     "A": "ABCDE", "B": "ABCBE", "C": "ADCBCDE", "D": "ABCDCBE", "E": "ADCBE",
 }
 NONPALINDROMIC_CHARPOLY = (0, 0, -1, 7, -7, 1)  # x^2 (x-1) (x^2-6x+1)
+
+GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
+GOLDEN_MINIMAL_POLYNOMIAL = (-1, -1, 1)  # x^2 - x - 1
 
 FORWARD_PREFIX_24 = "abcaacabcabcacabcaacabca"
 # Derived from the fixed-point recurrence v = reverse-rules(v); a commonly
@@ -354,6 +368,20 @@ def _common_point_checks() -> Iterator[CheckResult]:
         )
 
 
+def _classification_checks() -> Iterator[CheckResult]:
+    rep = classify_pisot(doubled_fibonacci_plastic())
+    yield _check(
+        "classification: doubled Fibonacci beside plastic, Perron root (1+sqrt5)/2",
+        abs(rep.perron_root - GOLDEN_RATIO) <= 1e-12 * GOLDEN_RATIO,
+        repr(rep.perron_root),
+    )
+    yield _check(
+        "classification: doubled Fibonacci beside plastic, minimal polynomial x^2 - x - 1",
+        rep.minimal_polynomial.coeffs == GOLDEN_MINIMAL_POLYNOMIAL,
+        str(rep.minimal_polynomial),
+    )
+
+
 CHECK_GROUPS: tuple[Callable[[], Iterator[CheckResult]], ...] = (
     _interval_checks,
     _family_checks,
@@ -362,6 +390,7 @@ CHECK_GROUPS: tuple[Callable[[], Iterator[CheckResult]], ...] = (
     _no_prefix_checks,
     _symmetry_checks,
     _common_point_checks,
+    _classification_checks,
 )
 
 

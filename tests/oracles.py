@@ -12,7 +12,7 @@ def char_poly_via_cofactors(m: IntMatrix) -> IntPolynomial:
     k = m.dim
     entries = [
         [
-            IntPolynomial((-m.entry(i, j), 1)) if i == j else IntPolynomial((-m.entry(i, j),))
+            IntPolynomial((-m.rows[i][j], 1)) if i == j else IntPolynomial((-m.rows[i][j],))
             for j in range(k)
         ]
         for i in range(k)
@@ -32,6 +32,28 @@ def _poly_det(rows: list[list[IntPolynomial]]) -> IntPolynomial:
         term = head * _poly_det(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def bareiss_determinant(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n = m.dim
+    a = [list(row) for row in m.rows]
+    sign = 1
+    prev = 1
+    for i in range(n - 1):
+        pivot = next((r for r in range(i, n) if a[r][i] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            a[i], a[pivot] = a[pivot], a[i]
+            sign = -sign
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                # Bareiss update: the division by the previous pivot is exact
+                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
+            a[r][i] = 0
+        prev = a[i][i]
+    return sign * a[n - 1][n - 1]
 
 
 def evaluate_at_matrix(p: IntPolynomial, m: IntMatrix) -> IntMatrix:
@@ -68,3 +90,12 @@ def sympy_factor_list(p: IntPolynomial) -> list[tuple[tuple[int, ...], int]]:
         c = tuple(int(v) for v in reversed(f.all_coeffs()))
         out.append((tuple(-v for v in c) if c[-1] < 0 else c, k))
     return sorted(out)
+
+
+def sympy_largest_real_root(p: IntPolynomial, digits: int = 40):
+    """The largest of sympy's isolated real roots of p, as a sympy Float
+    with the given number of digits."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    return max(sympy.real_roots(sympy.Poly(list(reversed(p.coeffs)), x))).evalf(digits)

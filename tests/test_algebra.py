@@ -4,27 +4,33 @@ import random
 import pytest
 
 from conftest import fibonacci, kbonacci, random_substitution, tribonacci
-from oracles import char_poly_via_cofactors, evaluate_at_matrix, sympy_char_poly, sympy_factor_list
+from oracles import (
+    bareiss_determinant,
+    char_poly_via_cofactors,
+    evaluate_at_matrix,
+    sympy_char_poly,
+    sympy_factor_list,
+    sympy_largest_real_root,
+)
 from rauzykit import (
     MODULAR_FACTOR_CAP,
     BpaLimits,
     DivideByZeroPoly,
+    IndeterminateClassification,
     IntMatrix,
     IntPolynomial,
     NegativeEntry,
+    NoConvergence,
     Substitution,
     TooManyModularFactors,
     all_roots,
     char_poly,
     classify_pisot,
-    determinant,
     dominant_real_root,
     factor_over_z,
     incidence_matrix,
     is_irreducible_over_q,
     is_primitive,
-    is_unimodular,
-    minimal_polynomial_of_dominant_root,
     poly_divides,
     poly_exact_div,
     positive_leading,
@@ -33,6 +39,18 @@ from rauzykit import (
 )
 
 TRIB_POLY = IntPolynomial((-1, -1, -1, 1))  # x^3 - x^2 - x - 1
+GOLDEN_POLY = IntPolynomial((-1, -1, 1))  # x^2 - x - 1
+IDENTITY_2 = IntMatrix.from_rows([[1, 0], [0, 1]])
+
+
+def rules(text):
+    """Substitution from 'a:ab b:a' style rules, letters in order of appearance."""
+    table = dict(part.split(":") for part in text.split())
+    return Substitution.from_rules(list(table), table)
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def random_matrix(rng, k, lo=-5, hi=5):
@@ -65,7 +83,7 @@ class TestCharPoly:
         assert char_poly(incidence_matrix(tribonacci())) == TRIB_POLY
 
     def test_identity_2x2(self):
-        assert char_poly(IntMatrix.identity(2)) == IntPolynomial((1, -2, 1))
+        assert char_poly(IDENTITY_2) == IntPolynomial((1, -2, 1))
 
     def test_interval_pair_matrix(self):
         m = IntMatrix.from_rows([[2, 0, 1], [1, 0, 0], [0, 1, 2]])
@@ -97,16 +115,16 @@ class TestCharPoly:
 class TestDeterminant:
     def test_interval_matrix(self):
         m = IntMatrix.from_rows([[2, 1], [1, 1]])
-        assert determinant(m) == 1 and is_unimodular(m)
+        assert bareiss_determinant(m) == 1 and classify_pisot(m).is_unimodular
 
     def test_zero_matrix(self):
         m = IntMatrix.from_rows([[0, 0], [0, 0]])
-        assert determinant(m) == 0 and not is_unimodular(m)
+        assert bareiss_determinant(m) == 0 and not classify_pisot(m).is_unimodular
 
     def test_family_always_unimodular(self):
         for i in range(1, 7):
             m = IntMatrix.from_rows([[i, i, 1], [1, 0, 0], [0, 1, 0]])
-            assert abs(determinant(m)) == 1
+            assert abs(bareiss_determinant(m)) == 1 and classify_pisot(m).is_unimodular
 
     def test_matches_charpoly_constant(self):
         rng = random.Random(23)
@@ -115,23 +133,22 @@ class TestDeterminant:
             m = random_matrix(rng, k)
             p = char_poly(m)
             const = p.coeffs[0] if p.coeffs else 0
-            assert determinant(m) == (-1) ** k * const
+            assert bareiss_determinant(m) == (-1) ** k * const
 
     def test_unimodular_constant_term(self):
         # random products of integer shears have determinant +-1
         rng = random.Random(24)
         for _ in range(50):
             k = rng.randint(2, 4)
-            m = IntMatrix.identity(k)
+            m = [[int(i == j) for j in range(k)] for i in range(k)]
             for _ in range(6):
                 i, j = rng.randrange(k), rng.randrange(k)
                 if i == j:
                     continue
-                shear = IntMatrix.identity(k).rows
-                shear = [list(r) for r in shear]
+                shear = [[int(r == c) for c in range(k)] for r in range(k)]
                 shear[i][j] = rng.randint(-2, 2)
-                m = m @ IntMatrix.from_rows(shear)
-            p = char_poly(m)
+                m = matmul(m, shear)
+            p = char_poly(IntMatrix.from_rows(m))
             assert abs(p.coeffs[0]) == 1
 
 
@@ -140,7 +157,7 @@ class TestPrimitivity:
         assert is_primitive(incidence_matrix(tribonacci()))
 
     def test_identity_not_primitive(self):
-        assert not is_primitive(IntMatrix.identity(2))
+        assert not is_primitive(IDENTITY_2)
 
     def test_permutation_not_primitive(self):
         assert not is_primitive(IntMatrix.from_rows([[0, 1], [1, 0]]))
@@ -213,7 +230,9 @@ class TestIrreducibility:
 
     def test_minimal_polynomial_extraction(self):
         p = IntPolynomial((-1, 4, -4, 1))  # (x^2 - 3x + 1)(x - 1)
-        assert minimal_polynomial_of_dominant_root(p) == IntPolynomial((1, -3, 1))
+        rep = classify_pisot(IntMatrix.from_rows([[2, 0, 1], [1, 0, 0], [0, 1, 2]]))
+        assert rep.char_poly == p
+        assert rep.minimal_polynomial == IntPolynomial((1, -3, 1))
 
     def test_minimal_polynomial_at_exact_integer_root(self):
         # x^5 - 2x^3 - 4x^2 = x^2 (x - 2) (x^2 + 2x + 2): bisection lands on 2
@@ -221,8 +240,10 @@ class TestIrreducibility:
         p = IntPolynomial((0, 0, -4, -2, 0, 1))
         dom = dominant_real_root(p)
         assert dom.lower == dom.upper == 2
-        assert minimal_polynomial_of_dominant_root(p, dom) == IntPolynomial((-2, 1))
-        assert minimal_polynomial_of_dominant_root(p) == IntPolynomial((-2, 1))
+        rep = classify_pisot(rules("z:gh h:gr q:gh g:zr r:hq"))
+        assert rep.char_poly == p
+        assert rep.minimal_polynomial == IntPolynomial((-2, 1))
+        assert dominant_real_root(rep.minimal_polynomial).lower == 2
 
 
 class TestRoots:
@@ -266,11 +287,22 @@ class TestRoots:
 
     def test_dominant_root_bracket(self):
         dom = dominant_real_root(TRIB_POLY)
-        assert dom.verified
+        assert dom.lower < dom.upper
         assert float(dom.upper - dom.lower) < 1e-20
         # the float value is the midpoint of the exact bracket, to rounding
         assert dom.value == pytest.approx(float(dom.lower), abs=1e-15)
         assert TRIB_POLY.evaluate(dom.lower) * TRIB_POLY.evaluate(dom.upper) < 0
+
+    def test_even_multiplicity_root_is_refused_not_guessed(self):
+        # (x^2 - x - 1)^2 has no sign change at its largest root
+        square = GOLDEN_POLY * GOLDEN_POLY
+        with pytest.raises(NoConvergence):
+            dominant_real_root(square)
+        roots = sorted(r.value.real for r in all_roots(square))
+        assert len(roots) == 4
+        phi = (1 + math.sqrt(5)) / 2
+        for got, want in zip(roots, [1 - phi, 1 - phi, phi, phi]):
+            assert got == pytest.approx(want, abs=1e-4)
 
 
 class TestClassification:
@@ -353,6 +385,31 @@ class TestClassification:
         assert rep.is_irreducible and rep.is_pisot and rep.is_unimodular
         assert rep.minimal_polynomial == rep.char_poly
 
+    @pytest.mark.parametrize(
+        "text, char_poly_factors, perron_root, minimal_polynomial, pisot",
+        [
+            # (x^2 - x - 1)^2 (x^3 - x - 1): doubled Fibonacci beside the
+            # plastic number; the golden ratio is a root of even multiplicity
+            ("a:ab b:a c:cd d:c e:f f:g g:ef", [(-1, -1, 1), (-1, -1, 1), (-1, -1, 0, 1)],
+             (1 + math.sqrt(5)) / 2, (-1, -1, 1), True),
+            # (x - 1)^2 (x + 1): the Perron root is exactly 1, so not Pisot
+            ("a:b b:a c:ca", [(-1, 1), (-1, 1), (1, 1)], 1.0, (-1, 1), False),
+            # (x - 2)^2 (x^2 - x - 1): the integer Perron root 2 is a double root
+            ("a:aa b:d c:acc d:adb", [(-2, 1), (-2, 1), (-1, -1, 1)], 2.0, (-2, 1), True),
+        ],
+    )
+    def test_perron_root_of_even_multiplicity(
+        self, text, char_poly_factors, perron_root, minimal_polynomial, pisot
+    ):
+        rep = classify_pisot(rules(text))
+        expected = IntPolynomial((1,))
+        for coeffs in char_poly_factors:
+            expected = expected * IntPolynomial(coeffs)
+        assert rep.char_poly == expected
+        assert rep.perron_root == pytest.approx(perron_root, rel=1e-15)
+        assert rep.minimal_polynomial == IntPolynomial(minimal_polynomial)
+        assert rep.is_pisot == pisot and not rep.is_primitive and not rep.is_irreducible
+
     def test_identity_substitution(self):
         sub = Substitution.from_rules(["a", "b"], {"a": "a", "b": "b"})
         rep = classify_pisot(sub)
@@ -407,3 +464,23 @@ class TestAgainstSympy:
             assert factor_pairs(p) == sympy_factor_list(p), str(p)
             keys = [(f.poly.degree, f.poly.coeffs) for f in factors]
             assert keys == sorted(keys)
+
+    def test_perron_root_matches_sympy_on_random_substitutions(self):
+        # the largest real root of the char poly, whatever its multiplicity,
+        # is the Perron root, and the minimal polynomial vanishes there
+        pytest.importorskip("sympy")
+        rng = random.Random(9)
+        classified = 0
+        for _ in range(200):
+            k = rng.randint(2, 7)
+            letters = "abcdefg"[:k]
+            table = {a: "".join(rng.choice(letters) for _ in range(rng.randint(1, 3))) for a in letters}
+            try:
+                rep = classify_pisot(Substitution.from_rules(list(letters), table))
+            except IndeterminateClassification:
+                continue
+            lam = sympy_largest_real_root(rep.char_poly)
+            assert rep.perron_root == pytest.approx(float(lam), rel=1e-12, abs=0), table
+            assert abs(rep.minimal_polynomial.evaluate(lam)) < 1e-25, table
+            classified += 1
+        assert classified > 190

@@ -243,7 +243,7 @@ class TestExactInvariantsComputedOnce:
 
         monkeypatch.setattr(algebra, "factor_over_z", counting)
         m = incidence_matrix(substitution_from_dict(TRIB))
-        algebra.minimal_polynomial_of_dominant_root(algebra.char_poly(m))
+        algebra.classify_pisot(m)
         one_chain = list(calls)
         calls.clear()
         assert one_chain

@@ -148,6 +148,18 @@ class TestGridIndex:
         assert grid.cells.dtype == np.int64 and grid.cells.shape == (len(oracle), d)
         assert [tuple(row) for row in grid.cells.tolist()] == sorted(oracle)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf"), 0.0, -0.1])
+    def test_refuses_a_cell_size_that_is_not_finite_and_positive(self, eps):
+        cloud = point_cloud([[0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(ValueError):
+            GridIndex(eps, np.zeros((0, 2), dtype=np.int64))
+        with pytest.raises(ValueError):
+            GridIndex.from_cloud(cloud, eps)
+        with pytest.raises(ValueError):
+            hausdorff_distance(cloud, cloud, eps)
+        with pytest.raises(ValueError):
+            grid_intersection_estimate(cloud, cloud, eps)
+
 
 class TestReflection:
     def test_involution_is_exact(self):

@@ -62,7 +62,7 @@ class TestSpectralSplit:
             return factor(p)
 
         monkeypatch.setattr(algebra, "factor_over_z", counting)
-        algebra.minimal_polynomial_of_dominant_root(algebra.char_poly(m))
+        algebra.classify_pisot(m)
         one_search = len(calls)
         calls.clear()
         spectral_split(m)
