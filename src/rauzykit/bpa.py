@@ -26,7 +26,7 @@ from .algebra import (
     reciprocal_poly,
 )
 from .errors import MatrixMismatch, NoSeedFound, NotBalanced, NotPrimitive
-from .fractal import CloudMeta, LabeledPointCloud, chart_id_of
+from .fractal import CloudMeta, LabeledPointCloud, chart_id_of, letter_labels
 from .spectral import ProjectionOperator
 from .words import (
     SEED_POWER_LIMIT,
@@ -400,7 +400,7 @@ def intersection_cloud(
     stream = _pair_stream(pair_sub)
     prefix = stream.prefix_indices(n)
     coords = op.project_many(prefix_counts(prefix, _letter_image_rows(pair_sub)))
-    labels = tuple(pair_sub.name(int(i)) for i in prefix)
+    labels = letter_labels(pair_sub.pair_alphabet.letters, prefix)
     meta = CloudMeta(
         source_id="pairs:" + pair_sub.as_substitution().rule_text(),
         chart_id=chart_id_of(op),

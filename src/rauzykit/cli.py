@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 
 import click
@@ -141,6 +142,12 @@ def cmd_analyze(path, tol):
     )
 
 
+def _check_export_paths(csv_path, svg_path) -> None:
+    """Refuse --csv and --svg naming one file, before any work is done."""
+    if csv_path and svg_path and os.path.realpath(csv_path) == os.path.realpath(svg_path):
+        raise click.UsageError("--csv and --svg name the same file")
+
+
 def _export(cloud, csv_path, svg_path) -> None:
     """Write the cloud's SVG, then its CSV: render_svg refuses a cloud above
     two dimensions before any file is written."""
@@ -167,6 +174,7 @@ def cmd_reverse(path, out):
 @click.option("--tol", type=_TOLERANCE, default=1e-10, show_default=True)
 def cmd_fractal(path, n, csv_path, svg_path, tol):
     """Generate the fractal point cloud of a substitution file."""
+    _check_export_paths(csv_path, svg_path)
     sub = load_substitution(path)
     op = projection_operator(spectral_split(incidence_matrix(sub), tol))
     cloud = rauzy_cloud(sub, n, op)
@@ -254,6 +262,7 @@ def cmd_bpa(path1, path2, prefix_cutoff, max_pairs, max_pair_length, out):
 @click.option("--max-pair-length", type=_POSITIVE, default=10 ** 5, show_default=True)
 def cmd_intersect(path1, path2, n, csv_path, svg_path, tol, prefix_cutoff, max_pairs, max_pair_length):
     """Balanced pair algorithm plus the projected intersection cloud."""
+    _check_export_paths(csv_path, svg_path)
     first = load_substitution(path1)
     second = load_substitution(path2)
     limits = BpaLimits(prefix_cutoff=prefix_cutoff, max_pairs=max_pairs, max_pair_length=max_pair_length)

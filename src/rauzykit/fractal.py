@@ -2,13 +2,15 @@
 
 Point clouds carry per-point letter labels (the natural decomposition) and
 source indices.  All grid estimates quantize at a caller-chosen cell size;
-CSV and SVG output is deterministic byte for byte.
+CSV and SVG output is deterministic byte for byte, streamed one %-format row
+per point from columns taken as lists, never held as one file text.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -91,6 +93,11 @@ def broken_line_prefix_sums(stream: InfiniteWordStream, n: int) -> np.ndarray:
     return prefix_counts(stream.prefix_indices(n), np.eye(k, dtype=np.int64))
 
 
+def letter_labels(names: Sequence[str], idx: np.ndarray) -> tuple[str, ...]:
+    """The names at the letter indices idx, taken from an object array."""
+    return tuple(np.asarray(names, dtype=object)[idx])
+
+
 def rauzy_cloud(substitution: Substitution, n: int, op: ProjectionOperator) -> LabeledPointCloud:
     """First n projected broken-line points of the fixed point, labeled by the
     letter read at each step.
@@ -108,7 +115,7 @@ def rauzy_cloud(substitution: Substitution, n: int, op: ProjectionOperator) -> L
     letters = substitution.alphabet.letters
     idx = stream_for(substitution).prefix_indices(n)
     coords = op.project_many(prefix_counts(idx, np.eye(len(letters), dtype=np.int64)))
-    labels = tuple(letters[i] for i in idx)
+    labels = letter_labels(letters, idx)
     meta = CloudMeta(source_id=substitution.rule_text(), chart_id=chart_id_of(op), n_points=n)
     return LabeledPointCloud(coords, labels, np.arange(n, dtype=np.int64), meta)
 
@@ -203,13 +210,20 @@ def negate_cells(cells: frozenset[tuple[int, ...]]) -> frozenset[tuple[int, ...]
 
 
 def export_csv(cloud: LabeledPointCloud, path) -> None:
-    """Columns n, letter, x1..xd with 9 significant digits; byte deterministic."""
+    """Columns n ('%d'), letter (quoted as the csv module's QUOTE_MINIMAL
+    quotes it) and x1..xd ('%.9g'); '\\n' line ends, UTF-8, byte deterministic."""
     d = cloud.dimension
+    fields = {}
+    for label in set(cloud.labels):
+        # the leading field keeps an empty label from being quoted as a lone field
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow((0, label))
+        fields[label] = buffer.getvalue()[2:-1]
+    row = "%d,%s" + ",%.9g" * d + "\n"
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["n", "letter"] + [f"x{i + 1}" for i in range(d)])
-        for n, label, row in zip(cloud.indices, cloud.labels, cloud.coords):
-            writer.writerow([int(n), label] + [format(v, ".9g") for v in row])
+        handle.write(",".join(["n", "letter"] + [f"x{i + 1}" for i in range(d)]) + "\n")
+        labels = map(fields.__getitem__, cloud.labels)
+        handle.writelines(map(row.__mod__, zip(cloud.indices.tolist(), labels, *cloud.coords.T.tolist())))
 
 
 def _fmt(v: float) -> str:
@@ -221,7 +235,8 @@ def render_svg(clouds: Sequence[LabeledPointCloud], path) -> None:
 
     Clouds of dimension 1 render on the horizontal axis; dimensions above 2
     are refused with DimensionMismatch before any file is opened.  The
-    viewBox fits the data with a 5 percent margin.
+    viewBox fits the data with a 5 percent margin.  Numbers are '%.6g';
+    '\\n' line ends, UTF-8.
     """
     planar: list[np.ndarray] = []
     for cloud in clouds:
@@ -244,28 +259,23 @@ def render_svg(clouds: Sequence[LabeledPointCloud], path) -> None:
     else:
         lo, hi = np.zeros(2), np.ones(2)
         diam = math.sqrt(2.0)
-    radius = 0.01 * diam
-
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_fmt(lo[0])} {_fmt(lo[1])} '
-        f'{_fmt(hi[0] - lo[0])} {_fmt(hi[1] - lo[1])}">',
-    ]
-    color_cursor = 0
-    for ci, (cloud, pts) in enumerate(zip(clouds, planar)):
-        labels = cloud.label_set()
-        colors = {
-            label: PALETTE[(color_cursor + rank) % len(PALETTE)]
-            for rank, label in enumerate(labels)
-        }
-        color_cursor += len(labels)
-        lines.append(f'<g id="cloud{ci}">')
-        for (x, y), label in zip(pts, cloud.labels):
-            lines.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(radius)}" '
-                f'fill="{colors[label]}"/>'
-            )
-        lines.append("</g>")
-    lines.append("</svg>")
+    circle = f'<circle cx="%.6g" cy="%.6g" r="{_fmt(0.01 * diam)}" fill="%s"/>\n'
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_fmt(lo[0])} {_fmt(lo[1])} '
+            f'{_fmt(hi[0] - lo[0])} {_fmt(hi[1] - lo[1])}">\n'
+        )
+        color_cursor = 0
+        for ci, (cloud, pts) in enumerate(zip(clouds, planar)):
+            labels = cloud.label_set()
+            colors = {
+                label: PALETTE[(color_cursor + rank) % len(PALETTE)]
+                for rank, label in enumerate(labels)
+            }
+            color_cursor += len(labels)
+            handle.write(f'<g id="cloud{ci}">\n')
+            fills = map(colors.__getitem__, cloud.labels)
+            handle.writelines(map(circle.__mod__, zip(*pts.T.tolist(), fills)))
+            handle.write("</g>\n")
+        handle.write("</svg>\n")

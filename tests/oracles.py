@@ -1,10 +1,16 @@
-"""Slow, independent exact oracles for the algebra tests.
+"""Slow, independent oracles for the algebra and export tests.
 
-Each follows its textbook definition and shares no code path with the
-library routine it checks.
+Each follows its textbook definition, or is the plain loop the library
+replaced, and shares no code path with the library routine it checks.
 """
 
-from rauzykit import IntMatrix, IntPolynomial
+import csv
+import math
+
+import numpy as np
+
+from rauzykit import DimensionMismatch, IntMatrix, IntPolynomial
+from rauzykit.fractal import PALETTE
 
 
 def char_poly_via_cofactors(m: IntMatrix) -> IntPolynomial:
@@ -99,3 +105,71 @@ def sympy_largest_real_root(p: IntPolynomial, digits: int = 40):
 
     x = sympy.Symbol("x")
     return max(sympy.real_roots(sympy.Poly(list(reversed(p.coeffs)), x))).evalf(digits)
+
+
+# export oracles: the row-at-a-time loop writers that export_csv and
+# render_svg must match byte for byte
+
+
+def reference_export_csv(cloud, path) -> None:
+    """Columns n, letter, x1..xd with 9 significant digits; byte deterministic."""
+    d = cloud.dimension
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["n", "letter"] + [f"x{i + 1}" for i in range(d)])
+        for n, label, row in zip(cloud.indices, cloud.labels, cloud.coords):
+            writer.writerow([int(n), label] + [format(v, ".9g") for v in row])
+
+
+def _fmt(v: float) -> str:
+    return format(v, ".6g")
+
+
+def reference_render_svg(clouds, path) -> None:
+    """One circle per point, one group per cloud, deterministic palette per letter."""
+    planar: list[np.ndarray] = []
+    for cloud in clouds:
+        if cloud.dimension > 2:
+            raise DimensionMismatch("svg rendering supports 1-d and 2-d clouds only")
+        pts = cloud.coords
+        if cloud.dimension < 2:
+            pad = np.zeros((pts.shape[0], 2 - cloud.dimension))
+            pts = np.hstack([pts.reshape(pts.shape[0], cloud.dimension), pad])
+        planar.append(np.column_stack([pts[:, 0], -pts[:, 1]]))  # svg y grows downward
+
+    occupied = [p for p in planar if p.shape[0]]
+    if occupied:
+        alldata = np.vstack(occupied)
+        lo, hi = alldata.min(axis=0), alldata.max(axis=0)
+        span = np.maximum(hi - lo, 1e-9)
+        margin = 0.05 * span
+        lo, hi = lo - margin, hi + margin
+        diam = float(np.linalg.norm(hi - lo))
+    else:
+        lo, hi = np.zeros(2), np.ones(2)
+        diam = math.sqrt(2.0)
+    radius = 0.01 * diam
+
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_fmt(lo[0])} {_fmt(lo[1])} '
+        f'{_fmt(hi[0] - lo[0])} {_fmt(hi[1] - lo[1])}">',
+    ]
+    color_cursor = 0
+    for ci, (cloud, pts) in enumerate(zip(clouds, planar)):
+        labels = cloud.label_set()
+        colors = {
+            label: PALETTE[(color_cursor + rank) % len(PALETTE)]
+            for rank, label in enumerate(labels)
+        }
+        color_cursor += len(labels)
+        lines.append(f'<g id="cloud{ci}">')
+        for (x, y), label in zip(pts, cloud.labels):
+            lines.append(
+                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(radius)}" '
+                f'fill="{colors[label]}"/>'
+            )
+        lines.append("</g>")
+    lines.append("</svg>")
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write("\n".join(lines) + "\n")

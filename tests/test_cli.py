@@ -8,11 +8,16 @@ import pytest
 import rauzykit.algebra as algebra
 import rauzykit.bpa as bpa
 from conftest import kbonacci
-from oracles import sympy_factor_list
+from oracles import reference_export_csv, reference_render_svg, sympy_factor_list
 from rauzykit import (
     IntPolynomial,
     incidence_matrix,
+    intersection_cloud,
+    projection_operator,
+    rauzy_cloud,
     reverse_substitution,
+    run_bpa,
+    spectral_split,
     substitution_from_dict,
     substitution_to_dict,
 )
@@ -115,6 +120,41 @@ class TestFractal:
         assert summary["points"] == 1500 and summary["dimension"] == 2
         assert csv_path.read_text().startswith("n,letter,x1,x2")
         assert svg_path.read_text().startswith("<?xml")
+
+
+class TestExportFiles:
+    @staticmethod
+    def inputs(command, files):
+        return [files["trib"]] if command == "fractal" else [files["trib"], files["trib_rev"]]
+
+    @pytest.mark.parametrize("spelling", ["same", "dotted"])
+    @pytest.mark.parametrize("command", ["fractal", "intersect"])
+    def test_csv_and_svg_naming_one_file_is_a_usage_error(self, command, spelling, files, capsys):
+        out = files["dir"] / "cloud.out"
+        other = files["dir"] / "." / "cloud.out" if spelling == "dotted" else out
+        args = [command, *self.inputs(command, files), "--n", "100", "--csv", str(out), "--svg", str(other)]
+        code, stdout, err = run(capsys, args)
+        assert code == 1
+        assert "same file" in err
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("command", ["fractal", "intersect"])
+    def test_exports_match_the_loop_oracle_on_the_library_cloud(self, command, files, capsys):
+        trib = substitution_from_dict(TRIB)
+        op = projection_operator(spectral_split(incidence_matrix(trib)))
+        if command == "fractal":
+            cloud = rauzy_cloud(trib, 5000, op)
+        else:
+            cloud = intersection_cloud(run_bpa(trib, substitution_from_dict(TRIB_REV)), op, 5000)
+        out = {name: files["dir"] / f"out.{name}" for name in ("csv", "svg")}
+        args = [command, *self.inputs(command, files), "--n", "5000", "--csv", str(out["csv"]), "--svg", str(out["svg"])]
+        code, _, _ = run(capsys, args)
+        assert code == 0
+        ref = {name: files["dir"] / f"ref.{name}" for name in ("csv", "svg")}
+        reference_export_csv(cloud, ref["csv"])
+        reference_render_svg([cloud], ref["svg"])
+        for name in ("csv", "svg"):
+            assert out[name].read_bytes() == ref[name].read_bytes()
 
 
 class TestBpaCommand:

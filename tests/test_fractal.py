@@ -1,10 +1,12 @@
 import csv
+import xml.etree.ElementTree as ET
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import fibonacci, tribonacci
+from oracles import reference_export_csv, reference_render_svg
 from rauzykit import (
     DimensionMismatch,
     GridIndex,
@@ -17,15 +19,18 @@ from rauzykit import (
     grid_intersection_estimate,
     hausdorff_distance,
     incidence_matrix,
+    intersection_cloud,
     projection_operator,
     rauzy_cloud,
     reflect_cloud,
     render_svg,
     reverse_substitution,
+    run_bpa,
     spectral_split,
     stream_for,
 )
-from rauzykit.fractal import CloudMeta
+from rauzykit.fractal import CloudMeta, letter_labels
+from rauzykit.selfcheck import flipped_tribonacci
 
 
 def tribonacci_operator():
@@ -99,6 +104,18 @@ class TestRauzyCloud:
         family2 = Substitution.from_rules(["a", "b", "c"], {"a": "aab", "b": "aac", "c": "a"})
         with pytest.raises(MatrixMismatch):
             rauzy_cloud(family2, 10, tribonacci_operator())
+
+    def test_labels_are_the_letters_read(self):
+        cloud = rauzy_cloud(tribonacci(), 500, tribonacci_operator())
+        letters = tribonacci().alphabet.letters
+        assert cloud.labels == tuple(letters[i] for i in stream_for(tribonacci()).prefix_indices(500))
+        assert all(type(label) is str for label in cloud.labels)
+
+    def test_letter_labels_takes_plain_strings(self):
+        labels = letter_labels(("a", "bc", "d"), np.array([1, 0, 2, 1]))
+        assert labels == ("bc", "a", "d", "bc")
+        assert isinstance(labels, tuple) and all(type(label) is str for label in labels)
+        assert letter_labels(("a",), np.zeros(0, dtype=np.int64)) == ()
 
     def test_label_partition(self):
         op = tribonacci_operator()
@@ -278,3 +295,62 @@ class TestExports:
         with pytest.raises(DimensionMismatch):
             render_svg([cloud], tmp_path / "bad.svg")
         assert not (tmp_path / "bad.svg").exists()
+
+
+SPECIAL_LABELS = ("a,b", 'q"t', "x y", "n\nl", "c\rr", "'", "-")
+MANY_LABELS = SPECIAL_LABELS + tuple(f"l{i}" for i in range(11))  # 18 > 12 palette colors
+
+
+def labeled_cloud(d, n, labels, seed=0):
+    """n points of dimension d, labels cycled in order."""
+    coords = np.random.default_rng(seed).normal(scale=3.0, size=(n, d))
+    return point_cloud(coords, labels=[labels[i % len(labels)] for i in range(n)])
+
+
+def flipped_intersection_cloud():
+    sub = flipped_tribonacci()
+    op = projection_operator(spectral_split(incidence_matrix(sub)))
+    return intersection_cloud(run_bpa(sub, reverse_substitution(sub)), op, 3000)
+
+
+EXPORT_CASES = {
+    "dimension-0": lambda: [labeled_cloud(0, 7, ("a", "b"))],
+    "dimension-1": lambda: [labeled_cloud(1, 50, ("a", "b"))],
+    "dimension-2": lambda: [labeled_cloud(2, 50, ("a", "b", "c"))],
+    "special-labels": lambda: [labeled_cloud(2, 90, SPECIAL_LABELS)],
+    "palette-wrap": lambda: [labeled_cloud(2, 90, MANY_LABELS)],
+    "empty-label": lambda: [labeled_cloud(1, 5, ("", "e"))],
+    "overlay": lambda: [labeled_cloud(2, 40, MANY_LABELS), labeled_cloud(2, 30, ("a", "z"), seed=1)],
+    "special-values": lambda: [
+        point_cloud(
+            [[-0.0, 1e-300], [1e20, -1e20], [np.inf, -np.inf], [np.nan, 0.5], [0.0, -0.0]],
+            labels=["a", "b", "a", "c", "b"],
+        )
+    ],
+    "empty": lambda: [point_cloud(np.zeros((0, 2)), labels=())],
+    "tribonacci": lambda: [rauzy_cloud(tribonacci(), 3000, tribonacci_operator())],
+    "flipped-tribonacci-pairs": lambda: [flipped_intersection_cloud()],
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and nan in the viewBox arithmetic
+@pytest.mark.parametrize("case", sorted(EXPORT_CASES))
+class TestExportsMatchLoopOracle:
+    """The streamed writers against the row-at-a-time loop writers, byte for byte."""
+
+    def test_csv_bytes(self, case, tmp_path):
+        for i, cloud in enumerate(EXPORT_CASES[case]()):
+            new, ref = tmp_path / f"new{i}.csv", tmp_path / f"ref{i}.csv"
+            export_csv(cloud, new)
+            reference_export_csv(cloud, ref)
+            assert new.read_bytes() == ref.read_bytes()
+
+    def test_svg_bytes(self, case, tmp_path):
+        clouds = EXPORT_CASES[case]()
+        new, ref = tmp_path / "new.svg", tmp_path / "ref.svg"
+        render_svg(clouds, new)
+        reference_render_svg(clouds, ref)
+        assert new.read_bytes() == ref.read_bytes()
+        root = ET.parse(new).getroot()
+        circles = root.findall("{http://www.w3.org/2000/svg}g/{http://www.w3.org/2000/svg}circle")
+        assert len(circles) == sum(len(c) for c in clouds)
