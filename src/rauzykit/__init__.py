@@ -64,7 +64,6 @@ from .fractal import (
     GridIndex,
     IntersectionEstimate,
     LabeledPointCloud,
-    broken_line_prefix_sums,
     export_csv,
     grid_intersection_estimate,
     hausdorff_distance,

@@ -5,13 +5,18 @@ Two substitutions with equal incidence matrices act on pairs of words
 balanced prefix pair of their fixed points, iterated image-and-split
 generates a finite pair alphabet and a substitution on it whose projected
 broken line runs through exactly the common points of the two parent
-broken lines.
+broken lines (Sirvent, Bull. Belg. Math. Soc. 7, 2000).
+
+BalancedPair(...) checks its words; the pairs and words the algorithm
+makes itself (prefixes, images and factors of balanced pairs) are balanced
+by construction and built with words._trusted, so each run checks balance
+once per image, on the last row of the split's prefix counts.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -34,6 +39,7 @@ from .words import (
     InfiniteWordStream,
     Substitution,
     Word,
+    _trusted,
     abelianization,
     incidence_matrix,
     prefix_counts,
@@ -74,18 +80,26 @@ def minimal_split(pair: BalancedPair) -> list[BalancedPair]:
     """Split at every index where the prefix counts agree.
 
     Consecutive factors between balance points are minimal balanced pairs;
-    their concatenation reproduces the input in order.
+    their concatenation reproduces the input in order.  The input's balance
+    is checked once, on the last prefix-count row (NotBalanced when it
+    differs); the factors are balanced by construction and not recounted.
     """
-    eye = np.eye(pair.top.alphabet.size, dtype=np.int64)
+    alphabet = pair.top.alphabet
     top, bottom = pair.top.indices, pair.bottom.indices
-    equal = (prefix_counts(top, eye) == prefix_counts(bottom, eye)).all(axis=1)
+    if len(top) != len(bottom) or not top:
+        raise NotBalanced("pair members must be nonempty and of equal length")
+    eye = np.eye(alphabet.size, dtype=np.int64)
+    equal = (prefix_counts(pair.top.array, eye) == prefix_counts(pair.bottom.array, eye)).all(axis=1)
+    if not equal[-1]:
+        raise NotBalanced("pair members must have equal letter counts")
     factors: list[BalancedPair] = []
     start = 0
     for stop in (np.flatnonzero(equal) + 1).tolist():
         factors.append(
-            BalancedPair(
-                Word(pair.top.alphabet, top[start:stop]),
-                Word(pair.bottom.alphabet, bottom[start:stop]),
+            _trusted(
+                BalancedPair,
+                top=_trusted(Word, alphabet=alphabet, indices=top[start:stop]),
+                bottom=_trusted(Word, alphabet=alphabet, indices=bottom[start:stop]),
             )
         )
         start = stop
@@ -124,7 +138,7 @@ def first_minimal_balanced_pair(
         balanced = (top == bottom).all(axis=1)
         if balanced.any():
             m = start + int(np.argmax(balanced)) + 1
-            return BalancedPair(top_stream.prefix(m), bottom_stream.prefix(m))
+            return _trusted(BalancedPair, top=top_stream.prefix(m), bottom=bottom_stream.prefix(m))
         carry = top[-1] - bottom[-1]
         start = stop
         block = min(block * 4, 1 << 18)
@@ -271,7 +285,10 @@ def run_bpa(first: Substitution, second: Substitution, limits: BpaLimits = BpaLi
     while queue:
         i = queue.popleft()
         pair = pairs[i]
-        image = BalancedPair(first.apply(pair.top), second.apply(pair.bottom))
+        top, bottom = first.apply(pair.top), second.apply(pair.bottom)
+        if len(top) != len(bottom):
+            raise NotBalanced(f"the images of pair {pair_letter_name(i)} differ in length")
+        image = _trusted(BalancedPair, top=top, bottom=bottom)
         rule: list[int] = []
         for factor in minimal_split(image):
             key = factor.key()
@@ -303,15 +320,6 @@ def run_bpa(first: Substitution, second: Substitution, limits: BpaLimits = BpaLi
         pairs=tuple(pairs),
         rules=tuple(rules[i] for i in range(len(pairs))),
     )
-
-
-def corrupt_rule(pair_sub: PairSubstitution, rule_index: int, position: int, new_letter: int):
-    """Copy with one rule letter replaced; negative-control helper for tests."""
-    rules = list(pair_sub.rules)
-    rule = list(rules[rule_index])
-    rule[position] = new_letter
-    rules[rule_index] = tuple(rule)
-    return replace(pair_sub, rules=tuple(rules))
 
 
 @dataclass(frozen=True)

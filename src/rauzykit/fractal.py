@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, MatrixMismatch, NotPisot
 from .spectral import ProjectionOperator
-from .words import InfiniteWordStream, Substitution, incidence_matrix, prefix_counts, stream_for
+from .words import Substitution, incidence_matrix, prefix_counts, stream_for
 
 #: Fixed fill palette; letters are assigned colors in sorted label order.
 PALETTE = (
@@ -83,14 +83,6 @@ class LabeledPointCloud:
 def chart_id_of(operator: ProjectionOperator) -> str:
     digest = hashlib.sha256(np.ascontiguousarray(operator.chart).tobytes()).hexdigest()
     return digest[:12]
-
-
-def broken_line_prefix_sums(stream: InfiniteWordStream, n: int) -> np.ndarray:
-    """Entry m is the exact integer vector sum of basis steps e_{u_0}..e_{u_m}."""
-    if n < 1:
-        raise ValueError("need at least one point")
-    k = stream.substitution.alphabet.size
-    return prefix_counts(stream.prefix_indices(n), np.eye(k, dtype=np.int64))
 
 
 def letter_labels(names: Sequence[str], idx: np.ndarray) -> tuple[str, ...]:
@@ -211,14 +203,16 @@ def negate_cells(cells: frozenset[tuple[int, ...]]) -> frozenset[tuple[int, ...]
 
 def export_csv(cloud: LabeledPointCloud, path) -> None:
     """Columns n ('%d'), letter (quoted as the csv module's QUOTE_MINIMAL
-    quotes it) and x1..xd ('%.9g'); '\\n' line ends, UTF-8, byte deterministic."""
+    quotes it, so a label holding '\\r' or '\\n' is quoted) and x1..xd
+    ('%.9g'); '\\n' line ends, UTF-8, byte deterministic."""
     d = cloud.dimension
     fields = {}
     for label in set(cloud.labels):
-        # the leading field keeps an empty label from being quoted as a lone field
+        # the leading field keeps an empty label from being quoted as a lone
+        # field; '\r\n' as the terminator makes the writer quote both '\r' and '\n'
         buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerow((0, label))
-        fields[label] = buffer.getvalue()[2:-1]
+        csv.writer(buffer, lineterminator="\r\n").writerow((0, label))
+        fields[label] = buffer.getvalue()[2:-2]
     row = "%d,%s" + ",%.9g" * d + "\n"
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(["n", "letter"] + [f"x{i + 1}" for i in range(d)]) + "\n")

@@ -2,7 +2,11 @@
 
 Letters are arbitrary strings mapped to dense indices at construction time;
 all computation runs on indices.  Substitutions act by concatenation of
-per-letter image words.
+per-letter image words, gathered in numpy from a padded image table.
+
+A word is validated once, where it enters: ``Word(...)``, ``from_letters``,
+``from_string`` and JSON parsing.  Slices, reversals and images of words
+that are already valid are built by ``_trusted``, which skips the checks.
 """
 
 from __future__ import annotations
@@ -10,12 +14,31 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .algebra import IntMatrix
 from .errors import NoSeedFound, SubstitutionParseError
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields as given,
+    without running __post_init__: for values valid by construction."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def letter_dtype(k: int) -> np.dtype:
+    """Smallest unsigned integer dtype that holds the letter indices 0..k-1."""
+    return np.min_scalar_type(k - 1)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -62,7 +85,13 @@ class Alphabet:
 
 @dataclass(frozen=True)
 class Word:
-    """Finite word stored as letter indices into its alphabet."""
+    """Finite word stored as a tuple of letter indices into its alphabet.
+
+    The constructor checks every index; library code that slices or maps a
+    valid word builds the result with _trusted instead.  ``array`` holds the
+    same indices as a read-only numpy array of letter_dtype(alphabet size),
+    made on first use unless the word was built from one.
+    """
 
     alphabet: Alphabet
     indices: tuple[int, ...]
@@ -77,7 +106,8 @@ class Word:
 
     @classmethod
     def from_letters(cls, alphabet: Alphabet, names: Iterable[str]) -> "Word":
-        return cls(alphabet, tuple(alphabet.index(n) for n in names))
+        # Alphabet.index refuses an unknown name, so the indices are valid
+        return _trusted(cls, alphabet=alphabet, indices=tuple(alphabet.index(n) for n in names))
 
     @classmethod
     def from_string(cls, alphabet: Alphabet, text: str) -> "Word":
@@ -85,6 +115,10 @@ class Word:
         if not alphabet.single_char:
             raise ValueError("string form needs single-character letter names")
         return cls.from_letters(alphabet, text)
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        return _frozen(np.array(self.indices, dtype=letter_dtype(self.alphabet.size)))
 
     def __len__(self):
         return len(self.indices)
@@ -99,7 +133,7 @@ class Word:
         return tuple(self.alphabet[i] for i in self.indices)
 
     def reversed_(self) -> "Word":
-        return Word(self.alphabet, self.indices[::-1])
+        return _trusted(Word, alphabet=self.alphabet, indices=self.indices[::-1])
 
     def __str__(self):
         names = self.letters()
@@ -108,10 +142,7 @@ class Word:
 
 def abelianization(word: Word) -> tuple[int, ...]:
     """Occurrence counts per letter; component i counts letter i."""
-    counts = [0] * word.alphabet.size
-    for i in word.indices:
-        counts[i] += 1
-    return tuple(counts)
+    return tuple(np.bincount(word.array, minlength=word.alphabet.size).tolist())
 
 
 def prefix_counts(indices, weights) -> np.ndarray:
@@ -127,7 +158,11 @@ def prefix_counts(indices, weights) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Substitution:
-    """Map from letters to nonempty finite words, extended by concatenation."""
+    """Map from letters to nonempty finite words, extended by concatenation.
+
+    apply_indices gathers images from a table padded to the longest image
+    and a mask of its real entries, both built on first use.
+    """
 
     alphabet: Alphabet
     images: tuple[Word, ...]
@@ -164,15 +199,27 @@ class Substitution:
     def image_indices(self) -> tuple[tuple[int, ...], ...]:
         return tuple(img.indices for img in self.images)
 
-    def apply_indices(self, indices: Iterable[int]) -> list[int]:
-        images = self.image_indices()
-        out: list[int] = []
-        for i in indices:
-            out.extend(images[i])
-        return out
+    @cached_property
+    def _image_table(self) -> tuple[np.ndarray, np.ndarray]:
+        # entries of the smallest unsigned dtype that holds every letter, so
+        # that a gather's (n, longest image) temporaries stay small
+        width = max(len(img) for img in self.images)
+        table = np.zeros((self.alphabet.size, width), dtype=letter_dtype(self.alphabet.size))
+        mask = np.zeros((self.alphabet.size, width), dtype=bool)
+        for i, img in enumerate(self.images):
+            table[i, : len(img)] = img.indices
+            mask[i, : len(img)] = True
+        return table, mask
+
+    def apply_indices(self, indices) -> np.ndarray:
+        """The image of a sequence of letter indices, as a numpy array of
+        letter_dtype(alphabet size)."""
+        table, mask = self._image_table
+        return table.take(indices, axis=0)[mask.take(indices, axis=0)]
 
     def apply(self, word: Word) -> Word:
-        return Word(self.alphabet, tuple(self.apply_indices(word.indices)))
+        image = _frozen(self.apply_indices(word.array))
+        return _trusted(Word, alphabet=self.alphabet, indices=tuple(image.tolist()), array=image)
 
     def rule_text(self) -> str:
         sep = "" if self.alphabet.single_char else ","
@@ -241,9 +288,10 @@ def find_fixed_point_seed(substitution: Substitution) -> tuple[int, int]:
 class InfiniteWordStream:
     """Lazily materialized prefix of the one-sided fixed point of sigma^power at a seed letter.
 
-    The buffer only ever grows, by applying the substitution to the whole
-    buffer, so it is always a prefix of the fixed point.  Growth happens
-    under a lock; readers see a consistent prefix.
+    The buffer is a numpy array of letter_dtype(alphabet size).  It only
+    ever grows, by applying the substitution to the whole buffer, so it is
+    always a prefix of the fixed point.  Growth happens under a lock; readers
+    see a consistent prefix.  prefix_indices and indices_range return int64.
     """
 
     def __init__(self, substitution: Substitution, seed_letter: int, power: int):
@@ -261,7 +309,7 @@ class InfiniteWordStream:
         self.substitution = substitution
         self.seed_letter = seed_letter
         self.power = power
-        self._buffer: list[int] = [seed_letter]
+        self._buffer = np.array([seed_letter], dtype=letter_dtype(k))
         self._lock = threading.Lock()
 
     def _grow_to(self, n: int) -> None:
@@ -273,7 +321,7 @@ class InfiniteWordStream:
     def __len__(self):
         return len(self._buffer)
 
-    def _letters(self, start: int, stop: int) -> list[int]:
+    def _letters(self, start: int, stop: int) -> np.ndarray:
         # every public reader comes here and none calls another, so a wrapper
         # that counts growth per call (perfbench's tracer) counts it once
         if start < 0 or stop < start:
@@ -282,13 +330,13 @@ class InfiniteWordStream:
         return self._buffer[start:stop]
 
     def prefix(self, n: int) -> Word:
-        return Word(self.substitution.alphabet, tuple(self._letters(0, n)))
+        return _trusted(Word, alphabet=self.substitution.alphabet, indices=tuple(self._letters(0, n).tolist()))
 
     def prefix_indices(self, n: int) -> np.ndarray:
-        return np.array(self._letters(0, n), dtype=np.int64)
+        return self._letters(0, n).astype(np.int64)
 
     def indices_range(self, start: int, stop: int) -> np.ndarray:
-        return np.array(self._letters(start, stop), dtype=np.int64)
+        return self._letters(start, stop).astype(np.int64)
 
 
 def stream_for(substitution: Substitution) -> InfiniteWordStream:
@@ -332,12 +380,12 @@ def check_strong_coincidence(
     eye = np.eye(k, dtype=np.int64)
     pending = {(i, j) for i in range(k) for j in range(i + 1, k)}
     witnesses: dict[tuple[int, int], CoincidenceWitness | None] = {p: None for p in pending}
-    words: list[list[int]] = [[i] for i in range(k)]
+    words = [np.array([i]) for i in range(k)]
     for n in range(1, n_max + 1):
         if not pending:
             break
         words = [substitution.apply_indices(w) for w in words]
-        view = [np.array(w[::-1] if mode == "suffix" else w, dtype=np.int64) for w in words]
+        view = [(w[::-1] if mode == "suffix" else w).astype(np.int64) for w in words]
         counts = [prefix_counts(w, eye) for w in view]
         for pair in sorted(pending):
             i, j = pair

@@ -5,7 +5,9 @@ replaced, and shares no code path with the library routine it checks.
 """
 
 import csv
+import io
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -112,13 +114,31 @@ def sympy_largest_real_root(p: IntPolynomial, digits: int = 40):
 
 
 def reference_export_csv(cloud, path) -> None:
-    """Columns n, letter, x1..xd with 9 significant digits; byte deterministic."""
+    """Columns n, letter, x1..xd with 9 significant digits; byte deterministic.
+
+    Each row is quoted as the csv module quotes it under '\\r\\n' line ends
+    (so a field holding '\\r' or '\\n' is quoted) and ends in '\\n'.
+    """
     d = cloud.dimension
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["n", "letter"] + [f"x{i + 1}" for i in range(d)])
+        handle.write(",".join(["n", "letter"] + [f"x{i + 1}" for i in range(d)]) + "\n")
         for n, label, row in zip(cloud.indices, cloud.labels, cloud.coords):
-            writer.writerow([int(n), label] + [format(v, ".9g") for v in row])
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\r\n").writerow([int(n), label] + [format(v, ".9g") for v in row])
+            handle.write(buffer.getvalue()[:-2] + "\n")
+
+
+# ---------------------------------------------------------------------------
+# negative controls
+
+
+def corrupt_rule(pair_sub, rule_index: int, position: int, new_letter: int):
+    """Copy of a PairSubstitution with one rule letter replaced."""
+    rules = list(pair_sub.rules)
+    rule = list(rules[rule_index])
+    rule[position] = new_letter
+    rules[rule_index] = tuple(rule)
+    return replace(pair_sub, rules=tuple(rules))
 
 
 def _fmt(v: float) -> str:

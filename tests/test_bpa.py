@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from conftest import (
     tracked_balance_points,
     tribonacci,
 )
+from oracles import corrupt_rule
 from rauzykit import (
     Alphabet,
     BalancedPair,
@@ -42,13 +45,14 @@ from rauzykit import (
     substitution_from_dict,
     verify_common_points,
 )
-from rauzykit.bpa import corrupt_rule
 from rauzykit.selfcheck import (
+    family_substitution,
     flipped_tribonacci,
     interval_pair,
     no_balanced_prefix_substitution,
     nonpalindromic_pair,
 )
+from rauzykit.words import _trusted
 
 AB = Alphabet(("a", "b"))
 
@@ -120,6 +124,57 @@ class TestBalancedPairs:
                     top_prefix = Word(AB, f.top.indices[:m])
                     bottom_prefix = Word(AB, f.bottom.indices[:m])
                     assert abelianization(top_prefix) != abelianization(bottom_prefix)
+
+
+class TestKeptChecks:
+    """Checks that remain after words and pairs built inside the library
+    stopped revalidating themselves."""
+
+    @pytest.mark.parametrize("top, bottom", [("ab", "aa"), ("abab", "aabba"), ("", ""), ("b", "a")])
+    def test_minimal_split_refuses_unbalanced_pair_built_past_the_constructor(self, top, bottom):
+        pair = _trusted(BalancedPair, top=w(top), bottom=w(bottom))
+        with pytest.raises(NotBalanced):
+            minimal_split(pair)
+
+
+def _perfbench_oracle():
+    """perfbench/oracle.py: the balanced pair algorithm on plain strings."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _against_reverse(sub):
+    return sub, reverse_substitution(sub)
+
+
+WORKED_SYSTEMS = {
+    "interval-pair": interval_pair,
+    "flipped-tribonacci": lambda: _against_reverse(flipped_tribonacci()),
+    "nonpalindromic": nonpalindromic_pair,
+    **{f"family-{i}": (lambda i=i: _against_reverse(family_substitution(i))) for i in range(1, 5)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKED_SYSTEMS))
+def test_run_bpa_matches_string_oracle(name):
+    oracle = _perfbench_oracle()
+    first, second = WORKED_SYSTEMS[name]()
+    limits = BpaLimits()
+    expected = oracle.bpa(
+        "".join(first.alphabet),
+        {a: str(img) for a, img in zip(first.alphabet, first.images)},
+        {a: str(img) for a, img in zip(second.alphabet, second.images)},
+        limits.prefix_cutoff,
+        limits.max_pairs,
+        limits.max_pair_length,
+    )
+    assert expected.status == "ok"
+    ps = run_bpa(first, second, limits)
+    assert [(str(p.top), str(p.bottom)) for p in ps.pairs] == expected.pairs
+    assert {i: list(rule) for i, rule in enumerate(ps.rules)} == expected.rules
 
 
 class TestFirstMinimalPair:

@@ -14,12 +14,12 @@ from rauzykit import (
     MatrixMismatch,
     NotPisot,
     Substitution,
-    broken_line_prefix_sums,
     export_csv,
     grid_intersection_estimate,
     hausdorff_distance,
     incidence_matrix,
     intersection_cloud,
+    prefix_counts,
     projection_operator,
     rauzy_cloud,
     reflect_cloud,
@@ -59,22 +59,22 @@ def label_cloud(cloud, label):
 class TestBrokenLine:
     def test_two_letter_start(self):
         stream = stream_for(fibonacci())  # fixed point starts "ab..."
-        sums = broken_line_prefix_sums(stream, 2)
+        sums = prefix_counts(stream.prefix_indices(2), np.eye(2, dtype=np.int64))
         assert sums.tolist() == [[1, 0], [1, 1]]
 
     def test_totals_are_index_plus_one(self):
         stream = stream_for(tribonacci())
-        sums = broken_line_prefix_sums(stream, 50)
+        sums = prefix_counts(stream.prefix_indices(50), np.eye(3, dtype=np.int64))
         assert (sums.sum(axis=1) == np.arange(1, 51)).all()
 
     def test_tribonacci_first_four(self):
         stream = stream_for(tribonacci())  # prefix abac
-        sums = broken_line_prefix_sums(stream, 4)
+        sums = prefix_counts(stream.prefix_indices(4), np.eye(3, dtype=np.int64))
         assert sums.tolist() == [[1, 0, 0], [1, 1, 0], [2, 1, 0], [2, 1, 1]]
 
     def test_consecutive_steps_are_basis_vectors(self):
         stream = stream_for(tribonacci())
-        sums = broken_line_prefix_sums(stream, 100)
+        sums = prefix_counts(stream.prefix_indices(100), np.eye(3, dtype=np.int64))
         steps = np.diff(sums, axis=0)
         assert ((steps >= 0).all() and (steps.sum(axis=1) == 1).all())
 
@@ -252,6 +252,16 @@ class TestExports:
         assert np.array_equal([int(row[0]) for row in rows], cloud.indices)
         coords = np.array([[float(v) for v in row[2:]] for row in rows])
         assert np.max(np.abs(coords - cloud.coords)) < 1e-8
+
+    def test_csv_label_with_carriage_return_reads_back_as_one_row(self, tmp_path):
+        cloud = labeled_cloud(2, 90, SPECIAL_LABELS)  # includes "c\rr" and "n\nl"
+        path = tmp_path / "special.csv"
+        export_csv(cloud, path)
+        with open(path, newline="") as handle:
+            header, *rows = list(csv.reader(handle))
+        assert len(rows) == len(cloud) == 90
+        assert tuple(row[1] for row in rows) == cloud.labels
+        assert [int(row[0]) for row in rows] == cloud.indices.tolist()
 
     def test_csv_bytes_deterministic(self, tmp_path):
         op = tribonacci_operator()

@@ -12,9 +12,9 @@ from rauzykit import (
     NoConvergence,
     NotPisot,
     all_roots,
-    broken_line_prefix_sums,
     classify_pisot,
     incidence_matrix,
+    prefix_counts,
     projection_operator,
     spectral_split,
     stream_for,
@@ -170,7 +170,7 @@ class TestBoundedness:
         sub = tribonacci()
         _, op = tribonacci_operator()
         stream = stream_for(sub)
-        sums = broken_line_prefix_sums(stream, 300_000)
+        sums = prefix_counts(stream.prefix_indices(300_000), np.eye(3, dtype=np.int64))
         coords = op.project_many(sums)
         norms = np.linalg.norm(coords, axis=1)
         early = norms[:100_000].max()

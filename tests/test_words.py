@@ -4,7 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from conftest import iterate, random_substitution, tracked_balance_points, tribonacci
+from conftest import (
+    iterate,
+    random_primitive_substitution,
+    random_substitution,
+    tracked_balance_points,
+    tribonacci,
+)
 from rauzykit import (
     Alphabet,
     InfiniteWordStream,
@@ -19,12 +25,14 @@ from rauzykit import (
     parse_substitution,
     prefix_counts,
     reverse_substitution,
+    run_bpa,
     seed_power,
     stream_for,
     substitution_from_dict,
     substitution_to_dict,
 )
-from rauzykit.selfcheck import FORWARD_PREFIX_24, REVERSE_PREFIX_24_DERIVED
+from rauzykit.selfcheck import FORWARD_PREFIX_24, REVERSE_PREFIX_24_DERIVED, flipped_tribonacci
+from rauzykit.words import letter_dtype
 
 
 def word(alphabet, text):
@@ -303,6 +311,106 @@ class TestStreams:
             results = list(pool.map(lambda n: (n, fresh.prefix(n).indices), [4999, 12, 777, 5000] * 8))
         for n, got in results:
             assert got == reference[:n]
+
+
+class TestValidation:
+    def test_public_constructor_refuses_out_of_range_index(self):
+        for bad in ((0, 2), (-1,), (1, 0, 5), (256,)):
+            with pytest.raises(ValueError, match="out of range"):
+                Word(AB, bad)
+
+    def test_parse_boundary_refuses_unknown_letters(self):
+        with pytest.raises(KeyError):
+            Word.from_letters(AB, ["a", "z"])
+        with pytest.raises(KeyError):
+            Word.from_string(AB, "abz")
+
+    def test_array_is_read_only_and_matches_indices(self):
+        w = word(AB, "abba")
+        assert w.array.tolist() == [0, 1, 1, 0] and w.array.dtype == np.uint8
+        with pytest.raises(ValueError):
+            w.array[0] = 1
+        image = tribonacci().apply(Word(tribonacci().alphabet, (0, 1, 2)))
+        assert image.array.tolist() == list(image.indices)
+        with pytest.raises(ValueError):
+            image.array[0] = 1
+
+
+def rewrite_names(rules, names):
+    """Plain rewriting on a list of letter names."""
+    return [b for a in names for b in rules[a]]
+
+
+def rewritten_fixed_point(rules, seed, power, n):
+    """First n letters of the fixed point of sigma^power at seed, by rewriting."""
+    w = [seed]
+    while len(w) < n:
+        for _ in range(power):
+            w = rewrite_names(rules, w)
+    return w[:n]
+
+
+def rules_of(sub):
+    return {a: list(img.letters()) for a, img in zip(sub.alphabet, sub.images)}
+
+
+class TestArrayKernelsAgainstRewriting:
+    """The numpy gather in Substitution.apply and the stream buffer against
+    rewriting lists of letter names."""
+
+    def test_apply_matches_rewriting(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            sub = random_substitution(rng, k=rng.randint(1, 6), max_len=rng.choice([1, 2, 3, 5]))
+            names = [rng.choice(sub.alphabet.letters) for _ in range(rng.randint(0, 40))]
+            image = sub.apply(Word.from_letters(sub.alphabet, names))
+            assert list(image.letters()) == rewrite_names(rules_of(sub), names)
+            assert image.array.tolist() == list(image.indices)
+            assert image.array.dtype == letter_dtype(sub.alphabet.size)
+
+    def test_stream_prefix_matches_rewriting(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            sub = random_primitive_substitution(rng, k=rng.randint(2, 6))
+            stream = stream_for(sub)
+            n = rng.randint(1, 3000)
+            got = stream.prefix_indices(n)
+            assert got.dtype == np.int64
+            want = rewritten_fixed_point(
+                rules_of(sub), sub.alphabet[stream.seed_letter], stream.power, n
+            )
+            assert [sub.alphabet[i] for i in got.tolist()] == want
+            assert stream.indices_range(n // 2, n).tolist() == got[n // 2 :].tolist()
+            assert len(stream) >= n
+
+    def test_300_letter_alphabet_crosses_the_uint8_boundary(self):
+        assert letter_dtype(256) == np.uint8 and letter_dtype(257) == np.uint16
+        names = [f"x{i}" for i in range(300)]
+        rng = random.Random(47)
+        rules = {name: [names[(i + 1) % 300], rng.choice(names)] for i, name in enumerate(names)}
+        rules["x0"] = ["x0", "x299", "x256"]
+        sub = Substitution.from_rules(names, rules)
+        stream = stream_for(sub)
+        got = stream.prefix_indices(20_000)
+        assert stream._buffer.dtype == np.uint16
+        assert got.max() > 255
+        want = rewritten_fixed_point(rules, names[stream.seed_letter], stream.power, 20_000)
+        assert [names[i] for i in got.tolist()] == want
+        w = Word.from_letters(sub.alphabet, ["x299", "x255", "x256", "x0"])
+        assert list(sub.apply(w).letters()) == rewrite_names(rules, w.letters())
+
+    def test_pair_substitution_stream_matches_rewriting(self):
+        sub = flipped_tribonacci()
+        ps = run_bpa(sub, reverse_substitution(sub))
+        pair_sub = ps.as_substitution()
+        stream = stream_for(pair_sub)
+        got = stream.prefix_indices(5000)
+        names = pair_sub.alphabet.letters
+        want = rewritten_fixed_point(rules_of(pair_sub), names[stream.seed_letter], stream.power, 5000)
+        assert [names[i] for i in got.tolist()] == want
+        # the rules read off the pairs, not off the Substitution built from them
+        rules = {ps.name(i): [ps.name(j) for j in rule] for i, rule in enumerate(ps.rules)}
+        assert rules == rules_of(pair_sub)
 
 
 class TestStrongCoincidence:
