@@ -34,7 +34,6 @@ from .bpa import (
     PairIncidence,
     PairSubstitution,
     ReciprocalFactorReport,
-    check_incidence_homomorphism,
     first_minimal_balanced_pair,
     intersection_cloud,
     minimal_split,
@@ -79,7 +78,6 @@ from .words import (
     Substitution,
     Word,
     abelianization,
-    check_strong_coincidence,
     find_fixed_point_seed,
     incidence_matrix,
     load_substitution,

@@ -31,7 +31,7 @@ from .algebra import (
     reciprocal_poly,
 )
 from .errors import MatrixMismatch, NoSeedFound, NotBalanced, NotPrimitive
-from .fractal import CloudMeta, LabeledPointCloud, chart_id_of, letter_labels
+from .fractal import LabeledPointCloud
 from .spectral import ProjectionOperator
 from .words import (
     SEED_POWER_LIMIT,
@@ -39,12 +39,14 @@ from .words import (
     InfiniteWordStream,
     Substitution,
     Word,
+    _frozen,
     _trusted,
     abelianization,
     incidence_matrix,
     prefix_counts,
     seed_power,
     stream_for,
+    substitution_to_dict,
 )
 
 
@@ -173,9 +175,9 @@ class PairSubstitution:
     """The intersection substitution on the discovered minimal balanced pairs.
 
     rules[i] lists pair indices whose concatenated contents reproduce the
-    image of pair i under (first, second); letter_image(i) is the exact
-    integer count vector of pair i's top word.  The pair incidence is
-    computed once per object, on first use.
+    image of pair i under (first, second).  The pair Substitution, the
+    letter images and the pair incidence are each built once per object, on
+    first use.
     """
 
     base_alphabet: Alphabet
@@ -188,8 +190,19 @@ class PairSubstitution:
         return len(self.pairs)
 
     @cached_property
+    def substitution(self) -> Substitution:
+        """The substitution on the pair alphabet given by the rules."""
+        images = tuple(Word(self.pair_alphabet, rule) for rule in self.rules)
+        return Substitution(self.pair_alphabet, images)
+
+    @cached_property
+    def letter_images(self) -> np.ndarray:
+        """(m, k) int64, read-only: row i counts each base letter in pair i's top word."""
+        return _frozen(np.array([abelianization(pair.top) for pair in self.pairs], dtype=np.int64))
+
+    @cached_property
     def incidence(self) -> PairIncidence:
-        m = incidence_matrix(self.as_substitution())
+        m = incidence_matrix(self.substitution)
         return PairIncidence(m, char_poly(m))
 
     def name(self, i: int) -> str:
@@ -201,21 +214,7 @@ class PairSubstitution:
     def rule_table(self) -> dict[str, str]:
         return {self.name(i): self.rule_word(i) for i in range(self.size)}
 
-    def letter_image(self, i: int) -> tuple[int, ...]:
-        return abelianization(self.pairs[i].top)
-
-    def letter_image_columns(self) -> tuple[tuple[int, ...], ...]:
-        """k x m matrix rows: column j is the count vector of pair j's top word."""
-        cols = [self.letter_image(i) for i in range(self.size)]
-        k = self.base_alphabet.size
-        return tuple(tuple(cols[j][i] for j in range(self.size)) for i in range(k))
-
-    def as_substitution(self) -> Substitution:
-        images = tuple(Word(self.pair_alphabet, rule) for rule in self.rules)
-        return Substitution(self.pair_alphabet, images)
-
     def to_dict(self) -> dict:
-        sub = self.as_substitution()
         single = self.base_alphabet.single_char
         pairs = {}
         for i, pair in enumerate(self.pairs):
@@ -224,9 +223,7 @@ class PairSubstitution:
                 "top": "".join(top) if single else list(top),
                 "bottom": "".join(bottom) if single else list(bottom),
             }
-        from .words import substitution_to_dict
-
-        data = substitution_to_dict(sub)
+        data = substitution_to_dict(self.substitution)
         data["pairs"] = pairs
         return data
 
@@ -369,32 +366,6 @@ def reciprocal_factor_report(
     )
 
 
-def check_incidence_homomorphism(pair_sub: PairSubstitution, first: Substitution) -> bool:
-    """Exact check of H M_pairs = M_first H with H the letter-image matrix."""
-    h = pair_sub.letter_image_columns()  # k rows, m cols
-    mp = incidence_matrix(pair_sub.as_substitution()).rows  # m x m
-    mf = incidence_matrix(first).rows  # k x k
-    k, m = len(h), pair_sub.size
-    left = [
-        [sum(h[i][t] * mp[t][j] for t in range(m)) for j in range(m)]
-        for i in range(k)
-    ]
-    right = [
-        [sum(mf[i][t] * h[t][j] for t in range(k)) for j in range(m)]
-        for i in range(k)
-    ]
-    return left == right
-
-
-def _pair_stream(pair_sub: PairSubstitution) -> InfiniteWordStream:
-    return stream_for(pair_sub.as_substitution())
-
-
-def _letter_image_rows(pair_sub: PairSubstitution) -> np.ndarray:
-    """Row i is the count vector of pair i's top word."""
-    return np.array([pair_sub.letter_image(i) for i in range(pair_sub.size)], dtype=np.int64)
-
-
 def intersection_cloud(
     pair_sub: PairSubstitution, op: ProjectionOperator, n: int
 ) -> LabeledPointCloud:
@@ -405,16 +376,9 @@ def intersection_cloud(
     """
     if n < 1:
         raise ValueError("need at least one point")
-    stream = _pair_stream(pair_sub)
-    prefix = stream.prefix_indices(n)
-    coords = op.project_many(prefix_counts(prefix, _letter_image_rows(pair_sub)))
-    labels = letter_labels(pair_sub.pair_alphabet.letters, prefix)
-    meta = CloudMeta(
-        source_id="pairs:" + pair_sub.as_substitution().rule_text(),
-        chart_id=chart_id_of(op),
-        n_points=n,
-    )
-    return LabeledPointCloud(coords, labels, np.arange(n, dtype=np.int64), meta)
+    prefix = stream_for(pair_sub.substitution).prefix_indices(n)
+    coords = op.project_many(prefix_counts(prefix, pair_sub.letter_images))
+    return LabeledPointCloud(coords, pair_sub.pair_alphabet, prefix)
 
 
 @dataclass(frozen=True)
@@ -436,9 +400,9 @@ def verify_common_points(
     """
     if n < 1:
         raise ValueError("need at least one prefix letter")
-    stream = _pair_stream(pair_sub)
+    stream = stream_for(pair_sub.substitution)
     prefix = stream.prefix_indices(n)
-    targets = prefix_counts(prefix, _letter_image_rows(pair_sub))
+    targets = prefix_counts(prefix, pair_sub.letter_images)
     checkpoints = targets.sum(axis=1)  # parent prefix length at each pair-prefix end
 
     seed_pair = pair_sub.pairs[stream.seed_letter]

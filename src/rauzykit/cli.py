@@ -187,7 +187,7 @@ def cmd_fractal(path, n, csv_path, svg_path, tol):
             "dimension": cloud.dimension,
             "diameter": cloud.diameter(),
             "bounding_box": {"min": list(lo), "max": list(hi)},
-            "labels": {label: cloud.labels.count(label) for label in cloud.label_set()},
+            "labels": cloud.label_counts(),
             "csv": csv_path,
             "svg": svg_path,
         }

@@ -1,15 +1,15 @@
 """Broken lines, Rauzy fractal point clouds, grid estimates, and exports.
 
-Point clouds carry per-point letter labels (the natural decomposition) and
-source indices.  All grid estimates quantize at a caller-chosen cell size;
-CSV and SVG output is deterministic byte for byte, streamed one %-format row
-per point from columns taken as lists, never held as one file text.
+A point cloud is its coordinates plus one letter index per point into an
+alphabet, whose letters label the points (the natural decomposition).  All
+grid estimates quantize at a caller-chosen cell size; CSV and SVG output is
+deterministic byte for byte, streamed one %-format row per point from
+columns taken as lists, never held as one file text.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import math
 from dataclasses import dataclass
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, MatrixMismatch, NotPisot
 from .spectral import ProjectionOperator
-from .words import Substitution, incidence_matrix, prefix_counts, stream_for
+from .words import Alphabet, Substitution, incidence_matrix, prefix_counts, stream_for
 
 #: Fixed fill palette; letters are assigned colors in sorted label order.
 PALETTE = (
@@ -29,34 +29,30 @@ PALETTE = (
 
 
 @dataclass(frozen=True)
-class CloudMeta:
-    source_id: str
-    chart_id: str
-    n_points: int
-
-
-@dataclass(frozen=True)
 class LabeledPointCloud:
-    """Projected broken-line points with letter labels and source indices."""
+    """Projected broken-line points; point i carries the label alphabet[letters[i]].
 
-    coords: np.ndarray        # (n, d)
-    labels: tuple[str, ...]   # length n
-    indices: np.ndarray       # (n,), strictly increasing
-    meta: CloudMeta
+    The alphabet is read only as a sequence of distinct names, so a tuple of
+    names serves as well.
+    """
+
+    coords: np.ndarray   # (n, d)
+    alphabet: Alphabet
+    letters: np.ndarray  # (n,), integers in 0..len(alphabet)-1
 
     def __post_init__(self):
         coords = np.asarray(self.coords, dtype=float)
-        indices = np.asarray(self.indices, dtype=np.int64)
+        letters = np.asarray(self.letters)
         if coords.ndim != 2:
             raise ValueError("coords must be a 2-d array")
-        n = coords.shape[0]
-        if len(self.labels) != n or indices.shape != (n,):
-            raise ValueError("coords, labels, and indices must agree in length")
-        if n > 1 and not (np.diff(indices) > 0).all():
-            raise ValueError("indices must be strictly increasing")
+        if letters.shape != (coords.shape[0],):
+            raise ValueError("letters must hold one entry per point")
+        if not np.issubdtype(letters.dtype, np.integer):
+            raise ValueError(f"letters must have an integer dtype, got {letters.dtype}")
+        if letters.size and not (0 <= letters.min() and letters.max() < len(self.alphabet)):
+            raise ValueError(f"letters must lie in 0..{len(self.alphabet) - 1}")
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self):
         return self.coords.shape[0]
@@ -76,18 +72,13 @@ class LabeledPointCloud:
         lo, hi = self.bounding_box()
         return float(np.linalg.norm(hi - lo))
 
+    def label_counts(self) -> dict[str, int]:
+        """Points per label, for the labels present, in sorted label order."""
+        counts = np.bincount(self.letters, minlength=len(self.alphabet)).tolist()
+        return dict(sorted((self.alphabet[j], c) for j, c in enumerate(counts) if c))
+
     def label_set(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.labels)))
-
-
-def chart_id_of(operator: ProjectionOperator) -> str:
-    digest = hashlib.sha256(np.ascontiguousarray(operator.chart).tobytes()).hexdigest()
-    return digest[:12]
-
-
-def letter_labels(names: Sequence[str], idx: np.ndarray) -> tuple[str, ...]:
-    """The names at the letter indices idx, taken from an object array."""
-    return tuple(np.asarray(names, dtype=object)[idx])
+        return tuple(self.label_counts())
 
 
 def rauzy_cloud(substitution: Substitution, n: int, op: ProjectionOperator) -> LabeledPointCloud:
@@ -104,17 +95,15 @@ def rauzy_cloud(substitution: Substitution, n: int, op: ProjectionOperator) -> L
         raise NotPisot("fractal generation needs a unimodular Pisot substitution")
     if n < 1:
         raise ValueError("need at least one point")
-    letters = substitution.alphabet.letters
+    alphabet = substitution.alphabet
     idx = stream_for(substitution).prefix_indices(n)
-    coords = op.project_many(prefix_counts(idx, np.eye(len(letters), dtype=np.int64)))
-    labels = letter_labels(letters, idx)
-    meta = CloudMeta(source_id=substitution.rule_text(), chart_id=chart_id_of(op), n_points=n)
-    return LabeledPointCloud(coords, labels, np.arange(n, dtype=np.int64), meta)
+    coords = op.project_many(prefix_counts(idx, np.eye(alphabet.size, dtype=np.int64)))
+    return LabeledPointCloud(coords, alphabet, idx)
 
 
 def reflect_cloud(cloud: LabeledPointCloud) -> LabeledPointCloud:
-    """Negate every coordinate; labels and indices are preserved."""
-    return LabeledPointCloud(-cloud.coords, cloud.labels, cloud.indices, cloud.meta)
+    """Negate every coordinate; the letters are preserved."""
+    return LabeledPointCloud(-cloud.coords, cloud.alphabet, cloud.letters)
 
 
 def _cell_size(eps: float) -> float:
@@ -206,18 +195,18 @@ def export_csv(cloud: LabeledPointCloud, path) -> None:
     quotes it, so a label holding '\\r' or '\\n' is quoted) and x1..xd
     ('%.9g'); '\\n' line ends, UTF-8, byte deterministic."""
     d = cloud.dimension
-    fields = {}
-    for label in set(cloud.labels):
+    fields = []
+    for label in cloud.alphabet:
         # the leading field keeps an empty label from being quoted as a lone
         # field; '\r\n' as the terminator makes the writer quote both '\r' and '\n'
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\r\n").writerow((0, label))
-        fields[label] = buffer.getvalue()[2:-2]
+        fields.append(buffer.getvalue()[2:-2])
     row = "%d,%s" + ",%.9g" * d + "\n"
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(["n", "letter"] + [f"x{i + 1}" for i in range(d)]) + "\n")
-        labels = map(fields.__getitem__, cloud.labels)
-        handle.writelines(map(row.__mod__, zip(cloud.indices.tolist(), labels, *cloud.coords.T.tolist())))
+        labels = map(fields.__getitem__, cloud.letters.tolist())
+        handle.writelines(map(row.__mod__, zip(range(len(cloud)), labels, *cloud.coords.T.tolist())))
 
 
 def _fmt(v: float) -> str:
@@ -269,7 +258,9 @@ def render_svg(clouds: Sequence[LabeledPointCloud], path) -> None:
             }
             color_cursor += len(labels)
             handle.write(f'<g id="cloud{ci}">\n')
-            fills = map(colors.__getitem__, cloud.labels)
+            # a letter absent from the cloud gets no colour and is never looked up
+            palette = [colors.get(label) for label in cloud.alphabet]
+            fills = map(palette.__getitem__, cloud.letters.tolist())
             handle.writelines(map(circle.__mod__, zip(*pts.T.tolist(), fills)))
             handle.write("</g>\n")
         handle.write("</svg>\n")

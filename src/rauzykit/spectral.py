@@ -55,14 +55,6 @@ class ProjectionOperator:
     tol: float
     report: PisotReport
 
-    @property
-    def chart_dim(self) -> int:
-        return self.chart.shape[0]
-
-    def project(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        return self.chart @ (self.matrix @ v)
-
     def project_many(self, vectors: np.ndarray) -> np.ndarray:
         """Row-wise projection of an (n, k) array to (n, d) chart coordinates."""
         vs = np.asarray(vectors, dtype=float)

@@ -97,12 +97,15 @@ class Word:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        indices = tuple(int(i) for i in self.indices)
         k = self.alphabet.size
+        indices = tuple(self.indices)
         for i in indices:
+            # bool is an int subclass, and int() would truncate a float
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                raise TypeError(f"letter index {i!r} is not an integer")
             if not 0 <= i < k:
                 raise ValueError(f"letter index {i} out of range for alphabet of size {k}")
-        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "indices", tuple(map(int, indices)))
 
     @classmethod
     def from_letters(cls, alphabet: Alphabet, names: Iterable[str]) -> "Word":
@@ -343,62 +346,6 @@ def stream_for(substitution: Substitution) -> InfiniteWordStream:
     """Stream of the canonical fixed point chosen by find_fixed_point_seed."""
     seed, power = find_fixed_point_seed(substitution)
     return InfiniteWordStream(substitution, seed, power)
-
-
-# ---------------------------------------------------------------------------
-# strong coincidence
-
-
-@dataclass(frozen=True)
-class CoincidenceWitness:
-    power: int
-    letter: int
-
-
-@dataclass(frozen=True)
-class StrongCoincidenceResult:
-    mode: str
-    n_max: int
-    witnesses: dict[tuple[int, int], CoincidenceWitness | None]
-
-    @property
-    def satisfied(self) -> bool:
-        return all(w is not None for w in self.witnesses.values())
-
-
-def check_strong_coincidence(
-    substitution: Substitution, mode: str = "prefix", n_max: int = 12
-) -> StrongCoincidenceResult:
-    """For each letter pair, the least power aligning a common letter with
-    equal prefix (or suffix) abelianizations; not-found is a value.
-    """
-    if mode not in ("prefix", "suffix"):
-        raise ValueError("mode must be 'prefix' or 'suffix'")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    k = substitution.alphabet.size
-    eye = np.eye(k, dtype=np.int64)
-    pending = {(i, j) for i in range(k) for j in range(i + 1, k)}
-    witnesses: dict[tuple[int, int], CoincidenceWitness | None] = {p: None for p in pending}
-    words = [np.array([i]) for i in range(k)]
-    for n in range(1, n_max + 1):
-        if not pending:
-            break
-        words = [substitution.apply_indices(w) for w in words]
-        view = [(w[::-1] if mode == "suffix" else w).astype(np.int64) for w in words]
-        counts = [prefix_counts(w, eye) for w in view]
-        for pair in sorted(pending):
-            i, j = pair
-            length = min(len(view[i]), len(view[j]))
-            w1 = view[i][:length]
-            # position t is a witness when letter t agrees and the first t + 1
-            # letters balance (equivalently, the first t letters do)
-            balanced = (counts[i][:length] == counts[j][:length]).all(axis=1)
-            hits = np.flatnonzero(balanced & (w1 == view[j][:length]))
-            if hits.size:
-                witnesses[pair] = CoincidenceWitness(n, int(w1[hits[0]]))
-        pending = {p for p in pending if witnesses[p] is None}
-    return StrongCoincidenceResult(mode, n_max, witnesses)
 
 
 # ---------------------------------------------------------------------------

@@ -122,9 +122,10 @@ def reference_export_csv(cloud, path) -> None:
     d = cloud.dimension
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(["n", "letter"] + [f"x{i + 1}" for i in range(d)]) + "\n")
-        for n, label, row in zip(cloud.indices, cloud.labels, cloud.coords):
+        for n, (letter, row) in enumerate(zip(cloud.letters, cloud.coords)):
             buffer = io.StringIO()
-            csv.writer(buffer, lineterminator="\r\n").writerow([int(n), label] + [format(v, ".9g") for v in row])
+            label = cloud.alphabet[int(letter)]
+            csv.writer(buffer, lineterminator="\r\n").writerow([n, label] + [format(v, ".9g") for v in row])
             handle.write(buffer.getvalue()[:-2] + "\n")
 
 
@@ -177,17 +178,17 @@ def reference_render_svg(clouds, path) -> None:
     ]
     color_cursor = 0
     for ci, (cloud, pts) in enumerate(zip(clouds, planar)):
-        labels = cloud.label_set()
+        labels = sorted({cloud.alphabet[int(letter)] for letter in cloud.letters})
         colors = {
             label: PALETTE[(color_cursor + rank) % len(PALETTE)]
             for rank, label in enumerate(labels)
         }
         color_cursor += len(labels)
         lines.append(f'<g id="cloud{ci}">')
-        for (x, y), label in zip(pts, cloud.labels):
+        for (x, y), letter in zip(pts, cloud.letters):
             lines.append(
                 f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(radius)}" '
-                f'fill="{colors[label]}"/>'
+                f'fill="{colors[cloud.alphabet[int(letter)]]}"/>'
             )
         lines.append("</g>")
     lines.append("</svg>")

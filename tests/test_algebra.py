@@ -440,7 +440,7 @@ class TestAgainstSympy:
         first = Substitution.from_rules(["a", "b", "c"], {"a": "baa", "b": "acb", "c": "a"})
         second = Substitution.from_rules(["a", "b", "c"], {"a": "baa", "b": "cab", "c": "a"})
         pairs = run_bpa(first, second, BpaLimits(prefix_cutoff=20000, max_pairs=80, max_pair_length=20000))
-        m = incidence_matrix(pairs.as_substitution())
+        m = incidence_matrix(pairs.substitution)
         assert m.dim == 59
         p = char_poly(m)
         assert p.coeffs == sympy_char_poly(m)

@@ -27,7 +27,6 @@ from rauzykit import (
     Substitution,
     Word,
     abelianization,
-    check_incidence_homomorphism,
     first_minimal_balanced_pair,
     hausdorff_distance,
     incidence_matrix,
@@ -59,6 +58,15 @@ AB = Alphabet(("a", "b"))
 
 def w(text, alphabet=AB):
     return Word.from_string(alphabet, text)
+
+
+def intertwines(ps, first):
+    """H M_pairs == M_first H, exactly, with column j of H counting the
+    letters of pair j's top word."""
+    h = ps.letter_images.T
+    m_pairs = np.array(pair_incidence(ps).matrix.rows, dtype=object)
+    m_first = np.array(incidence_matrix(first).rows, dtype=object)
+    return np.array_equal(h @ m_pairs, m_first @ h)
 
 
 class TestBalancedPairs:
@@ -265,7 +273,7 @@ class TestPairIncidence:
     def test_homomorphism_exact(self):
         first, second = interval_pair()
         ps = run_bpa(first, second)
-        assert check_incidence_homomorphism(ps, first)
+        assert intertwines(ps, first)
 
     def test_factor_report_self_reciprocal(self):
         first, second = interval_pair()
@@ -296,9 +304,41 @@ class TestPairIncidence:
         ps = run_bpa(first, second)
         before = pair_incidence(ps).matrix
         bad = corrupt_rule(ps, rule_index=2, position=1, new_letter=1)  # C -> CBC
-        assert pair_incidence(bad).matrix == incidence_matrix(bad.as_substitution())
+        assert pair_incidence(bad).matrix == incidence_matrix(bad.substitution)
         assert pair_incidence(bad).matrix != before
         assert pair_incidence(ps).matrix == before
+
+
+class TestPairSystemBuiltOnce:
+    def test_one_pair_substitution_per_object(self, monkeypatch):
+        first = tribonacci()
+        second = reverse_substitution(first)
+        ps = run_bpa(first, second)
+        op = projection_operator(spectral_split(incidence_matrix(first)))
+        built = []
+        post_init = Substitution.__post_init__
+
+        def counting(self):
+            built.append(self.alphabet)
+            post_init(self)
+
+        monkeypatch.setattr(Substitution, "__post_init__", counting)
+        assert ps.substitution is ps.substitution
+        assert built == [ps.pair_alphabet]
+        intersection_cloud(ps, op, 500)
+        verify_common_points(ps, first, second, 500)
+        ps.to_dict()
+        pair_incidence(ps)
+        assert built == [ps.pair_alphabet]
+
+    def test_letter_images_are_the_top_word_counts(self):
+        first, second = interval_pair()
+        ps = run_bpa(first, second)
+        images = ps.letter_images
+        assert images is ps.letter_images
+        assert images.dtype == np.int64 and images.shape == (ps.size, first.alphabet.size)
+        assert [tuple(row) for row in images.tolist()] == [abelianization(p.top) for p in ps.pairs]
+        assert not images.flags.writeable
 
 
 class TestIntersectionCloud:
@@ -310,11 +350,11 @@ class TestIntersectionCloud:
 
     def test_single_point(self):
         cloud = intersection_cloud(self.ps, self.op, 1)
-        stream = stream_for(self.ps.as_substitution())
+        stream = stream_for(self.ps.substitution)
         first_letter = int(stream.prefix_indices(1)[0])
-        expected = self.op.project(self.ps.letter_image(first_letter))
+        expected = self.op.project_many(self.ps.letter_images[[first_letter]])[0]
         assert np.allclose(cloud.coords[0], expected)
-        assert cloud.labels[0] == self.ps.name(first_letter)
+        assert cloud.alphabet[cloud.letters[0]] == self.ps.name(first_letter)
 
     def test_symmetry_at_grid_scale(self):
         cloud = intersection_cloud(self.ps, self.op, 10 ** 5)
@@ -374,7 +414,7 @@ class TestSerialization:
         assert data["rules"]["A"] == "ABA"
         # the base substitution format still parses, ignoring the extra key
         again = substitution_from_dict(data)
-        assert again == ps.as_substitution()
+        assert again == ps.substitution
 
 
 class TestRandomizedRuns:
@@ -390,6 +430,6 @@ class TestRandomizedRuns:
             result = run_bpa(first, second, limits)
             if not isinstance(result, PairSubstitution):
                 continue
-            assert check_incidence_homomorphism(result, first)
+            assert intertwines(result, first)
             successes += 1
         assert successes >= 25

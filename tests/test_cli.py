@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import rauzykit.algebra as algebra
@@ -18,6 +19,7 @@ from rauzykit import (
     reverse_substitution,
     run_bpa,
     spectral_split,
+    stream_for,
     substitution_from_dict,
     substitution_to_dict,
 )
@@ -120,6 +122,15 @@ class TestFractal:
         assert summary["points"] == 1500 and summary["dimension"] == 2
         assert csv_path.read_text().startswith("n,letter,x1,x2")
         assert svg_path.read_text().startswith("<?xml")
+
+    def test_label_counts_are_the_bincount_of_the_letters(self, files, capsys):
+        code, out, _ = run(capsys, ["fractal", files["trib"], "--n", "10000"])
+        assert code == 0
+        trib = substitution_from_dict(TRIB)
+        counts = np.bincount(stream_for(trib).prefix_indices(10 ** 4), minlength=3).tolist()
+        expected = sorted(zip(trib.alphabet, counts))
+        assert list(json.loads(out)["labels"].items()) == expected
+        assert sum(counts) == 10 ** 4
 
 
 class TestExportFiles:

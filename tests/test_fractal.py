@@ -29,7 +29,6 @@ from rauzykit import (
     spectral_split,
     stream_for,
 )
-from rauzykit.fractal import CloudMeta, letter_labels
 from rauzykit.selfcheck import flipped_tribonacci
 
 
@@ -38,22 +37,24 @@ def tribonacci_operator():
 
 
 def point_cloud(points, labels=None):
+    """A cloud of the given points and labels; its alphabet is the labels in
+    order of first appearance, as a tuple, which may hold the empty label
+    that Alphabet refuses."""
     arr = np.asarray(points, dtype=float)
-    n = arr.shape[0]
-    return LabeledPointCloud(
-        arr,
-        tuple(labels or ("a",) * n),
-        np.arange(n, dtype=np.int64),
-        CloudMeta("test", "", n),
-    )
+    labels = tuple(labels or ("a",) * arr.shape[0])
+    names = tuple(dict.fromkeys(labels))
+    return LabeledPointCloud(arr, names, np.array([names.index(label) for label in labels], dtype=np.int64))
+
+
+def labels_of(cloud):
+    """The label of each point, in point order."""
+    return tuple(cloud.alphabet[j] for j in cloud.letters.tolist())
 
 
 def label_cloud(cloud, label):
     """The points of cloud that carry label."""
-    mask = np.array([lab == label for lab in cloud.labels], dtype=bool)
-    return LabeledPointCloud(
-        cloud.coords[mask], (label,) * int(mask.sum()), cloud.indices[mask], cloud.meta
-    )
+    mask = cloud.letters == list(cloud.alphabet).index(label)
+    return LabeledPointCloud(cloud.coords[mask], cloud.alphabet, cloud.letters[mask])
 
 
 class TestBrokenLine:
@@ -84,8 +85,8 @@ class TestRauzyCloud:
         op = tribonacci_operator()
         cloud = rauzy_cloud(tribonacci(), 1, op)
         assert len(cloud) == 1
-        assert cloud.labels == ("a",)
-        assert np.allclose(cloud.coords[0], op.project([1, 0, 0]))
+        assert labels_of(cloud) == ("a",)
+        assert np.allclose(cloud.coords[0], op.project_many([[1, 0, 0]])[0])
 
     def test_diameter_growth_under_one_percent(self):
         op = tribonacci_operator()
@@ -108,14 +109,8 @@ class TestRauzyCloud:
     def test_labels_are_the_letters_read(self):
         cloud = rauzy_cloud(tribonacci(), 500, tribonacci_operator())
         letters = tribonacci().alphabet.letters
-        assert cloud.labels == tuple(letters[i] for i in stream_for(tribonacci()).prefix_indices(500))
-        assert all(type(label) is str for label in cloud.labels)
-
-    def test_letter_labels_takes_plain_strings(self):
-        labels = letter_labels(("a", "bc", "d"), np.array([1, 0, 2, 1]))
-        assert labels == ("bc", "a", "d", "bc")
-        assert isinstance(labels, tuple) and all(type(label) is str for label in labels)
-        assert letter_labels(("a",), np.zeros(0, dtype=np.int64)) == ()
+        assert labels_of(cloud) == tuple(letters[i] for i in stream_for(tribonacci()).prefix_indices(500))
+        assert all(type(label) is str for label in labels_of(cloud))
 
     def test_label_partition(self):
         op = tribonacci_operator()
@@ -124,7 +119,7 @@ class TestRauzyCloud:
         assert sum(len(part) for part in parts) == len(cloud)
         union = frozenset().union(*(GridIndex.from_cloud(part, 0.05).occupied_cells() for part in parts))
         assert union == GridIndex.from_cloud(cloud, 0.05).occupied_cells()
-        per_label = sum(cloud.labels.count(label) for label in cloud.label_set())
+        per_label = sum(labels_of(cloud).count(label) for label in cloud.label_set())
         assert per_label == len(cloud)
 
     def test_label_classes_disjoint_except_boundary_cells(self):
@@ -147,6 +142,35 @@ class TestRauzyCloud:
         coarse, fine = shared_fraction(0.02), shared_fraction(0.005)
         assert fine < 0.02
         assert fine < coarse
+
+
+class TestLabeledPointCloud:
+    def test_carries_the_alphabet_and_the_stream_indices(self):
+        cloud = rauzy_cloud(tribonacci(), 300, tribonacci_operator())
+        assert cloud.alphabet == tribonacci().alphabet
+        assert np.array_equal(cloud.letters, stream_for(tribonacci()).prefix_indices(300))
+
+    @pytest.mark.parametrize(
+        "letters",
+        [
+            np.array([0, 1], dtype=np.int64),  # one entry short
+            np.array([0, 1, 0, 1], dtype=np.int64),  # one entry too many
+            np.array([[0, 1, 0]], dtype=np.int64),  # not one-dimensional
+            np.array([0.0, 1.0, 0.0]),  # float dtype
+            np.array([True, False, True]),  # bool dtype
+            np.array([0, 2, 1], dtype=np.int64),  # past the last letter
+            np.array([0, -1, 1], dtype=np.int64),  # negative
+        ],
+    )
+    def test_refuses_letters_that_do_not_index_the_alphabet(self, letters):
+        with pytest.raises(ValueError):
+            LabeledPointCloud(np.zeros((3, 2)), ("a", "b"), letters)
+
+    def test_label_counts_are_sorted_and_skip_absent_letters(self):
+        cloud = point_cloud(np.zeros((5, 1)), labels=["z", "b", "z", "z", "b"])
+        wide = LabeledPointCloud(cloud.coords, ("z", "q", "b"), np.array([0, 2, 0, 0, 2]))
+        assert cloud.label_counts() == wide.label_counts() == {"b": 2, "z": 3}
+        assert list(wide.label_counts()) == ["b", "z"] and wide.label_set() == ("b", "z")
 
 
 class TestGridIndex:
@@ -184,7 +208,7 @@ class TestReflection:
         cloud = rauzy_cloud(tribonacci(), 500, op)
         twice = reflect_cloud(reflect_cloud(cloud))
         assert np.array_equal(twice.coords, cloud.coords)
-        assert twice.labels == cloud.labels
+        assert labels_of(twice) == labels_of(cloud)
 
     def test_origin_cloud_fixed(self):
         cloud = point_cloud([[0.0, 0.0]])
@@ -248,8 +272,8 @@ class TestExports:
         with open(path, newline="") as handle:
             header, *rows = list(csv.reader(handle))
         assert header == ["n", "letter", "x1", "x2"]
-        assert tuple(row[1] for row in rows) == cloud.labels
-        assert np.array_equal([int(row[0]) for row in rows], cloud.indices)
+        assert tuple(row[1] for row in rows) == labels_of(cloud)
+        assert np.array_equal([int(row[0]) for row in rows], np.arange(len(cloud)))
         coords = np.array([[float(v) for v in row[2:]] for row in rows])
         assert np.max(np.abs(coords - cloud.coords)) < 1e-8
 
@@ -260,8 +284,8 @@ class TestExports:
         with open(path, newline="") as handle:
             header, *rows = list(csv.reader(handle))
         assert len(rows) == len(cloud) == 90
-        assert tuple(row[1] for row in rows) == cloud.labels
-        assert [int(row[0]) for row in rows] == cloud.indices.tolist()
+        assert tuple(row[1] for row in rows) == labels_of(cloud)
+        assert [int(row[0]) for row in rows] == list(range(len(cloud)))
 
     def test_csv_bytes_deterministic(self, tmp_path):
         op = tribonacci_operator()

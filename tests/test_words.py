@@ -19,7 +19,6 @@ from rauzykit import (
     SubstitutionParseError,
     Word,
     abelianization,
-    check_strong_coincidence,
     find_fixed_point_seed,
     incidence_matrix,
     parse_substitution,
@@ -319,6 +318,16 @@ class TestValidation:
             with pytest.raises(ValueError, match="out of range"):
                 Word(AB, bad)
 
+    def test_public_constructor_refuses_non_integer_indices(self):
+        for bad in ((1.7, True), (0, 1.0), (True,), (np.bool_(False),), ("1",), (None,), (np.float64(0),)):
+            with pytest.raises(TypeError, match="not an integer"):
+                Word(AB, bad)
+
+    def test_public_constructor_keeps_numpy_integers_as_int(self):
+        w = Word(AB, np.array([0, 1, 1], dtype=np.uint8))
+        assert w.indices == (0, 1, 1) and all(type(i) is int for i in w.indices)
+        assert Word(AB, (i for i in (1, 0))).indices == (1, 0)
+
     def test_parse_boundary_refuses_unknown_letters(self):
         with pytest.raises(KeyError):
             Word.from_letters(AB, ["a", "z"])
@@ -402,7 +411,7 @@ class TestArrayKernelsAgainstRewriting:
     def test_pair_substitution_stream_matches_rewriting(self):
         sub = flipped_tribonacci()
         ps = run_bpa(sub, reverse_substitution(sub))
-        pair_sub = ps.as_substitution()
+        pair_sub = ps.substitution
         stream = stream_for(pair_sub)
         got = stream.prefix_indices(5000)
         names = pair_sub.alphabet.letters
@@ -411,72 +420,6 @@ class TestArrayKernelsAgainstRewriting:
         # the rules read off the pairs, not off the Substitution built from them
         rules = {ps.name(i): [ps.name(j) for j in rule] for i, rule in enumerate(ps.rules)}
         assert rules == rules_of(pair_sub)
-
-
-class TestStrongCoincidence:
-    def test_tribonacci_prefix_all_at_one(self):
-        result = check_strong_coincidence(tribonacci(), "prefix", 4)
-        assert result.satisfied
-        for witness in result.witnesses.values():
-            assert (witness.power, witness.letter) == (1, 0)
-
-    def test_single_letter_vacuous(self):
-        sub = Substitution.from_rules(["a"], {"a": "aa"})
-        result = check_strong_coincidence(sub, "prefix", 2)
-        assert result.satisfied and result.witnesses == {}
-
-    def test_prefix_suffix_duality(self):
-        rng = random.Random(5)
-        for _ in range(40):
-            sub = random_substitution(rng, k=rng.choice([2, 3]))
-            rev = reverse_substitution(sub)
-            n_max = 5
-            forward = check_strong_coincidence(sub, "prefix", n_max).witnesses
-            backward = check_strong_coincidence(rev, "suffix", n_max).witnesses
-            assert forward == backward
-
-    def test_witnesses_match_string_scan(self):
-        # plain string rewriting: the first position t of sigma^n(i), sigma^n(j)
-        # (read backwards for suffixes) where the first t letters have equal
-        # counts and letter t agrees
-        def scan(sub, mode, n_max):
-            rules = {name: "".join(img.letters()) for name, img in zip(sub.alphabet, sub.images)}
-            letters = list(sub.alphabet)
-            words = dict(zip(letters, letters))
-            found = {}
-            for n in range(1, n_max + 1):
-                words = {a: "".join(rules[c] for c in w) for a, w in words.items()}
-                for i in range(len(letters)):
-                    for j in range(i + 1, len(letters)):
-                        if (i, j) in found:
-                            continue
-                        w1, w2 = words[letters[i]], words[letters[j]]
-                        if mode == "suffix":
-                            w1, w2 = w1[::-1], w2[::-1]
-                        for t in range(min(len(w1), len(w2))):
-                            if w1[t] == w2[t] and sorted(w1[:t]) == sorted(w2[:t]):
-                                found[(i, j)] = (n, letters.index(w1[t]))
-                                break
-            return found
-
-        rng = random.Random(17)
-        for _ in range(60):
-            sub = random_substitution(rng, k=rng.choice([2, 3, 4]))
-            for mode in ("prefix", "suffix"):
-                result = check_strong_coincidence(sub, mode, 5)
-                got = {
-                    pair: (w.power, w.letter)
-                    for pair, w in result.witnesses.items()
-                    if w is not None
-                }
-                assert got == scan(sub, mode, 5)
-
-    def test_not_found_is_a_value(self):
-        # the two letters never align: images stay disjoint under iteration
-        sub = Substitution.from_rules(["a", "b"], {"a": "ab", "b": "ba"})
-        result = check_strong_coincidence(sub, "prefix", 1)
-        assert not result.satisfied
-        assert result.witnesses[(0, 1)] is None
 
 
 class TestJsonInterchange:
