@@ -154,24 +154,13 @@ class IntPolynomial:
         return IntPolynomial(tuple(-c for c in self.coeffs))
 
     def __add__(self, other: "IntPolynomial"):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return IntPolynomial(tuple(x + y for x, y in zip(a, b)))
+        return IntPolynomial(tuple(_add(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "IntPolynomial"):
         return self + (-other)
 
     def __mul__(self, other: "IntPolynomial"):
-        if self.is_zero or other.is_zero:
-            return IntPolynomial.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(tuple(out))
+        return IntPolynomial(tuple(_zmul(self.coeffs, other.coeffs)))
 
     def __str__(self):
         if self.is_zero:
@@ -198,7 +187,7 @@ class IntPolynomial:
 # without trailing zeros; reduced mod m, their entries lie in [0, m).
 
 
-def _zmul(a: list[int], b: list[int]) -> list[int]:
+def _zmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -214,7 +203,7 @@ def _zreduce(a: Sequence[int], m: int) -> list[int]:
     return out
 
 
-def _add(*polys: list[int]) -> list[int]:
+def _add(*polys: Sequence[int]) -> list[int]:
     out = [0] * max(len(a) for a in polys)
     for a in polys:
         for i, c in enumerate(a):
@@ -300,9 +289,7 @@ def positive_leading(p: IntPolynomial) -> IntPolynomial:
 def primitive_part(p: IntPolynomial) -> IntPolynomial:
     if p.is_zero:
         return p
-    g = 0
-    for c in p.coeffs:
-        g = math.gcd(g, abs(c))
+    g = math.gcd(*p.coeffs)
     return IntPolynomial(tuple(c // g for c in p.coeffs))
 
 
@@ -838,25 +825,34 @@ class DominantRoot:
     upper: Fraction
 
 
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
 def _largest_real_estimate(p: IntPolynomial) -> float:
     """numpy's estimate of the largest real root of p, -inf when it finds none."""
     est = np.roots(np.array(p.coeffs[::-1], dtype=float))
     return max((z.real for z in est if abs(z.imag) <= 1e-7 * (1 + abs(z))), default=-math.inf)
 
 
+def _sign_at(coeffs: Sequence[int], a: int, e: int) -> int:
+    """Sign of q(a / 2^e), q the polynomial with these coefficients: the sign
+    of the integer 2^(e n) q(a / 2^e) = sum_j c_j a^j 2^(e (n - j)), n = deg q,
+    summed by Horner's rule."""
+    acc, shift = coeffs[-1], e
+    for c in reversed(coeffs[:-1]):
+        acc = acc * a + (c << shift)
+        shift += e
+    return (acc > 0) - (acc < 0)
+
+
 def dominant_real_root(p: IntPolynomial) -> DominantRoot:
     """Largest real root, bracketed by an exact sign change and bisected.
 
-    A floating estimate seeds a bracket, widened at most six times until p
-    changes sign over it in Fraction arithmetic on the exact coefficients;
-    bisection then narrows it to 80 bits.  A simple root, such as every
-    root of a squarefree p, always has such a bracket; when none is found
-    (at a root of even multiplicity, say), NoConvergence is raised rather
-    than a guess returned.
+    The bracket's ends are dyadic, a / 2^e with one e per call, so each sign
+    of p is the sign of an integer sum (_sign_at).  The grid step 2^-e is at
+    most max(1, ceil |r|) / 2^80 for the floating estimate r, which seeds a
+    bracket, widened at most six times until p changes sign over it;
+    bisection then narrows it to one grid step (80 bits).  A simple root,
+    such as every root of a squarefree p, always has such a bracket; when
+    none is found (at a root of even multiplicity, say), NoConvergence is
+    raised rather than a guess returned.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
@@ -864,32 +860,29 @@ def dominant_real_root(p: IntPolynomial) -> DominantRoot:
     r0 = _largest_real_estimate(q)
     if r0 == -math.inf:
         raise NoConvergence("no real root found")
-    approx = Fraction(r0).limit_denominator(10 ** 18)
-    delta = Fraction(1e-7 * (1 + abs(r0))).limit_denominator(10 ** 18)
+    e = max(0, 81 - max(1, math.ceil(abs(r0))).bit_length())
+    center = int(math.ldexp(r0, e))
+    delta = max(1, int(math.ldexp(1e-7 * (1 + abs(r0)), e)))
     for _ in range(6):
-        lo, hi = approx - delta, approx + delta
-        s_lo, s_hi = _sign(q.evaluate(lo)), _sign(q.evaluate(hi))
-        if s_lo == 0:
-            return DominantRoot(float(lo), lo, lo)
-        if s_hi == 0:
-            return DominantRoot(float(hi), hi, hi)
-        if s_lo != s_hi:
+        lo, hi = center - delta, center + delta
+        s_lo, s_hi = _sign_at(q.coeffs, lo, e), _sign_at(q.coeffs, hi, e)
+        if s_lo * s_hi <= 0:
             break
         delta *= 16
     else:
         raise NoConvergence(f"no exact sign change near the root estimate {r0!r}")
-    width_target = Fraction(max(1, math.ceil(abs(r0)))) / (1 << 80)  # 80 bits
-    while hi - lo > width_target:
-        mid = (lo + hi) / 2
-        s_mid = _sign(q.evaluate(mid))
-        if s_mid == 0:
-            lo = hi = mid
-            break
+    while s_lo * s_hi and hi - lo > 1:
+        mid = (lo + hi) // 2
+        s_mid = _sign_at(q.coeffs, mid, e)
         if s_mid == s_lo:
             lo = mid
         else:
-            hi = mid
-    return DominantRoot(float((lo + hi) / 2), lo, hi)
+            hi, s_hi = mid, s_mid
+    if not s_lo:  # an exact root
+        hi = lo
+    elif not s_hi:
+        lo = hi
+    return DominantRoot(float(Fraction(lo + hi, 2 << e)), Fraction(lo, 1 << e), Fraction(hi, 1 << e))
 
 
 def _newton(p: IntPolynomial, starts: Iterable[complex], tol: float) -> list[Root]:

@@ -10,7 +10,7 @@ broken lines (Sirvent, Bull. Belg. Math. Soc. 7, 2000).
 BalancedPair(...) checks its words; the pairs and words the algorithm
 makes itself (prefixes, images and factors of balanced pairs) are balanced
 by construction and built with words._trusted, so each run checks balance
-once per image, on the last row of the split's prefix counts.
+once per image, on the last row of the split's imbalance.
 """
 
 from __future__ import annotations
@@ -78,25 +78,37 @@ class BalancedPair:
         return f"({self.top}/{self.bottom})"
 
 
+def _imbalance(top, bottom, k: int) -> np.ndarray:
+    """Running letter counts of top minus bottom, row m after m + 1 letters.
+
+    A row is zero exactly where the two prefixes balance.  One prefix_counts
+    pass over the letter-pair codes top * k + bottom, weighted by the k^2-row
+    table whose row a * k + b is e_a - e_b.
+    """
+    eye = np.eye(k, dtype=np.int64)
+    table = (eye[:, None, :] - eye[None, :, :]).reshape(k * k, k)
+    codes = np.asarray(top, dtype=np.intp) * k + np.asarray(bottom, dtype=np.intp)
+    return prefix_counts(codes, table)
+
+
 def minimal_split(pair: BalancedPair) -> list[BalancedPair]:
     """Split at every index where the prefix counts agree.
 
     Consecutive factors between balance points are minimal balanced pairs;
     their concatenation reproduces the input in order.  The input's balance
-    is checked once, on the last prefix-count row (NotBalanced when it
-    differs); the factors are balanced by construction and not recounted.
+    is checked once, on the last imbalance row (NotBalanced when it is not
+    zero); the factors are balanced by construction and not recounted.
     """
     alphabet = pair.top.alphabet
     top, bottom = pair.top.indices, pair.bottom.indices
     if len(top) != len(bottom) or not top:
         raise NotBalanced("pair members must be nonempty and of equal length")
-    eye = np.eye(alphabet.size, dtype=np.int64)
-    equal = (prefix_counts(pair.top.array, eye) == prefix_counts(pair.bottom.array, eye)).all(axis=1)
-    if not equal[-1]:
+    unbalanced = _imbalance(pair.top.array, pair.bottom.array, alphabet.size).any(axis=1)
+    if unbalanced[-1]:
         raise NotBalanced("pair members must have equal letter counts")
     factors: list[BalancedPair] = []
     start = 0
-    for stop in (np.flatnonzero(equal) + 1).tolist():
+    for stop in (np.flatnonzero(~unbalanced) + 1).tolist():
         factors.append(
             _trusted(
                 BalancedPair,
@@ -128,20 +140,20 @@ def first_minimal_balanced_pair(
         raise ValueError("streams must share an alphabet")
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    eye = np.eye(alphabet.size, dtype=np.int64)
     carry = np.zeros(alphabet.size, dtype=np.int64)  # top minus bottom counts before the block
     start = 0
     block = 1024
     while start < cutoff:
         stop = min(cutoff, start + block)
-        top = prefix_counts(top_stream.indices_range(start, stop), eye)
-        top += carry
-        bottom = prefix_counts(bottom_stream.indices_range(start, stop), eye)
-        balanced = (top == bottom).all(axis=1)
+        imbalance = _imbalance(
+            top_stream.indices_range(start, stop), bottom_stream.indices_range(start, stop), alphabet.size
+        )
+        imbalance += carry
+        balanced = ~imbalance.any(axis=1)
         if balanced.any():
             m = start + int(np.argmax(balanced)) + 1
             return _trusted(BalancedPair, top=top_stream.prefix(m), bottom=bottom_stream.prefix(m))
-        carry = top[-1] - bottom[-1]
+        carry = imbalance[-1].copy()  # a copy, so the block's rows can be freed
         start = stop
         block = min(block * 4, 1 << 18)
     return NotFound(cutoff)

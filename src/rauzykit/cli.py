@@ -17,8 +17,8 @@ from . import __version__
 from .algebra import classify_pisot, factor_over_z
 from .bpa import (
     BpaLimits,
-    NonTermination,
     NotFound,
+    PairSubstitution,
     intersection_cloud,
     pair_incidence,
     reciprocal_factor_report,
@@ -70,6 +70,18 @@ class _Tolerance(click.ParamType):
 
 
 _TOLERANCE = _Tolerance()
+
+
+def _limit_options(command):
+    """The BPA limit options of bpa and intersect, with BpaLimits' defaults."""
+    defaults = BpaLimits()
+    # the option applied last is listed first in --help
+    for name in ("max_pair_length", "max_pairs", "prefix_cutoff"):
+        option = click.option(
+            "--" + name.replace("_", "-"), type=_POSITIVE, default=getattr(defaults, name), show_default=True
+        )
+        command = option(command)
+    return command
 
 
 def _emit(payload: dict) -> None:
@@ -194,48 +206,38 @@ def cmd_fractal(path, n, csv_path, svg_path, tol):
     )
 
 
-def _bpa_failure_payload(result) -> dict:
+def _limit_hit(result) -> int:
+    """Print the partial state of a BPA run that hit a limit; returns EXIT_LIMIT."""
     if isinstance(result, NotFound):
-        return {"status": "no-balanced-prefix", "cutoff": result.cutoff}
-    return {
-        "status": "non-termination",
-        "limit": result.limit,
-        "limit_value": result.limit_value,
-        "pairs_found": len(result.pairs),
-        "pairs": {
-            name: {"top": str(pair.top), "bottom": str(pair.bottom)}
-            for name, pair in zip(result.names, result.pairs)
-        },
-        "detail": result.detail,
-    }
-
-
-class _LimitHit(Exception):
-    def __init__(self, payload: dict):
-        super().__init__(payload["status"])
-        self.payload = payload
-
-
-def _run_bpa_or_fail(first, second, limits):
-    result = run_bpa(first, second, limits)
-    if isinstance(result, (NotFound, NonTermination)):
-        raise _LimitHit(_bpa_failure_payload(result))
-    return result
+        payload = {"status": "no-balanced-prefix", "cutoff": result.cutoff}
+    else:
+        payload = {
+            "status": "non-termination",
+            "limit": result.limit,
+            "limit_value": result.limit_value,
+            "pairs_found": len(result.pairs),
+            "pairs": {
+                name: {"top": str(pair.top), "bottom": str(pair.bottom)}
+                for name, pair in zip(result.names, result.pairs)
+            },
+            "detail": result.detail,
+        }
+    _emit(payload)
+    return EXIT_LIMIT
 
 
 @cli.command("bpa")
 @click.argument("path1", type=click.Path(exists=True, dir_okay=False))
 @click.argument("path2", type=click.Path(exists=True, dir_okay=False))
-@click.option("--prefix-cutoff", type=_POSITIVE, default=10 ** 6, show_default=True)
-@click.option("--max-pairs", type=_POSITIVE, default=10 ** 4, show_default=True)
-@click.option("--max-pair-length", type=_POSITIVE, default=10 ** 5, show_default=True)
+@_limit_options
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), help="Write the pair substitution as JSON.")
 def cmd_bpa(path1, path2, prefix_cutoff, max_pairs, max_pair_length, out):
     """Run the balanced pair algorithm on two substitution files."""
     first = load_substitution(path1)
     second = load_substitution(path2)
-    limits = BpaLimits(prefix_cutoff=prefix_cutoff, max_pairs=max_pairs, max_pair_length=max_pair_length)
-    ps = _run_bpa_or_fail(first, second, limits)
+    ps = run_bpa(first, second, BpaLimits(prefix_cutoff, max_pairs, max_pair_length))
+    if not isinstance(ps, PairSubstitution):
+        return _limit_hit(ps)
     inc = pair_incidence(ps)
     payload = dict(ps.to_dict())
     payload["version"] = __version__
@@ -257,16 +259,15 @@ def cmd_bpa(path1, path2, prefix_cutoff, max_pairs, max_pair_length, out):
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False, writable=True))
 @click.option("--svg", "svg_path", type=click.Path(dir_okay=False, writable=True))
 @click.option("--tol", type=_TOLERANCE, default=1e-10, show_default=True)
-@click.option("--prefix-cutoff", type=_POSITIVE, default=10 ** 6, show_default=True)
-@click.option("--max-pairs", type=_POSITIVE, default=10 ** 4, show_default=True)
-@click.option("--max-pair-length", type=_POSITIVE, default=10 ** 5, show_default=True)
+@_limit_options
 def cmd_intersect(path1, path2, n, csv_path, svg_path, tol, prefix_cutoff, max_pairs, max_pair_length):
     """Balanced pair algorithm plus the projected intersection cloud."""
     _check_export_paths(csv_path, svg_path)
     first = load_substitution(path1)
     second = load_substitution(path2)
-    limits = BpaLimits(prefix_cutoff=prefix_cutoff, max_pairs=max_pairs, max_pair_length=max_pair_length)
-    ps = _run_bpa_or_fail(first, second, limits)
+    ps = run_bpa(first, second, BpaLimits(prefix_cutoff, max_pairs, max_pair_length))
+    if not isinstance(ps, PairSubstitution):
+        return _limit_hit(ps)
     op = projection_operator(spectral_split(incidence_matrix(first), tol))
     cloud = intersection_cloud(ps, op, n)
     _export(cloud, csv_path, svg_path)
@@ -300,33 +301,27 @@ def cmd_selftest():
         failures += 0 if result.ok else 1
     click.echo(f"{len(results) - failures}/{len(results)} checks passed")
     if failures:
-        raise _SelftestFailed(failures)
-
-
-class _SelftestFailed(Exception):
-    def __init__(self, count):
-        super().__init__(f"{count} selftest checks failed")
+        click.echo(f"error: {failures} selftest checks failed", err=True)
+        return EXIT_USAGE
 
 
 def main(argv=None) -> int:
-    """Dispatch with the documented exit-code mapping; returns the exit code."""
+    """Dispatch with the documented exit-code mapping; returns the exit code.
+
+    A command returns its exit code, or None for success; click returns
+    that value, and the exit code of --help and --version.
+    """
     try:
-        cli.main(args=argv, standalone_mode=False)
-        return EXIT_OK
-    except click.exceptions.Exit as exc:  # --help / --version
-        return int(exc.exit_code)
+        return cli.main(args=argv, standalone_mode=False) or EXIT_OK
     except click.ClickException as exc:  # usage errors included
         exc.show()
         return EXIT_USAGE
-    except (SubstitutionParseError, OSError, _SelftestFailed) as exc:
+    except (SubstitutionParseError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_USAGE
     except IndeterminateClassification as exc:
         click.echo(f"error: indeterminate classification: {exc}", err=True)
         return EXIT_INDETERMINATE
-    except _LimitHit as exc:
-        _emit(exc.payload)
-        return EXIT_LIMIT
     except NoSeedFound as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_LIMIT

@@ -183,18 +183,15 @@ class Substitution:
     def from_rules(
         cls, letters: Sequence[str], rules: Mapping[str, str | Sequence[str]]
     ) -> "Substitution":
-        """Build from a rule mapping; string values require single-character names."""
-        alphabet = Alphabet(tuple(letters))
-        images = []
-        for name in alphabet:
-            if name not in rules:
-                raise ValueError(f"missing rule for letter {name!r}")
-            value = rules[name]
-            if isinstance(value, str):
-                images.append(Word.from_string(alphabet, value))
-            else:
-                images.append(Word.from_letters(alphabet, value))
-        return cls(alphabet, tuple(images))
+        """Build from a rule mapping, checked as substitution_from_dict checks
+        JSON: tuple values are read as lists, string values need
+        single-character names, and errors are SubstitutionParseError."""
+        return substitution_from_dict(
+            {
+                "alphabet": list(letters),
+                "rules": {name: list(v) if isinstance(v, tuple) else v for name, v in rules.items()},
+            }
+        )
 
     def image(self, letter_index: int) -> Word:
         return self.images[letter_index]
@@ -223,12 +220,6 @@ class Substitution:
     def apply(self, word: Word) -> Word:
         image = _frozen(self.apply_indices(word.array))
         return _trusted(Word, alphabet=self.alphabet, indices=tuple(image.tolist()), array=image)
-
-    def rule_text(self) -> str:
-        sep = "" if self.alphabet.single_char else ","
-        return ";".join(
-            f"{self.alphabet[i]}->{sep.join(img.letters())}" for i, img in enumerate(self.images)
-        )
 
 
 def incidence_matrix(substitution: Substitution) -> IntMatrix:

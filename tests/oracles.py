@@ -8,6 +8,7 @@ import csv
 import io
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -74,6 +75,48 @@ def evaluate_at_matrix(p: IntPolynomial, m: IntMatrix) -> IntMatrix:
             for i in range(k)
         ]
     return IntMatrix.from_rows(acc)
+
+
+def fraction_dominant_real_root(p: IntPolynomial) -> tuple[float, Fraction, Fraction]:
+    """(value, lower, upper) of the largest real root of p, by the former
+    Fraction bisection of dominant_real_root: numpy's largest real estimate
+    r0 seeds the bracket r0 -/+ 1e-7 (1 + |r0|), widened by 16 at most six
+    times until p changes sign exactly over it, then bisected in Fraction
+    arithmetic to a width of max(1, ceil |r0|) / 2^80."""
+
+    def sign(x: Fraction) -> int:
+        acc = Fraction(0)
+        for c in reversed(p.coeffs):
+            acc = acc * x + c
+        return (acc > 0) - (acc < 0)
+
+    est = np.roots(np.array(p.coeffs[::-1], dtype=float))
+    r0 = max(z.real for z in est if abs(z.imag) <= 1e-7 * (1 + abs(z)))
+    approx = Fraction(r0).limit_denominator(10 ** 18)
+    delta = Fraction(1e-7 * (1 + abs(r0))).limit_denominator(10 ** 18)
+    for _ in range(6):
+        lo, hi = approx - delta, approx + delta
+        s_lo, s_hi = sign(lo), sign(hi)
+        if s_lo == 0:
+            return float(lo), lo, lo
+        if s_hi == 0:
+            return float(hi), hi, hi
+        if s_lo != s_hi:
+            break
+        delta *= 16
+    else:
+        raise ArithmeticError(f"no exact sign change near {r0!r}")
+    width_target = Fraction(max(1, math.ceil(abs(r0)))) / (1 << 80)
+    while hi - lo > width_target:
+        mid = (lo + hi) / 2
+        s_mid = sign(mid)
+        if s_mid == 0:
+            return float(mid), mid, mid
+        if s_mid == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return float((lo + hi) / 2), lo, hi
 
 
 # sympy-backed oracles: callers skip first with pytest.importorskip("sympy")

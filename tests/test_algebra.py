@@ -8,6 +8,7 @@ from oracles import (
     bareiss_determinant,
     char_poly_via_cofactors,
     evaluate_at_matrix,
+    fraction_dominant_real_root,
     sympy_char_poly,
     sympy_factor_list,
     sympy_largest_real_root,
@@ -292,6 +293,29 @@ class TestRoots:
         # the float value is the midpoint of the exact bracket, to rounding
         assert dom.value == pytest.approx(float(dom.lower), abs=1e-15)
         assert TRIB_POLY.evaluate(dom.lower) * TRIB_POLY.evaluate(dom.upper) < 0
+
+    def test_dyadic_bracket_matches_the_fraction_bisection(self):
+        rng = random.Random(14)
+        polys = [char_poly(incidence_matrix(kbonacci(k))) for k in range(2, 21)]
+        for _ in range(150):
+            head = tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 10)))
+            polys.append(IntPolynomial(head + (rng.choice([1, -1, 2, 3]),)))
+        compared = 0
+        for p in polys:
+            try:
+                value, lower, upper = fraction_dominant_real_root(p)
+            except ValueError:  # numpy finds no real root
+                continue
+            except ArithmeticError:  # no exact sign change
+                with pytest.raises(NoConvergence):
+                    dominant_real_root(p)
+                continue
+            dom = dominant_real_root(p)
+            assert dom.value == value
+            for lo, hi in ((dom.lower, dom.upper), (lower, upper)):
+                assert p.evaluate(lo) * p.evaluate(hi) < 0 or (lo == hi and p.evaluate(lo) == 0)
+            compared += 1
+        assert compared >= 19 + 100
 
     def test_even_multiplicity_root_is_refused_not_guessed(self):
         # (x^2 - x - 1)^2 has no sign change at its largest root

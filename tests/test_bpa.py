@@ -1,6 +1,7 @@
 import importlib.util
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from rauzykit import (
     substitution_from_dict,
     verify_common_points,
 )
+from rauzykit.bpa import _imbalance
 from rauzykit.selfcheck import (
     family_substitution,
     flipped_tribonacci,
@@ -132,6 +134,52 @@ class TestBalancedPairs:
                     top_prefix = Word(AB, f.top.indices[:m])
                     bottom_prefix = Word(AB, f.bottom.indices[:m])
                     assert abelianization(top_prefix) != abelianization(bottom_prefix)
+
+
+class TestImbalance:
+    def test_rows_are_the_running_count_difference(self):
+        rng = random.Random(14)
+        for k in (1, 2, 3, 6, 17):
+            for _ in range(20):
+                n = rng.randint(1, 300)
+                top = [rng.randrange(k) for _ in range(n)]
+                bottom = [rng.randrange(k) for _ in range(n)]
+                counts, expected = [0] * k, []
+                for a, b in zip(top, bottom):
+                    counts[a] += 1
+                    counts[b] -= 1
+                    expected.append(list(counts))
+                # uint8 letters, as Word.array holds them: the codes top * k + bottom pass 255 at k = 17
+                got = _imbalance(np.array(top, dtype=np.uint8), np.array(bottom, dtype=np.uint8), k)
+                assert got.dtype == np.int64 and got.tolist() == expected
+
+
+class _ArrayStream:
+    """Stand-in for an InfiniteWordStream that reads a fixed index array."""
+
+    def __init__(self, alphabet, indices):
+        self.substitution = SimpleNamespace(alphabet=alphabet)
+        self._indices = np.array(indices, dtype=np.int64)
+
+    def indices_range(self, start, stop):
+        return self._indices[start:stop]
+
+    def prefix(self, n):
+        return Word(self.substitution.alphabet, tuple(self._indices[:n].tolist()))
+
+
+class TestSeedSearchBlocks:
+    """The seed search counts in blocks of 1024 letters, then 4096, ...,
+    carrying the imbalance from one block into the next."""
+
+    @pytest.mark.parametrize("n", [1500, 3000])
+    def test_balance_past_the_first_block(self, n):
+        # a^n b^n against b^n a^n balances first after all 2n letters
+        top = _ArrayStream(AB, [0] * n + [1] * n)
+        bottom = _ArrayStream(AB, [1] * n + [0] * n)
+        pair = first_minimal_balanced_pair(top, bottom, 2 * n)
+        assert (str(pair.top), str(pair.bottom)) == ("a" * n + "b" * n, "b" * n + "a" * n)
+        assert first_minimal_balanced_pair(top, bottom, 2 * n - 1) == NotFound(2 * n - 1)
 
 
 class TestKeptChecks:

@@ -8,6 +8,7 @@ import pytest
 
 import rauzykit.algebra as algebra
 import rauzykit.bpa as bpa
+import rauzykit.cli as cli
 from conftest import kbonacci
 from oracles import reference_export_csv, reference_render_svg, sympy_factor_list
 from rauzykit import (
@@ -24,6 +25,7 @@ from rauzykit import (
     substitution_to_dict,
 )
 from rauzykit.cli import main
+from rauzykit.selfcheck import CheckResult
 
 TRIB = {"alphabet": ["a", "b", "c"], "rules": {"a": "ab", "b": "ac", "c": "a"}}
 TRIB_REV = {"alphabet": ["a", "b", "c"], "rules": {"a": "ba", "b": "ca", "c": "a"}}
@@ -280,6 +282,18 @@ class TestIntersect:
         assert payload["points"] == 2000
         assert csv_path.exists()
 
+    def test_limit_hit_prints_the_bpa_payload(self, files, capsys):
+        flipped = files["dir"] / "flipped.json"
+        flipped.write_text(json.dumps(FLIPPED))
+        flipped_rev = files["dir"] / "flipped_rev.json"
+        run(capsys, ["reverse", str(flipped), str(flipped_rev)])
+        paths = [str(flipped), str(flipped_rev)]
+        bpa_code, bpa_out, _ = run(capsys, ["bpa", *paths, "--max-pairs", "2"])
+        code, out, err = run(capsys, ["intersect", *paths, "--n", "100", "--max-pairs", "2"])
+        assert code == bpa_code == 4
+        assert out == bpa_out and err == ""
+        assert json.loads(out)["limit"] == "max_pairs"
+
 
 class TestExactInvariantsComputedOnce:
     @pytest.fixture
@@ -429,6 +443,14 @@ class TestSelftest:
         assert "FAIL" not in out
         lines = [line for line in out.splitlines() if line.startswith("[PASS]")]
         assert len(lines) >= 25
+
+    def test_a_failing_check_exits_one(self, capsys, monkeypatch):
+        failing = [CheckResult("stand-in check", False, "forced failure")]
+        monkeypatch.setattr(cli, "run_all_checks", lambda: failing)
+        code, out, err = run(capsys, ["selftest"])
+        assert code == 1
+        assert out.splitlines() == ["[FAIL] stand-in check :: forced failure", "0/1 checks passed"]
+        assert err == "error: 1 selftest checks failed\n"
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):

@@ -471,6 +471,17 @@ class TestJsonInterchange:
         assert err.value.field == "rules.a"
         assert str(err.value) == f"{message} (field 'rules.a')"
 
+    def test_from_rules_checks_as_json_parsing_does(self):
+        with pytest.raises(SubstitutionParseError) as err:
+            Substitution.from_rules(["a", "b"], {"a": "ab", "b": "a", "z": "a"})
+        assert err.value.field == "rules.z"
+        with pytest.raises(SubstitutionParseError) as err:
+            Substitution.from_rules(["a", "b"], {"a": "ab"})
+        assert err.value.field == "rules.b"
+        tupled = Substitution.from_rules(("x1", "x2"), {"x1": ("x1", "x2"), "x2": ("x1",)})
+        listed = substitution_from_dict({"alphabet": ["x1", "x2"], "rules": {"x1": ["x1", "x2"], "x2": ["x1"]}})
+        assert tupled == listed
+
     def test_empty_image_rejected(self):
         with pytest.raises(SubstitutionParseError):
             substitution_from_dict({"alphabet": ["a", "b"], "rules": {"a": "", "b": "a"}})
