@@ -6,21 +6,24 @@ estimates, and those are refined or bracketed against the exact
 coefficients before they are used for classification, and in filters that
 only decide which exact division to try.
 
-Characteristic polynomials and factorisations over Z share one modular
-layer: polynomials mod primes below 2^31 (multiply, divide, gcd, power).
-char_poly is a Hessenberg reduction mod several primes joined by the
-Chinese remainder theorem under a proven coefficient bound; factor_over_z
-is Zassenhaus' algorithm (distinct-degree and Cantor-Zassenhaus splitting,
-Hensel lifting, subset recombination).  No degree is capped: the subset
-search refuses when more than MODULAR_FACTOR_CAP modular factors remain
-after the single ones are taken out.
+Every polynomial, over Z or mod m (a prime or a prime power), is a list of
+Python ints handled by one set of helpers (multiply, divide, gcd, power);
+numpy holds only matrices: the Hessenberg reduction mod p, the primitivity
+test, and the float root estimates and filters.  char_poly is a Hessenberg
+reduction mod several primes joined by the Chinese remainder theorem under
+a proven coefficient bound; factor_over_z is Zassenhaus' algorithm
+(distinct-degree and Cantor-Zassenhaus splitting, Hensel lifting, subset
+recombination).  No degree is capped: the subset search refuses when more
+than MODULAR_FACTOR_CAP modular factors remain after the single ones are
+taken out.
 
 classify_pisot reads every exact flag off the char poly p and its
 factorisation: unimodularity off p(0), irreducibility off the factor list.
 It picks the minimal polynomial first, as the factor with the largest float
 estimate of a real root, and brackets the Perron root once, by exact sign
 bisection on that squarefree factor alone; the bracket also seeds the
-Newton refinement of its conjugates, which the PisotReport carries on.
+Newton refinement of its conjugates, which the PisotReport carries on.  A
+reciprocal minimal polynomial of degree >= 3 is decided "not Pisot" exactly.
 """
 
 from __future__ import annotations
@@ -66,10 +69,6 @@ class IntMatrix:
             if len(row) != k:
                 raise ValueError("matrix must be square")
         object.__setattr__(self, "rows", rows)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        return cls(tuple(tuple(int(e) for e in row) for row in rows))
 
     @property
     def dim(self) -> int:
@@ -230,7 +229,8 @@ def _zdivmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
     return _zreduce(q, m), _zreduce(r[:db], m)
 
 
-def _zprimitive(a: list[int]) -> list[int]:
+def _zprimitive(a: Sequence[int]) -> list[int]:
+    """The primitive part of the nonzero a, with positive leading coefficient."""
     g = math.gcd(*a)
     g = -g if a[-1] < 0 else g
     return [c // g for c in a]
@@ -256,12 +256,53 @@ def _zdiv(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
     return None if any(r[:db]) else q
 
 
+def _monic(a: list[int], m: int) -> list[int]:
+    inv = pow(a[-1], -1, m)
+    return [c * inv % m for c in a]
+
+
+def _gcd(a: list[int], b: list[int], m: int) -> list[int]:
+    """Monic gcd mod m of a and b, not both zero."""
+    while b:
+        a, b = b, _zdivmod(a, b, m)[1]
+    return _monic(a, m)
+
+
+def _xgcd(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
+    """(s, t) with s a + t b = gcd(a, b), monic, mod m."""
+    s0, s1, t0, t1 = [1], [], [], [1]
+    while b:
+        q, r = _zdivmod(a, b, m)
+        a, b = b, r
+        s0, s1 = s1, _zsub(s0, _zmul(q, s1), m)
+        t0, t1 = t1, _zsub(t0, _zmul(q, t1), m)
+    inv = pow(a[-1], -1, m)
+    return _zreduce([c * inv for c in s0], m), _zreduce([c * inv for c in t0], m)
+
+
+def _squarefree_mod(f: list[int], m: int) -> bool:
+    """gcd(f, f') = 1 mod the prime m; with m not dividing lc(f), this proves f squarefree over Q."""
+    return len(_gcd(f, _zreduce([i * c for i, c in enumerate(f)][1:], m), m)) == 1
+
+
+def _powmod(a: list[int], e: int, f: list[int], m: int) -> list[int]:
+    """a^e mod (f, m) by repeated squaring."""
+    result = [1]
+    while e:
+        if e & 1:
+            result = _zdivmod(_zmul(result, a), f, m)[1]
+        e >>= 1
+        if e:
+            a = _zdivmod(_zmul(a, a), f, m)[1]
+    return result
+
+
 def poly_divides(d: IntPolynomial, p: IntPolynomial) -> bool:
     """True iff d divides p over Q (sign-insensitive)."""
     if d.is_zero:
         raise DivideByZeroPoly("division by the zero polynomial")
     # Gauss's lemma: over Q, d divides p iff its primitive part does in Z[x]
-    return _zdiv(p.coeffs, primitive_part(d).coeffs) is not None
+    return _zdiv(p.coeffs, _zprimitive(d.coeffs)) is not None
 
 
 def poly_exact_div(p: IntPolynomial, d: IntPolynomial) -> IntPolynomial:
@@ -286,20 +327,13 @@ def positive_leading(p: IntPolynomial) -> IntPolynomial:
     return -p
 
 
-def primitive_part(p: IntPolynomial) -> IntPolynomial:
-    if p.is_zero:
-        return p
-    g = math.gcd(*p.coeffs)
-    return IntPolynomial(tuple(c // g for c in p.coeffs))
-
-
 # ---------------------------------------------------------------------------
-# primes and polynomials mod p
+# primes and matrices mod p
 #
-# A polynomial mod p is a numpy int64 array of residues, lowest degree first,
-# without trailing zeros.  Every prime is below 2^31, so the product of two
-# residues fits in int64; where products are summed, one operand is split into
-# 16-bit halves so that no partial sum overflows.
+# A matrix mod p is a numpy int64 array of residues.  Every prime is below
+# 2^31, so the product of two residues fits in int64; where products are
+# summed, one operand is split into 16-bit halves so that no partial sum
+# overflows.
 
 
 def _is_prime(n: int) -> bool:
@@ -334,106 +368,9 @@ def _primes(start: int, step: int):
         n += step
 
 
-def _trim(a: np.ndarray) -> np.ndarray:
-    n = len(a)
-    while n and not a[n - 1]:
-        n -= 1
-    return a[:n]
-
-
-def _mod(coeffs: Sequence[int], p: int) -> np.ndarray:
-    return _trim(np.array([c % p for c in coeffs], dtype=np.int64))
-
-
 def _dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p, for residues below 2^31 and an inner dimension below 2^16."""
-    if p < 1 << 16:
-        return a @ b % p
     return (a @ (b & 0xFFFF) % p + (a @ (b >> 16) % p << 16)) % p
-
-
-def _mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    if not len(a) or not len(b):
-        return a[:0]
-    if p < 1 << 16:
-        return _trim(np.convolve(a, b) % p)
-    lo = np.convolve(a, b & 0xFFFF) % p
-    hi = np.convolve(a, b >> 16) % p
-    return _trim((lo + (hi << 16)) % p)
-
-
-def _sub(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    out = np.zeros(max(len(a), len(b)), dtype=np.int64)
-    out[: len(a)] = a
-    out[: len(b)] -= b
-    return _trim(out % p)
-
-
-def _divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quotient and remainder of a by the nonzero b, mod p."""
-    q, r = _zdivmod(a.tolist(), b.tolist(), p)
-    return np.array(q, dtype=np.int64), np.array(r, dtype=np.int64)
-
-
-def _monic(a: np.ndarray, p: int) -> np.ndarray:
-    return a * pow(int(a[-1]), -1, p) % p
-
-
-def _gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Monic gcd mod p of a and b, not both zero."""
-    while len(b):
-        a, b = b, _divmod(a, b, p)[1]
-    return _monic(a, p)
-
-
-def _xgcd(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(s, t) with s a + t b = gcd(a, b), monic, mod p."""
-    one = np.ones(1, dtype=np.int64)
-    s0, s1, t0, t1 = one, one[:0], one[:0], one
-    while len(b):
-        q, r = _divmod(a, b, p)
-        a, b = b, r
-        s0, s1 = s1, _sub(s0, _mul(q, s1, p), p)
-        t0, t1 = t1, _sub(t0, _mul(q, t1, p), p)
-    inv = pow(int(a[-1]), -1, p)
-    return s0 * inv % p, t0 * inv % p
-
-
-def _squarefree_mod(f: np.ndarray, p: int) -> bool:
-    """gcd(f, f') = 1 mod p; with p not dividing lc(f), this proves f squarefree over Q."""
-    return len(_gcd(f, _trim(np.arange(1, len(f)) * f[1:] % p), p)) == 1
-
-
-def _mulmod(f: np.ndarray, p: int):
-    """Multiplication mod (f, p) for monic f of degree n, on operands of
-    degree below n: the high part of a product is folded back through a
-    table of x^(n+i) mod f."""
-    n = len(f) - 1
-    table = np.zeros((max(n - 1, 0), n), dtype=np.int64)
-    row = -f[:n] % p
-    for i in range(n - 1):
-        table[i] = row
-        row = (np.concatenate(([0], row[:-1])) - row[-1] * f[:n]) % p
-
-    def mulmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        c = _mul(a, b, p)
-        if len(c) <= n:
-            return c
-        return _trim((c[:n] + _dot(c[n:], table[: len(c) - n], p)) % p)
-
-    return mulmod
-
-
-def _powmod(a: np.ndarray, e: int, mulmod) -> np.ndarray:
-    """a^e by repeated squaring with the given modular multiplication."""
-    result = np.ones(1, dtype=np.int64)
-    while e:
-        if e & 1:
-            result = mulmod(result, a)
-        e >>= 1
-        if e:
-            a = mulmod(a, a)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -578,57 +515,50 @@ def _cyclotomic(m: int, phi: int) -> list[int]:
     return c
 
 
-def _frobenius(f: np.ndarray, p: int) -> np.ndarray:
-    """Rows x^(i p) mod f for i < deg f: h^p mod f is h @ this matrix mod p."""
-    n = len(f) - 1
-    mulmod = _mulmod(f, p)
-    xp = _powmod(_divmod(np.array([0, 1], dtype=np.int64), f, p)[1], p, mulmod)
-    rows = np.zeros((n, n), dtype=np.int64)
-    row = np.ones(1, dtype=np.int64)
-    for i in range(n):
-        rows[i, : len(row)] = row
-        row = mulmod(row, xp)
+def _frobenius(f: list[int], p: int) -> list[list[int]]:
+    """Rows x^(i p) mod f for i < deg f: h^p mod f is the sum of h_i times row i."""
+    xp = _powmod([0, 1], p, f, p)
+    rows = [[1]]
+    for _ in range(len(f) - 2):
+        rows.append(_zdivmod(_zmul(rows[-1], xp), f, p)[1])
     return rows
 
 
-def _ddf(f: np.ndarray, p: int) -> list[tuple[np.ndarray, int]]:
+def _ddf(f: list[int], p: int) -> list[tuple[list[int], int]]:
     """Distinct-degree factorisation of the monic squarefree f mod p: pairs
     (g, d) with g the product of f's irreducible factors of degree d."""
-    x = np.array([0, 1], dtype=np.int64)
+    x = [0, 1]
     parts = []
     h, d = x, 0
-    frobenius = None
+    frobenius = _frobenius(f, p)
     while 2 * (d + 1) <= len(f) - 1:
         d += 1
-        if frobenius is None:
-            frobenius = _frobenius(f, p)
-        h = _trim(_dot(h, frobenius[: len(h)], p))  # x^(p^d) mod f
-        g = _gcd(f, _sub(h, x, p), p)
+        h = _zreduce(_add(*([c * e for e in row] for c, row in zip(h, frobenius))), p)  # x^(p^d) mod f
+        g = _gcd(f, _zsub(h, x, p), p)
         if len(g) > 1:
             parts.append((g, d))
-            f = _divmod(f, g, p)[0]
-            h = _divmod(h, f, p)[1]
-            frobenius = None
+            f = _zdivmod(f, g, p)[0]
+            h = _zdivmod(h, f, p)[1]
+            # the new f divides the old, so x^(i p) mod f is the old row mod f
+            frobenius = [_zdivmod(row, f, p)[1] for row in frobenius[: len(f) - 1]]
     if len(f) > 1:
         parts.append((f, len(f) - 1))
     return parts
 
 
-def _edf(g: np.ndarray, d: int, p: int, rng: random.Random) -> list[np.ndarray]:
+def _edf(g: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
     """Cantor-Zassenhaus equal-degree splitting of g mod an odd prime p into
     its monic irreducible factors, all of degree d."""
     n = len(g) - 1
     if n == d:
         return [g]
-    one = np.ones(1, dtype=np.int64)
-    mulmod = _mulmod(g, p)
     while True:
-        a = _trim(np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64))
+        a = _zreduce([rng.randrange(p) for _ in range(n)], p)
         if len(a) < 2:
             continue
-        s = _gcd(g, _sub(_powmod(a, (p ** d - 1) // 2, mulmod), one, p), p)
+        s = _gcd(g, _zsub(_powmod(a, (p ** d - 1) // 2, g, p), [1], p), p)
         if 1 < len(s) < len(g):
-            return _edf(s, d, p, rng) + _edf(_divmod(g, s, p)[0], d, p, rng)
+            return _edf(s, d, p, rng) + _edf(_zdivmod(g, s, p)[0], d, p, rng)
 
 
 def _hensel_step(f, g, h, s, t, m):
@@ -646,21 +576,20 @@ def _hensel_step(f, g, h, s, t, m):
     return g, h, s, t
 
 
-def _hensel(f: list[int], factors: list[np.ndarray], p: int, modulus: int) -> list[list[int]]:
+def _hensel(f: list[int], factors: list[list[int]], p: int, modulus: int) -> list[list[int]]:
     """Monic lifts mod `modulus`, a power p^(2^j), of the monic factors mod p
     of f = lc(f) * prod(factors) mod p, by a balanced factor tree."""
     if len(factors) == 1:
         inv = pow(f[-1], -1, modulus)
         return [_zreduce([c * inv for c in f], modulus)]
     half = len(factors) // 2
-    g = np.array([f[-1] % p], dtype=np.int64)
+    g = [f[-1] % p]
     for u in factors[:half]:
-        g = _mul(g, u, p)
-    h = np.ones(1, dtype=np.int64)
+        g = _zreduce(_zmul(g, u), p)
+    h = [1]
     for u in factors[half:]:
-        h = _mul(h, u, p)
+        h = _zreduce(_zmul(h, u), p)
     s, t = _xgcd(g, h, p)
-    g, h, s, t = g.tolist(), h.tolist(), s.tolist(), t.tolist()
     m = p
     while m < modulus:
         g, h, s, t = _hensel_step(f, g, h, s, t, m)
@@ -719,7 +648,7 @@ def _zassenhaus(f: list[int]) -> list[list[int]]:
     for p in _primes(101, 2):
         if f[-1] % p == 0:
             continue
-        fp = _mod(f, p)
+        fp = _zreduce(f, p)
         if not _squarefree_mod(fp, p):
             continue  # p divides the discriminant
         parts = _ddf(_monic(fp, p), p)
@@ -762,7 +691,7 @@ def factor_over_z(p: IntPolynomial) -> tuple[Factor, ...]:
     """
     if p.degree < 1:
         return ()
-    rest = list(positive_leading(primitive_part(p)).coeffs)
+    rest = _zprimitive(p.coeffs)
     factors = []
 
     def take(g: list[int], cyclotomic: bool) -> None:
@@ -787,7 +716,7 @@ def factor_over_z(p: IntPolynomial) -> tuple[Factor, ...]:
                 take(_cyclotomic(m, phi), True)
     if len(rest) > 1:
         prime = next(q for q in _primes(101, 2) if rest[-1] % q)
-        if not _squarefree_mod(_mod(rest, prime), prime):
+        if not _squarefree_mod(_zreduce(rest, prime), prime):
             rest_derivative = [i * c for i, c in enumerate(rest)][1:]
             core = _zdiv(rest, _zgcd(rest, rest_derivative))
         else:
@@ -856,7 +785,7 @@ def dominant_real_root(p: IntPolynomial) -> DominantRoot:
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
-    q = positive_leading(primitive_part(p))
+    q = IntPolynomial(tuple(_zprimitive(p.coeffs)))
     r0 = _largest_real_estimate(q)
     if r0 == -math.inf:
         raise NoConvergence("no real root found")
@@ -993,9 +922,22 @@ def classify_pisot(substitution_or_matrix) -> PisotReport:
     det M = (-1)^k p(0) settles unimodularity.  The minimal polynomial is the
     distinct irreducible factor with the largest float estimate of a real
     root; being squarefree, it changes sign at its largest real root, the
-    Perron root, which is bracketed on it alone.  Raises
-    IndeterminateClassification when a root modulus (dominant or conjugate)
-    sits within CLASSIFICATION_MARGIN of 1 without being exactly 1, and
+    Perron root, which is bracketed on it alone.
+
+    A reciprocal minimal polynomial f (f* = f, coefficients palindromic) of
+    degree n >= 3 is never Pisot, exactly.  Proof: f(0) equals the leading
+    coefficient, so 0 is no root, and f(1/w) = w^-n f(w) makes the roots
+    closed under w -> 1/w.  Being irreducible over Q, f has n distinct
+    roots, so some root w is neither lambda nor 1/lambda.  Either |w| >= 1,
+    or 1/w is a root of modulus above 1 that is neither lambda (as w is not
+    1/lambda) nor 1/lambda (as w is not lambda).  Either way a conjugate of
+    lambda lies on or outside the unit circle.  Such an f, a Salem
+    polynomial among others, sets is_pisot to False without the margin test;
+    margin is still the float distance.
+
+    Raises IndeterminateClassification when the dominant root, or a
+    conjugate of a non-reciprocal minimal polynomial, has a modulus within
+    CLASSIFICATION_MARGIN of 1 without being exactly 1, and
     TooManyModularFactors, before any root work, when p cannot be factored
     within MODULAR_FACTOR_CAP.
     """
@@ -1021,9 +963,10 @@ def classify_pisot(substitution_or_matrix) -> PisotReport:
     nearest = min(range(len(roots)), key=lambda i: abs(roots[i].value - lam))
     moduli = [abs(r.value) for i, r in enumerate(roots) if i != nearest]
     margin = min((abs(1 - mu) for mu in moduli), default=math.inf)
-    if margin <= CLASSIFICATION_MARGIN:
+    reciprocal = minpoly.degree >= 3 and minpoly.coeffs == minpoly.coeffs[::-1]
+    if margin <= CLASSIFICATION_MARGIN and not reciprocal:
         raise IndeterminateClassification(
             f"a conjugate modulus is within {margin:.3e} of 1"
         )
-    pisot = lam > 1 and all(mu < 1 for mu in moduli)
+    pisot = not reciprocal and lam > 1 and all(mu < 1 for mu in moduli)
     return PisotReport(lam, primitive, pisot, irreducible, unimodular, margin, p, minpoly, m, roots)

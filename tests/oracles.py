@@ -74,7 +74,7 @@ def evaluate_at_matrix(p: IntPolynomial, m: IntMatrix) -> IntMatrix:
             [sum(acc[i][t] * m.rows[t][j] for t in range(k)) + (c if i == j else 0) for j in range(k)]
             for i in range(k)
         ]
-    return IntMatrix.from_rows(acc)
+    return IntMatrix(acc)
 
 
 def fraction_dominant_real_root(p: IntPolynomial) -> tuple[float, Fraction, Fraction]:

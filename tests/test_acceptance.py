@@ -375,7 +375,7 @@ def test_criterion_8_cayley_hamilton():
     rng = random.Random(104)
     for _ in range(CASES):
         k = rng.randint(1, 5)
-        m = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(k)] for _ in range(k)])
+        m = IntMatrix([[rng.randint(-5, 5) for _ in range(k)] for _ in range(k)])
         image = evaluate_at_matrix(char_poly(m), m)
         assert all(e == 0 for row in image.rows for e in row)
     criterion("C8 Cayley-Hamilton for k <= 5", True, f"{CASES} cases")

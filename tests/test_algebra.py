@@ -38,10 +38,11 @@ from rauzykit import (
     reciprocal_poly,
     run_bpa,
 )
+from rauzykit.algebra import _add, _ddf, _edf, _powmod, _squarefree_mod, _xgcd, _zdivmod, _zmul, _zreduce
 
 TRIB_POLY = IntPolynomial((-1, -1, -1, 1))  # x^3 - x^2 - x - 1
 GOLDEN_POLY = IntPolynomial((-1, -1, 1))  # x^2 - x - 1
-IDENTITY_2 = IntMatrix.from_rows([[1, 0], [0, 1]])
+IDENTITY_2 = IntMatrix([[1, 0], [0, 1]])
 
 
 def rules(text):
@@ -55,7 +56,7 @@ def matmul(a, b):
 
 
 def random_matrix(rng, k, lo=-5, hi=5):
-    return IntMatrix.from_rows([[rng.randint(lo, hi) for _ in range(k)] for _ in range(k)])
+    return IntMatrix([[rng.randint(lo, hi) for _ in range(k)] for _ in range(k)])
 
 
 def factor_pairs(p):
@@ -76,7 +77,7 @@ def swinnerton_dyer_blocks():
         rows[o][o + 2] = rows[o + 1][o + 3] = 1
         rows[o + 2][o], rows[o + 2][o + 1] = a + b, 4 * a * b
         rows[o + 3][o], rows[o + 3][o + 1] = 1, a + b
-    return IntMatrix.from_rows(rows)
+    return IntMatrix(rows)
 
 
 class TestCharPoly:
@@ -87,7 +88,7 @@ class TestCharPoly:
         assert char_poly(IDENTITY_2) == IntPolynomial((1, -2, 1))
 
     def test_interval_pair_matrix(self):
-        m = IntMatrix.from_rows([[2, 0, 1], [1, 0, 0], [0, 1, 2]])
+        m = IntMatrix([[2, 0, 1], [1, 0, 0], [0, 1, 2]])
         expected = char_poly_via_cofactors(m)
         assert expected == IntPolynomial((-1, 4, -4, 1))
         assert char_poly(m) == expected
@@ -115,16 +116,16 @@ class TestCharPoly:
 
 class TestDeterminant:
     def test_interval_matrix(self):
-        m = IntMatrix.from_rows([[2, 1], [1, 1]])
+        m = IntMatrix([[2, 1], [1, 1]])
         assert bareiss_determinant(m) == 1 and classify_pisot(m).is_unimodular
 
     def test_zero_matrix(self):
-        m = IntMatrix.from_rows([[0, 0], [0, 0]])
+        m = IntMatrix([[0, 0], [0, 0]])
         assert bareiss_determinant(m) == 0 and not classify_pisot(m).is_unimodular
 
     def test_family_always_unimodular(self):
         for i in range(1, 7):
-            m = IntMatrix.from_rows([[i, i, 1], [1, 0, 0], [0, 1, 0]])
+            m = IntMatrix([[i, i, 1], [1, 0, 0], [0, 1, 0]])
             assert abs(bareiss_determinant(m)) == 1 and classify_pisot(m).is_unimodular
 
     def test_matches_charpoly_constant(self):
@@ -149,7 +150,7 @@ class TestDeterminant:
                 shear = [[int(r == c) for c in range(k)] for r in range(k)]
                 shear[i][j] = rng.randint(-2, 2)
                 m = matmul(m, shear)
-            p = char_poly(IntMatrix.from_rows(m))
+            p = char_poly(IntMatrix(m))
             assert abs(p.coeffs[0]) == 1
 
 
@@ -161,11 +162,11 @@ class TestPrimitivity:
         assert not is_primitive(IDENTITY_2)
 
     def test_permutation_not_primitive(self):
-        assert not is_primitive(IntMatrix.from_rows([[0, 1], [1, 0]]))
+        assert not is_primitive(IntMatrix([[0, 1], [1, 0]]))
 
     def test_negative_entry_rejected(self):
         with pytest.raises(NegativeEntry):
-            is_primitive(IntMatrix.from_rows([[1, -1], [1, 1]]))
+            is_primitive(IntMatrix([[1, -1], [1, 1]]))
 
 
 class TestPolynomialOps:
@@ -231,7 +232,7 @@ class TestIrreducibility:
 
     def test_minimal_polynomial_extraction(self):
         p = IntPolynomial((-1, 4, -4, 1))  # (x^2 - 3x + 1)(x - 1)
-        rep = classify_pisot(IntMatrix.from_rows([[2, 0, 1], [1, 0, 0], [0, 1, 2]]))
+        rep = classify_pisot(IntMatrix([[2, 0, 1], [1, 0, 0], [0, 1, 2]]))
         assert rep.char_poly == p
         assert rep.minimal_polynomial == IntPolynomial((1, -3, 1))
 
@@ -245,6 +246,90 @@ class TestIrreducibility:
         assert rep.char_poly == p
         assert rep.minimal_polynomial == IntPolynomial((-2, 1))
         assert dominant_real_root(rep.minimal_polynomial).lower == 2
+
+
+# primes 101..199 and the largest prime below 2^31
+MODULAR_PRIMES = [q for q in range(101, 200, 2) if all(q % d for d in range(3, 15, 2))] + [2 ** 31 - 1]
+
+
+def random_poly_mod(rng, p, degree, monic=False):
+    """A polynomial mod p of the given degree, as a list of residues."""
+    return [rng.randrange(p) for _ in range(degree)] + [1 if monic else rng.randrange(1, p)]
+
+
+def mul_mod(p, *polys):
+    out = [1]
+    for a in polys:
+        out = _zreduce(_zmul(out, a), p)
+    return out
+
+
+class TestModularLayer:
+    """The mod-p list helpers behind factor_over_z, against their definitions."""
+
+    def test_xgcd_satisfies_bezout(self):
+        rng = random.Random(71)
+        for p in MODULAR_PRIMES:
+            for _ in range(6):
+                common = random_poly_mod(rng, p, rng.randint(0, 3))
+                a = mul_mod(p, common, random_poly_mod(rng, p, rng.randint(0, 6)))
+                b = mul_mod(p, common, random_poly_mod(rng, p, rng.randint(0, 6)))
+                s, t = _xgcd(a, b, p)
+                g = _zreduce(_add(_zmul(s, a), _zmul(t, b)), p)
+                # a monic combination of a and b that divides both is their gcd
+                assert g[-1] == 1
+                assert _zdivmod(a, g, p)[1] == [] and _zdivmod(b, g, p)[1] == []
+                assert len(g) >= len(common)
+
+    def test_powmod_matches_repeated_multiplication(self):
+        rng = random.Random(72)
+        for p in MODULAR_PRIMES:
+            f = random_poly_mod(rng, p, rng.randint(1, 8), monic=True)
+            a = random_poly_mod(rng, p, len(f) - 2)
+            expected = [1]
+            for e in range(40):
+                assert _powmod(a, e, f, p) == expected, (p, f, a, e)
+                expected = _zdivmod(_zmul(expected, a), f, p)[1]
+
+    def squarefree_samples(self, rng, p, count):
+        samples = []
+        while len(samples) < count:
+            f = random_poly_mod(rng, p, rng.randint(2, 10), monic=True)
+            if f[0] and _squarefree_mod(f, p):
+                samples.append(f)
+        return samples
+
+    def modular_factors(self, f, p):
+        """Monic irreducible factors mod p of the monic squarefree f, checked
+        to multiply back: the distinct-degree parts to f, each part's
+        equal-degree factors (all of its degree) to the part."""
+        parts = _ddf(f, p)
+        assert mul_mod(p, *(g for g, _ in parts)) == f
+        factors = []
+        for g, d in parts:
+            assert g[-1] == 1 and (len(g) - 1) % d == 0
+            split = _edf(g, d, p, random.Random(p))
+            assert all(len(u) - 1 == d and u[-1] == 1 for u in split)
+            assert mul_mod(p, *split) == g
+            factors += split
+        return factors
+
+    def test_ddf_and_edf_multiply_back(self):
+        rng = random.Random(73)
+        for p in MODULAR_PRIMES:
+            for f in self.squarefree_samples(rng, p, 4):
+                self.modular_factors(f, p)
+
+    def test_modular_factor_degrees_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(74)
+        for p in MODULAR_PRIMES[::4] + [2 ** 31 - 1]:
+            for f in self.squarefree_samples(rng, p, 3):
+                _, expected = sympy.Poly(f[::-1], x, modulus=p).factor_list()
+                assert all(k == 1 for _, k in expected)
+                got = sorted(len(u) - 1 for u in self.modular_factors(f, p))
+                assert got == sorted(g.degree() for g, _ in expected), (p, f)
 
 
 class TestRoots:
@@ -329,6 +414,15 @@ class TestRoots:
             assert got == pytest.approx(want, abs=1e-4)
 
 
+# substitutions whose minimal polynomial is reciprocal, with that polynomial
+RECIPROCAL_CASES = [
+    # x^4 - x^3 - x^2 - x + 1, a Salem quartic: two conjugates on the circle
+    ({"a": "c", "b": "a", "c": "dba", "d": "ad"}, (1, -1, -1, -1, 1)),
+    # x^6 - x^5 - 4x^4 - 4x^2 - x + 1
+    ({"a": "dec", "b": "eec", "c": "bd", "d": "fe", "e": "bae", "f": "e"}, (1, -1, -4, 0, -4, -1, 1)),
+]
+
+
 class TestClassification:
     def test_tribonacci_all_flags(self):
         rep = classify_pisot(tribonacci())
@@ -368,7 +462,7 @@ class TestClassification:
         rep = classify_pisot(tribonacci())
         assert rep.char_poly == TRIB_POLY and rep.minimal_polynomial == TRIB_POLY
         # reducible: (x^2 - 3x + 1)(x - 1)
-        rep = classify_pisot(IntMatrix.from_rows([[2, 0, 1], [1, 0, 0], [0, 1, 2]]))
+        rep = classify_pisot(IntMatrix([[2, 0, 1], [1, 0, 0], [0, 1, 2]]))
         assert not rep.is_irreducible
         assert rep.minimal_polynomial == IntPolynomial((1, -3, 1))
 
@@ -376,7 +470,7 @@ class TestClassification:
         # I + P for the 13-cycle P: char poly (x - 1)^13 - 1 = (x - 2) Phi_13(x - 1)
         pytest.importorskip("sympy")
         k = 13
-        cycle = IntMatrix.from_rows(
+        cycle = IntMatrix(
             [[1 if j in (i, (i + 1) % k) else 0 for j in range(k)] for i in range(k)]
         )
         rep = classify_pisot(cycle)
@@ -433,6 +527,25 @@ class TestClassification:
         assert rep.perron_root == pytest.approx(perron_root, rel=1e-15)
         assert rep.minimal_polynomial == IntPolynomial(minimal_polynomial)
         assert rep.is_pisot == pisot and not rep.is_primitive and not rep.is_irreducible
+
+    @pytest.mark.parametrize("table, minimal_polynomial", RECIPROCAL_CASES)
+    def test_reciprocal_minimal_polynomial_is_not_pisot(self, table, minimal_polynomial):
+        # the float margin sits within CLASSIFICATION_MARGIN of 0, but a
+        # reciprocal minimal polynomial of degree >= 3 decides "not Pisot" exactly
+        rep = classify_pisot(Substitution.from_rules(list(table), table))
+        assert rep.minimal_polynomial == rep.char_poly == IntPolynomial(minimal_polynomial)
+        assert rep.is_irreducible and not rep.is_pisot
+        assert rep.margin < 1e-9
+
+    @pytest.mark.parametrize("table, minimal_polynomial", RECIPROCAL_CASES)
+    def test_reciprocal_minimal_polynomial_has_a_second_root_on_or_outside_the_circle(
+        self, table, minimal_polynomial
+    ):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        moduli = sorted(abs(z) for z in sympy.Poly(minimal_polynomial[::-1], x).nroots(n=50))
+        assert moduli[-1] > 1
+        assert any(abs(mu - 1) < sympy.Float(10) ** -40 or mu > 1 for mu in moduli[:-1])
 
     def test_identity_substitution(self):
         sub = Substitution.from_rules(["a", "b"], {"a": "a", "b": "b"})

@@ -102,6 +102,20 @@ class TestAnalyze:
         assert "indeterminate" in err
 
 
+    def test_salem_quartic_is_decided_not_pisot(self, files, capsys):
+        # x^4 - x^3 - x^2 - x + 1 has conjugates on the unit circle: analyze
+        # decides "not Pisot" exactly, and fractal refuses the non-Pisot input
+        salem = files["dir"] / "salem.json"
+        rules = {"a": "c", "b": "a", "c": "dba", "d": "ad"}
+        salem.write_text(json.dumps({"alphabet": list(rules), "rules": rules}), encoding="utf-8")
+        code, out, _ = run(capsys, ["analyze", str(salem)])
+        assert code == 0
+        assert json.loads(out)["classification"]["is_pisot"] is False
+        code, _, err = run(capsys, ["fractal", str(salem), "--n", "100"])
+        assert code == 3
+        assert "Pisot" in err
+
+
 class TestReverse:
     def test_writes_reversed_file(self, files, capsys):
         out_path = files["dir"] / "rev.json"

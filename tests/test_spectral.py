@@ -48,7 +48,7 @@ class TestSpectralSplit:
     def test_reducible_three_by_three(self):
         # char poly (x^2 - 3x + 1)(x - 1): one expanding, one contracting,
         # one complementary direction
-        m = IntMatrix.from_rows([[2, 0, 1], [1, 0, 0], [0, 1, 2]])
+        m = IntMatrix([[2, 0, 1], [1, 0, 0], [0, 1, 2]])
         split = spectral_split(m)
         assert (split.basis_u.shape[1], split.stable_dim, split.basis_c.shape[1]) == (1, 1, 1)
         assert split.report.perron_root == pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-12)
@@ -58,7 +58,7 @@ class TestSpectralSplit:
         # factoring the char poly again
         import rauzykit.algebra as algebra
 
-        m = IntMatrix.from_rows([[2, 0, 1], [1, 0, 0], [0, 1, 2]])
+        m = IntMatrix([[2, 0, 1], [1, 0, 0], [0, 1, 2]])
         calls = []
         factor = algebra.factor_over_z
 
@@ -81,12 +81,12 @@ class TestSpectralSplit:
     def test_rejects_non_pisot(self):
         # char poly x^2 - x - 3: conjugate modulus (sqrt(13) - 1) / 2 > 1
         with pytest.raises(NotPisot):
-            spectral_split(IntMatrix.from_rows([[1, 3], [1, 0]]))
+            spectral_split(IntMatrix([[1, 3], [1, 0]]))
 
     def test_integer_dominant_root_gives_empty_chart(self):
         # roots 3 and 1: the dominant root has no conjugates, so the
         # contracting space is trivial and the rest is complementary
-        split = spectral_split(IntMatrix.from_rows([[2, 1], [1, 2]]))
+        split = spectral_split(IntMatrix([[2, 1], [1, 2]]))
         assert split.stable_dim == 0
         assert split.basis_c.shape == (2, 1)
         op = projection_operator(split)
