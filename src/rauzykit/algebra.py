@@ -61,13 +61,12 @@ class IntMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not self.rows:
-            raise ValueError("matrix must have dimension >= 1")
-        k = len(self.rows)
+        # any iterable of rows, an iterator or a generator included, is read once
         rows = tuple(tuple(int(e) for e in row) for row in self.rows)
-        for row in rows:
-            if len(row) != k:
-                raise ValueError("matrix must be square")
+        if not rows:
+            raise ValueError("matrix must have dimension >= 1")
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("matrix must be square")
         object.__setattr__(self, "rows", rows)
 
     @property

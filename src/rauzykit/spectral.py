@@ -56,7 +56,12 @@ class ProjectionOperator:
     report: PisotReport
 
     def project_many(self, vectors: np.ndarray) -> np.ndarray:
-        """Row-wise projection of an (n, k) array to (n, d) chart coordinates."""
+        """Row-wise projection of an (n, k) array to (n, d) chart coordinates.
+
+        The product reads column-major input, as prefix_counts returns it,
+        without a copy; its result is row-major, and LabeledPointCloud stores
+        it column-major.
+        """
         vs = np.asarray(vectors, dtype=float)
         return (vs @ self.matrix.T) @ self.chart.T
 

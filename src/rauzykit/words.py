@@ -154,9 +154,14 @@ def prefix_counts(indices, weights) -> np.ndarray:
     With the k x k identity as weights, row m counts each letter of the first
     m + 1 letters (a broken-line vertex); two words balance after m + 1
     letters exactly where their rows m are equal.  Exact int64 arithmetic.
+
+    The (n, k) result is column-major: the columns of weights.T are gathered
+    into a (k, n) array, summed along its rows and returned transposed, so a
+    reduction over the k entries of each row, or over the n rows of one
+    column, reads contiguous memory.
     """
-    rows = np.asarray(weights, dtype=np.int64)[np.asarray(indices, dtype=np.intp)]
-    return np.cumsum(rows, axis=0, out=rows)
+    columns = np.asarray(weights, dtype=np.int64).T.take(np.asarray(indices, dtype=np.intp), axis=1)
+    return np.cumsum(columns, axis=1, out=columns).T
 
 
 @dataclass(frozen=True)

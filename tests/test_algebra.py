@@ -80,6 +80,27 @@ def swinnerton_dyer_blocks():
     return IntMatrix(rows)
 
 
+class TestIntMatrix:
+    ROWS = [[2, 0, 1], [1, 0, 0], [0, 1, 2]]
+
+    def test_rows_from_an_iterator(self):
+        assert IntMatrix(iter(self.ROWS)) == IntMatrix(self.ROWS)
+
+    def test_rows_from_a_generator(self):
+        m = IntMatrix(iter(row) for row in self.ROWS)
+        assert m.rows == ((2, 0, 1), (1, 0, 0), (0, 1, 2))
+
+    @pytest.mark.parametrize("rows", [[], iter([]), (row for row in [])])
+    def test_refuses_no_rows(self, rows):
+        with pytest.raises(ValueError, match="dimension >= 1"):
+            IntMatrix(rows)
+
+    @pytest.mark.parametrize("rows", [[[1, 2]], iter([[1, 2], [3]]), ([1, 2, 3] for _ in range(2))])
+    def test_refuses_rows_that_are_not_square(self, rows):
+        with pytest.raises(ValueError, match="square"):
+            IntMatrix(rows)
+
+
 class TestCharPoly:
     def test_tribonacci(self):
         assert char_poly(incidence_matrix(tribonacci())) == TRIB_POLY

@@ -29,6 +29,7 @@ from rauzykit import (
     spectral_split,
     stream_for,
 )
+from rauzykit.fractal import _ROWS_PER_WRITE
 from rauzykit.selfcheck import flipped_tribonacci
 
 
@@ -78,6 +79,44 @@ class TestBrokenLine:
         sums = prefix_counts(stream.prefix_indices(100), np.eye(3, dtype=np.int64))
         steps = np.diff(sums, axis=0)
         assert ((steps >= 0).all() and (steps.sum(axis=1) == 1).all())
+
+
+class TestColumnMajorLayout:
+    """Prefix counts and cloud coordinates are column-major, so reductions
+    along the short axis read contiguous memory; their values are those of
+    the row-major reference."""
+
+    def test_prefix_counts(self):
+        idx = stream_for(tribonacci()).prefix_indices(1000)
+        weights = np.random.default_rng(3).integers(-5, 6, size=(3, 4))
+        for w in (np.eye(3, dtype=np.int64), weights):
+            sums = prefix_counts(idx, w)
+            assert sums.flags.f_contiguous and sums.dtype == np.int64
+            assert np.array_equal(sums, np.cumsum(w[idx], axis=0))
+
+    def test_rauzy_cloud_and_its_reflection(self):
+        op = tribonacci_operator()
+        cloud = rauzy_cloud(tribonacci(), 1000, op)
+        idx = stream_for(tribonacci()).prefix_indices(1000)
+        reference = op.project_many(np.cumsum(np.eye(3, dtype=np.int64)[idx], axis=0))
+        assert cloud.coords.flags.f_contiguous and np.array_equal(cloud.coords, reference)
+        reflected = reflect_cloud(cloud)
+        assert reflected.coords.flags.f_contiguous and np.array_equal(reflected.coords, -reference)
+
+    def test_intersection_cloud(self):
+        sub = flipped_tribonacci()
+        op = projection_operator(spectral_split(incidence_matrix(sub)))
+        pair_sub = run_bpa(sub, reverse_substitution(sub))
+        cloud = intersection_cloud(pair_sub, op, 1000)
+        prefix = stream_for(pair_sub.substitution).prefix_indices(1000)
+        reference = op.project_many(np.cumsum(pair_sub.letter_images[prefix], axis=0))
+        assert cloud.coords.flags.f_contiguous and np.array_equal(cloud.coords, reference)
+
+    def test_cloud_from_a_row_major_array(self):
+        coords = np.arange(12, dtype=float).reshape(6, 2)
+        assert coords.flags.c_contiguous
+        cloud = point_cloud(coords)
+        assert cloud.coords.flags.f_contiguous and np.array_equal(cloud.coords, coords)
 
 
 class TestRauzyCloud:
@@ -362,6 +401,13 @@ EXPORT_CASES = {
         )
     ],
     "empty": lambda: [point_cloud(np.zeros((0, 2)), labels=())],
+    # a label that would be format text if it ever reached the template
+    "percent-labels": lambda: [labeled_cloud(2, 30, ("%", "%s", "%%d"))],
+    # one block short of, at, and past the writers' block size
+    "block-less-one": lambda: [labeled_cloud(2, _ROWS_PER_WRITE - 1, ("a", "b", "c"))],
+    "block-exact": lambda: [labeled_cloud(2, _ROWS_PER_WRITE, ("a", "b", "c"))],
+    "block-plus-one": lambda: [labeled_cloud(2, _ROWS_PER_WRITE + 1, ("a", "b", "c"))],
+    "two-blocks-plus-one": lambda: [labeled_cloud(1, 2 * _ROWS_PER_WRITE + 1, SPECIAL_LABELS)],
     "tribonacci": lambda: [rauzy_cloud(tribonacci(), 3000, tribonacci_operator())],
     "flipped-tribonacci-pairs": lambda: [flipped_intersection_cloud()],
 }
