@@ -13,7 +13,6 @@ from .algebra import (
     IntPolynomial,
     PisotReport,
     Root,
-    all_roots,
     char_poly,
     classify_pisot,
     dominant_real_root,

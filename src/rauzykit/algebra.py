@@ -296,6 +296,28 @@ def _powmod(a: list[int], e: int, f: list[int], m: int) -> list[int]:
     return result
 
 
+def _qinverse(a: Sequence[int], f: Sequence[int]) -> list[Fraction]:
+    """The inverse over Q of a modulo f, of degree below deg f, for coprime a
+    and f: extended Euclid on Fraction lists, keeping r = u a (mod f) along
+    the remainder sequence of f and a until r is a nonzero constant."""
+    r0, r1 = [Fraction(c) for c in f], [Fraction(c) for c in a]
+    u0, u1 = [], [Fraction(1)]
+    while len(r1) > 1:
+        r, q = list(r0), [Fraction(0)] * max(len(r0) - len(r1) + 1, 0)
+        for i in range(len(q) - 1, -1, -1):
+            q[i] = r[i + len(r1) - 1] / r1[-1]
+            for j, c in enumerate(r1):
+                r[i + j] -= q[i] * c
+        r = r[:len(r1) - 1]
+        while r and not r[-1]:
+            r.pop()
+        r0, r1 = r1, r
+        u0, u1 = u1, _add(u0, [-c for c in _zmul(q, u1)])
+    while u1 and not u1[-1]:
+        u1.pop()
+    return [c / r1[0] for c in u1]
+
+
 def poly_divides(d: IntPolynomial, p: IntPolynomial) -> bool:
     """True iff d divides p over Q (sign-insensitive)."""
     if d.is_zero:
@@ -858,23 +880,6 @@ def _roots_near(p: IntPolynomial, dom: DominantRoot | None, tol: float) -> list[
         nearest = min(range(len(estimates)), key=lambda i: abs(estimates[i] - dom.value))
         estimates[nearest] = complex(dom.value)
     return _newton(p, estimates, tol)
-
-
-def all_roots(p: IntPolynomial, tol: float = 1e-10) -> list[Root]:
-    """All deg(p) complex roots, Newton-refined until |p(z)| / ||p|| < tol.
-
-    The largest real root is snapped to its sign-bisected value when
-    dominant_real_root can bracket it, and otherwise, as at a root of even
-    multiplicity, left to numpy's estimate and Newton's steps.  Raises
-    NoConvergence (with the residual) if refinement stalls.
-    """
-    if p.degree < 1:
-        raise ValueError("need degree >= 1")
-    try:
-        dom = dominant_real_root(p)
-    except NoConvergence:
-        dom = None
-    return _roots_near(p, dom, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,7 @@ def cli():
 
 @cli.command("analyze")
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--tol", type=_TOLERANCE, default=1e-10, show_default=True, help="Spectral residual tolerance.")
+@click.option("--tol", type=_TOLERANCE, default=1e-10, show_default=True, help="Root and projector tolerance.")
 def cmd_analyze(path, tol):
     """Classify a substitution file and print a JSON report."""
     sub = load_substitution(path)
@@ -127,9 +127,7 @@ def cmd_analyze(path, tol):
         op = projection_operator(split)
         spectral = {
             "contracting_dimension": split.stable_dim,
-            "complementary_dimension": split.basis_c.shape[1],
-            "condition_number": split.condition_number,
-            "residuals": list(split.residuals),
+            "complementary_dimension": split.complementary_dim,
             "chart_rows": [list(row) for row in op.chart],
         }
     except (NotPisot, NotPrimitive, IllConditioned):

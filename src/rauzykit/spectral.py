@@ -1,48 +1,65 @@
-"""Invariant-subspace splitting and projection onto the contracting plane.
+"""The projector onto the contracting space, read off the factorisation.
 
-The ambient space R^k decomposes into the expanding line of the dominant
-eigenvalue, the contracting space spanned by the eigenvectors of its
-conjugates, and the complementary space of the remaining eigenvalues.
-Floating point (binary64) with explicit residual checks; complex eigenpairs
-become (real, imaginary) column pairs.
+Let M be primitive with characteristic polynomial p = f c, where f is the
+minimal polynomial of the Perron root lambda.  Lambda is a simple root of p
+(Perron-Frobenius), so f divides p once and gcd(f, c) = 1 over Q.
+
+Bezout: s f + t c = 1 for some s, t in Q[x].  Then e = t c mod p, which is
+c (c^-1 mod f), gives E = e(M), the projector onto ker f(M) along ker c(M):
+on ker f(M), t(M) c(M) = 1 - s(M) f(M) = 1, and on ker c(M) it is 0; the
+two kernels span R^k because p(M) = 0.  E = I when p is irreducible.  E is
+exact: e has rational coefficients, and e(M) is evaluated by Horner's rule
+in integers over one common denominator.
+
+On ker f(M), M has the distinct eigenvalues lambda and its conjugates.  With
+h = f / (x - lambda), h(M) kills every conjugate eigenvector and multiplies
+the lambda-eigenvector by h(lambda) != 0, so P_lambda = h(M) E / h(lambda)
+is the projector onto the expanding line along the conjugate eigenvectors
+and ker c(M), and P = E - P_lambda is the projector onto the contracting
+space (spanned by the conjugate eigenvectors) along the expanding line and
+the complementary space ker c(M).  Floating point enters only through
+lambda, the float Perron root sharpened by one exact Newton step and held
+in long double, in which h and h(M) E are evaluated before P is rounded to
+double; P^2 = P and P P_lambda = 0 are checked against tol.
+
+The chart of the contracting space is the QR factorisation of the
+conjugate eigenvectors, one SVD null vector of M - mu per conjugate mu;
+a complex pair gives its (real, imaginary) column pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .algebra import IntMatrix, PisotReport, _newton, all_roots, classify_pisot, poly_exact_div
-from .errors import IllConditioned, NoConvergence, NotPisot, NotPrimitive
+from .algebra import IntMatrix, PisotReport, _newton, _qinverse, _zmul, classify_pisot, poly_exact_div
+from .errors import IllConditioned, NotPisot, NotPrimitive
 
 DEFAULT_TOL = 1e-10
-CONDITION_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
 class SpectralSplit:
-    """Bases of the expanding, contracting, and complementary subspaces.
-
-    Columns of [basis_u | basis_s | basis_c] span R^k; residuals record
-    per-column invariance defects; report classifies the matrix split.
-    """
+    """The contracting projector P, the expanding projector P_lambda, and the
+    conjugate eigenvectors (columns of basis_s) that span the image of P."""
 
     report: PisotReport
-    basis_u: np.ndarray
     basis_s: np.ndarray
-    basis_c: np.ndarray
-    residuals: tuple[float, ...]
-    condition_number: float
+    projector: np.ndarray
+    expanding: np.ndarray
     tol: float
 
     @property
     def stable_dim(self) -> int:
         return self.basis_s.shape[1]
 
-    def full_basis(self) -> np.ndarray:
-        return np.hstack([self.basis_u, self.basis_s, self.basis_c])
+    @property
+    def complementary_dim(self) -> int:
+        """deg c, the dimension of ker c(M)."""
+        return self.report.char_poly.degree - self.report.minimal_polynomial.degree
 
 
 @dataclass(frozen=True)
@@ -71,19 +88,33 @@ def _canonical_sign(column: np.ndarray) -> np.ndarray:
     return -column if column[j] < 0 else column
 
 
-def _null_columns(a: np.ndarray, count: int) -> np.ndarray:
-    """The `count` right-singular vectors of smallest singular value."""
-    _, _, vh = np.linalg.svd(a)
-    return vh[-count:].conj().T
+def _null_column(a: np.ndarray) -> np.ndarray:
+    """The right-singular vector of smallest singular value."""
+    return np.linalg.svd(a)[2][-1].conj()
+
+
+def _bezout_idempotent(report: PisotReport) -> tuple[np.ndarray, int]:
+    """(A, D) with E = A / D exactly: A an integer (object) array, D >= 1."""
+    f = report.minimal_polynomial.coeffs
+    c = poly_exact_div(report.char_poly, report.minimal_polynomial).coeffs
+    u = _qinverse(c, f)
+    den = math.lcm(*(x.denominator for x in u))
+    e = _zmul(c, [int(x * den) for x in u])
+    m = np.array(report.matrix.rows, dtype=object)
+    ones = np.identity(len(m), dtype=object)
+    acc = e[-1] * ones
+    for coeff in reversed(e[:-1]):
+        acc = acc @ m + coeff * ones
+    return acc, den
 
 
 def spectral_split(matrix_or_report: IntMatrix | PisotReport, tol: float = DEFAULT_TOL) -> SpectralSplit:
-    """Split R^k by the dominant eigenvalue, its conjugates, and the rest.
+    """P and P_lambda from the factorisation p = f c, and the conjugate eigenvectors.
 
     Takes a classify_pisot report, or a matrix that is classified here.
-    Requires a primitive matrix whose dominant root is Pisot; the
-    complementary block is empty exactly when the characteristic polynomial
-    is irreducible.  tol, which bounds every residual check, must be finite and > 0.
+    Requires a primitive matrix whose dominant root is Pisot.  tol, finite
+    and > 0, bounds the Newton refinement of the conjugates, and the
+    projection_operator checks P^2 = P and P P_lambda = 0.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
@@ -100,100 +131,58 @@ def spectral_split(matrix_or_report: IntMatrix | PisotReport, tol: float = DEFAU
     mf = report.matrix.to_numpy()
     lam = report.perron_root
     minpoly = report.minimal_polynomial
-    cofactor = poly_exact_div(report.char_poly, minpoly)
 
-    basis_u = _null_columns(mf - lam * np.eye(k), 1).real
-    basis_u = _canonical_sign(basis_u[:, 0]).reshape(k, 1)
-    if np.sum(basis_u) < 0:
-        basis_u = -basis_u
-    residuals = [float(np.linalg.norm(mf @ basis_u[:, 0] - lam * basis_u[:, 0]))]
-
-    def eig_columns(found, skip_value=None):
-        cols = []
-        res = []
-        roots = sorted(
-            (r.value for r in found),
-            key=lambda z: (round(z.real, 9), round(z.imag, 9)),
-        )
-        if skip_value is not None:
-            nearest = min(range(len(roots)), key=lambda i: abs(roots[i] - skip_value))
-            roots = [z for i, z in enumerate(roots) if i != nearest]
-        # cluster equal roots to handle multiplicities
-        clusters: list[list[complex]] = []
-        for z in roots:
-            for cluster in clusters:
-                if abs(z - cluster[0]) < 1e-6 * (1 + abs(z)):
-                    cluster.append(z)
-                    break
-            else:
-                clusters.append([z])
-        for cluster in clusters:
-            mu = sum(cluster) / len(cluster)
-            mult = len(cluster)
-            if mu.imag < -1e-9:
-                continue  # conjugate partner handled with imag > 0
-            if abs(mu.imag) <= 1e-9:
-                mu_r = mu.real
-                a = np.linalg.matrix_power(mf - mu_r * np.eye(k), mult)
-                vecs = _null_columns(a, mult).real
-                for idx in range(mult):
-                    v = _canonical_sign(vecs[:, idx])
-                    cols.append(v.reshape(k, 1))
-                    res.append(float(np.linalg.norm(a @ v)))
-            else:
-                a = np.linalg.matrix_power(mf - mu * np.eye(k, dtype=complex), mult)
-                vecs = _null_columns(a, mult)
-                for idx in range(mult):
-                    w = vecs[:, idx]
-                    j = int(np.argmax(np.abs(w)))
-                    w = w * np.exp(-1j * np.angle(w[j]))
-                    block = np.column_stack([w.real, w.imag])
-                    cols.append(block)
-                    r = float(np.linalg.norm(a @ w))
-                    res.extend([r, r])
-        if cols:
-            return np.hstack(cols), res
-        return np.zeros((k, 0)), res
+    numerator, den = _bezout_idempotent(report)
+    idem = numerator.astype(np.longdouble) / den
+    at = Fraction(lam)
+    step = -minpoly.evaluate(at) / minpoly.derivative().evaluate(at)
+    lam_ld = np.longdouble(lam) + np.longdouble(float(step))
+    h = [np.longdouble(minpoly.coeffs[-1])]  # f / (x - lambda), highest degree first
+    for coeff in minpoly.coeffs[-2:0:-1]:
+        h.append(coeff + lam_ld * h[-1])
+    m_ld = mf.astype(np.longdouble)
+    acc, h_lam = h[0] * idem, h[0]
+    for coeff in h[1:]:
+        acc = m_ld @ acc + coeff * idem
+        h_lam = h_lam * lam_ld + coeff
+    expanding = acc / h_lam
 
     # the report's roots are refined to 1e-10 already; a tighter tol goes on
     # from them along the same Newton steps
-    root_tol = min(tol, 1e-10)
-    basis_s, res_s = eig_columns(_newton(minpoly, (r.value for r in report.roots), root_tol), lam)
-    basis_c, res_c = eig_columns(all_roots(cofactor, root_tol) if cofactor.degree >= 1 else [])
-    residuals.extend(res_s)
-    residuals.extend(res_c)
-
-    full = np.hstack([basis_u, basis_s, basis_c])
-    if full.shape != (k, k):
-        raise IllConditioned("eigenbasis does not span the ambient space")
-    cond = float(np.linalg.cond(full))
-    if cond > CONDITION_LIMIT:
-        raise IllConditioned(f"basis condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
-    if residuals[0] > tol:
-        raise NoConvergence(f"dominant eigenvector residual {residuals[0]:.3e} above {tol:.1e}")
+    roots = sorted(
+        (r.value for r in _newton(minpoly, (r.value for r in report.roots), min(tol, 1e-10))),
+        key=lambda z: (round(z.real, 9), round(z.imag, 9)),
+    )
+    nearest = min(range(len(roots)), key=lambda i: abs(roots[i] - lam))
+    cols = []
+    for i, mu in enumerate(roots):
+        if i == nearest or mu.imag < -1e-9:
+            continue  # lambda, or a conjugate partner handled with imag > 0
+        if abs(mu.imag) <= 1e-9:
+            cols.append(_canonical_sign(_null_column(mf - mu.real * np.eye(k)).real))
+        else:
+            w = _null_column(mf - mu * np.eye(k, dtype=complex))
+            j = int(np.argmax(np.abs(w)))
+            w = w * np.exp(-1j * np.angle(w[j]))
+            cols.extend([w.real, w.imag])
+    basis_s = np.column_stack(cols) if cols else np.zeros((k, 0))
     if basis_s.shape[1] != minpoly.degree - 1:
         raise IllConditioned("contracting dimension disagrees with the conjugate count")
 
     return SpectralSplit(
         report=report,
-        basis_u=basis_u,
         basis_s=basis_s,
-        basis_c=basis_c,
-        residuals=tuple(residuals),
-        condition_number=cond,
+        projector=(idem - expanding).astype(float),
+        expanding=expanding.astype(float),
         tol=tol,
     )
 
 
 def projection_operator(split: SpectralSplit) -> ProjectionOperator:
-    """P = B diag(0, I_d, 0) B^{-1} with an orthonormal chart of the contracting block."""
+    """P with an orthonormal chart of the contracting space (QR of basis_s)."""
     k = split.report.matrix.dim
     d = split.stable_dim
-    b = split.full_basis()
-    selector = np.zeros((k, k))
-    for i in range(1, 1 + d):
-        selector[i, i] = 1.0
-    p = b @ selector @ np.linalg.inv(b)
+    p = split.projector
 
     q, r = np.linalg.qr(split.basis_s) if d else (np.zeros((k, 0)), np.zeros((0, 0)))
     if d:
@@ -203,11 +192,10 @@ def projection_operator(split: SpectralSplit) -> ProjectionOperator:
     chart = q.T
 
     tol = split.tol
-    idem = float(np.max(np.abs(p @ p - p))) if k else 0.0
+    idem = float(np.max(np.abs(p @ p - p)))
     if idem > tol:
         raise IllConditioned(f"projector idempotency defect {idem:.3e} above {tol:.1e}")
-    kernel = float(np.linalg.norm(p @ split.basis_u))
+    kernel = float(np.max(np.abs(p @ split.expanding)))
     if kernel > tol:
         raise IllConditioned(f"projector does not annihilate the expanding line ({kernel:.3e})")
     return ProjectionOperator(matrix=p, chart=chart, tol=tol, report=split.report)
-

@@ -12,7 +12,6 @@ that are already valid are built by ``_trusted``, which skips the checks.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -289,8 +288,9 @@ class InfiniteWordStream:
 
     The buffer is a numpy array of letter_dtype(alphabet size).  It only
     ever grows, by applying the substitution to the whole buffer, so it is
-    always a prefix of the fixed point.  Growth happens under a lock; readers
-    see a consistent prefix.  prefix_indices and indices_range return int64.
+    always a prefix of the fixed point.  Growth takes no lock, so a stream
+    must not be read from two threads at once.  prefix_indices and
+    indices_range return int64.
     """
 
     def __init__(self, substitution: Substitution, seed_letter: int, power: int):
@@ -309,13 +309,11 @@ class InfiniteWordStream:
         self.seed_letter = seed_letter
         self.power = power
         self._buffer = np.array([seed_letter], dtype=letter_dtype(k))
-        self._lock = threading.Lock()
 
     def _grow_to(self, n: int) -> None:
-        with self._lock:
-            while len(self._buffer) < n:
-                for _ in range(self.power):
-                    self._buffer = self.substitution.apply_indices(self._buffer)
+        while len(self._buffer) < n:
+            for _ in range(self.power):
+                self._buffer = self.substitution.apply_indices(self._buffer)
 
     def __len__(self):
         return len(self._buffer)

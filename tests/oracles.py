@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from rauzykit import DimensionMismatch, IntMatrix, IntPolynomial
+from rauzykit import DimensionMismatch, IntMatrix, IntPolynomial, NoConvergence, Root, dominant_real_root
+from rauzykit.algebra import _roots_near
 from rauzykit.fractal import PALETTE
 
 
@@ -75,6 +76,23 @@ def evaluate_at_matrix(p: IntPolynomial, m: IntMatrix) -> IntMatrix:
             for i in range(k)
         ]
     return IntMatrix(acc)
+
+
+def all_roots(p: IntPolynomial, tol: float = 1e-10) -> list[Root]:
+    """All deg(p) complex roots, Newton-refined until |p(z)| / ||p|| < tol.
+
+    The largest real root is snapped to its sign-bisected value when
+    dominant_real_root can bracket it, and otherwise, as at a root of even
+    multiplicity, left to numpy's estimate and Newton's steps.  Raises
+    NoConvergence (with the residual) if refinement stalls.
+    """
+    if p.degree < 1:
+        raise ValueError("need degree >= 1")
+    try:
+        dom = dominant_real_root(p)
+    except NoConvergence:
+        dom = None
+    return _roots_near(p, dom, tol)
 
 
 def fraction_dominant_real_root(p: IntPolynomial) -> tuple[float, Fraction, Fraction]:
@@ -150,6 +168,48 @@ def sympy_largest_real_root(p: IntPolynomial, digits: int = 40):
 
     x = sympy.Symbol("x")
     return max(sympy.real_roots(sympy.Poly(list(reversed(p.coeffs)), x))).evalf(digits)
+
+
+def sympy_contracting_projector(m: IntMatrix, f: IntPolynomial, digits: int = 50):
+    """The projector onto M's contracting space along the rest, as an mpmath
+    matrix to `digits` digits, for a primitive M whose Perron root has the
+    minimal polynomial f: E - v w^T / (w^T v).
+
+    E = e(M) in rationals, with e = t c rem p for sympy's gcdex(f, c) = (s, t, 1)
+    and c = p / f, p from sympy's charpoly; v and w are the right and left
+    Perron vectors, solved in mpmath with v_0 = w_0 = 1 at the largest real
+    root of f, found by mpmath's Newton steps from numpy's estimate.
+    """
+    import mpmath
+    import sympy
+
+    x = sympy.Symbol("x")
+    a = sympy.Matrix(m.rows)
+    p = a.charpoly(x).as_expr()
+    fx = sympy.Poly(list(reversed(f.coeffs)), x).as_expr()
+    c = sympy.quo(p, fx, x)
+    _, t, g = sympy.gcdex(fx, c, x)
+    assert g == 1
+    e = sympy.Poly(sympy.rem(t * c, p, x), x).all_coeffs()
+    idem = sympy.zeros(m.dim, m.dim)
+    for coeff in e:
+        idem = idem * a + coeff * sympy.eye(m.dim)
+    start = max(z.real for z in np.roots(f.coeffs[::-1]) if abs(z.imag) < 1e-9)
+    with mpmath.workdps(digits + 10):
+        lam = mpmath.findroot(lambda z: mpmath.polyval(list(reversed(f.coeffs)), z), start)
+        shifted = mpmath.matrix(m.rows) - lam * mpmath.eye(m.dim)
+        vectors = []
+        for b in (shifted, shifted.T):
+            rest = mpmath.lu_solve(b[1:, 1:], -b[1:, 0])
+            vectors.append([mpmath.mpf(1)] + [rest[i] for i in range(m.dim - 1)])
+        v, w = vectors
+        scale = mpmath.fsum(vi * wi for vi, wi in zip(v, w))
+        return mpmath.matrix(
+            [
+                [mpmath.mpf(idem[i, j].p) / idem[i, j].q - v[i] * w[j] / scale for j in range(m.dim)]
+                for i in range(m.dim)
+            ]
+        )
 
 
 # export oracles: the row-at-a-time loop writers that export_csv and

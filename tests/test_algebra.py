@@ -5,6 +5,7 @@ import pytest
 
 from conftest import fibonacci, kbonacci, random_substitution, tribonacci
 from oracles import (
+    all_roots,
     bareiss_determinant,
     char_poly_via_cofactors,
     evaluate_at_matrix,
@@ -24,7 +25,6 @@ from rauzykit import (
     NoConvergence,
     Substitution,
     TooManyModularFactors,
-    all_roots,
     char_poly,
     classify_pisot,
     dominant_real_root,
@@ -509,7 +509,7 @@ class TestClassification:
             raise AssertionError("root work before the recombination refusal")
 
         monkeypatch.setattr(algebra, "dominant_real_root", no_roots)
-        monkeypatch.setattr(algebra, "all_roots", no_roots)
+        monkeypatch.setattr(algebra, "_roots_near", no_roots)
         m = swinnerton_dyer_blocks()
         assert m.dim // 2 > MODULAR_FACTOR_CAP  # two or more factors per quartic block
         with pytest.raises(TooManyModularFactors):

@@ -377,16 +377,16 @@ class TestRootsComputedOnce:
         assert run(capsys, args)[0] == 0
         assert len(brackets) == 1
 
-    def test_reducible_char_poly_adds_only_the_cofactor(self, files, capsys, brackets):
-        # one bracket classifies and seeds the conjugates, one seeds the
-        # cofactor's roots in the spectral split
+    def test_reducible_char_poly_brackets_once(self, files, capsys, brackets):
+        # one bracket classifies and seeds the conjugates; the spectral split
+        # reads the cofactor's part off the factorisation and finds no root
         path = files["dir"] / "reducible.json"
         rules = {"z": "gh", "h": "gr", "q": "gh", "g": "zr", "r": "hq"}
         path.write_text(json.dumps({"alphabet": list("zhqgr"), "rules": rules}))
         code, out, _ = run(capsys, ["analyze", str(path)])
         assert code == 0
         assert json.loads(out)["spectral"]["complementary_dimension"] > 0
-        assert len(brackets) == 2
+        assert len(brackets) == 1
 
 
 class TestRefusals:

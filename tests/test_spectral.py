@@ -6,19 +6,23 @@ import pytest
 
 import rauzykit.spectral as spectral
 from conftest import fibonacci, kbonacci, random_primitive_substitution, tribonacci
+from oracles import all_roots, evaluate_at_matrix, sympy_contracting_projector
 from rauzykit import (
     IndeterminateClassification,
     IntMatrix,
     NoConvergence,
     NotPisot,
-    all_roots,
+    Substitution,
     classify_pisot,
+    factor_over_z,
     incidence_matrix,
     prefix_counts,
     projection_operator,
     spectral_split,
     stream_for,
+    substitution_to_dict,
 )
+from rauzykit.selfcheck import family_substitution, flipped_tribonacci
 
 
 def tribonacci_operator():
@@ -31,26 +35,38 @@ def project(op, v):
     return op.project_many(np.atleast_2d(v))[0]
 
 
+def perron_vector(m: IntMatrix) -> np.ndarray:
+    """numpy's eigenvector of the eigenvalue of largest real part, the Perron
+    root of a primitive matrix."""
+    values, vectors = np.linalg.eig(m.to_numpy())
+    return vectors[:, np.argmax(values.real)].real
+
+
 class TestSpectralSplit:
     def test_tribonacci_dimensions(self):
-        split, _ = tribonacci_operator()
-        assert split.basis_u.shape == (3, 1)
+        split, op = tribonacci_operator()
+        assert np.trace(split.expanding) == pytest.approx(1.0, abs=1e-12)  # one expanding line
         assert split.stable_dim == 2
-        assert split.basis_c.shape == (3, 0)  # irreducible: no complementary space
-        assert max(split.residuals) < 1e-10
-        assert split.condition_number < 1e8
+        assert split.complementary_dim == 0  # irreducible: no complementary space
+        m = split.report.matrix.to_numpy()
+        # the conjugate eigenvectors span an invariant plane
+        block = np.linalg.lstsq(split.basis_s, m @ split.basis_s, rcond=None)[0]
+        assert np.max(np.abs(m @ split.basis_s - split.basis_s @ block)) < 1e-10
+        assert np.linalg.norm(op.matrix @ perron_vector(split.report.matrix)) < 1e-12
 
     def test_fibonacci_line(self):
         split = spectral_split(incidence_matrix(fibonacci()))
         assert split.stable_dim == 1
-        assert split.basis_c.shape == (2, 0)
+        assert split.complementary_dim == 0
 
     def test_reducible_three_by_three(self):
         # char poly (x^2 - 3x + 1)(x - 1): one expanding, one contracting,
         # one complementary direction
         m = IntMatrix([[2, 0, 1], [1, 0, 0], [0, 1, 2]])
         split = spectral_split(m)
-        assert (split.basis_u.shape[1], split.stable_dim, split.basis_c.shape[1]) == (1, 1, 1)
+        assert np.trace(split.expanding) == pytest.approx(1.0, abs=1e-12)
+        assert (split.stable_dim, split.complementary_dim) == (1, 1)
+        assert np.linalg.matrix_rank(split.projector) == 1
         assert split.report.perron_root == pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-12)
 
     def test_factor_search_runs_once_per_split(self, monkeypatch):
@@ -73,10 +89,10 @@ class TestSpectralSplit:
         spectral_split(m)
         assert len(calls) == one_search
 
-    def test_perron_vector_positive(self):
+    def test_expanding_projector_positive(self):
+        # P_lambda = v w^T / (w^T v) for the positive right and left Perron vectors
         split, _ = tribonacci_operator()
-        assert (split.basis_u > 0).all() or (split.basis_u < 0).all()
-        assert np.sum(split.basis_u) > 0
+        assert (split.expanding > 0).all()
 
     def test_rejects_non_pisot(self):
         # char poly x^2 - x - 3: conjugate modulus (sqrt(13) - 1) / 2 > 1
@@ -88,9 +104,10 @@ class TestSpectralSplit:
         # contracting space is trivial and the rest is complementary
         split = spectral_split(IntMatrix([[2, 1], [1, 2]]))
         assert split.stable_dim == 0
-        assert split.basis_c.shape == (2, 1)
+        assert split.complementary_dim == 1
         op = projection_operator(split)
         assert op.chart.shape == (0, 2)
+        assert np.max(np.abs(op.matrix)) < 1e-15
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
     def test_rejects_tolerance_that_is_not_finite_and_positive(self, tol):
@@ -106,7 +123,7 @@ class TestProjectionOperator:
 
     def test_kills_expanding_direction(self):
         split, op = tribonacci_operator()
-        assert np.linalg.norm(op.matrix @ split.basis_u) < 1e-10
+        assert np.linalg.norm(op.matrix @ perron_vector(split.report.matrix)) < 1e-10
 
     def test_fixes_contracting_space(self):
         split, op = tribonacci_operator()
@@ -198,7 +215,7 @@ class TestRandomizedResiduals:
             op = projection_operator(split)
             p = op.matrix
             assert np.max(np.abs(p @ p - p)) < 1e-9
-            assert np.linalg.norm(p @ split.basis_u) < 1e-9
+            assert np.linalg.norm(p @ perron_vector(report.matrix)) < 1e-9
             checked += 1
 
 
@@ -222,7 +239,7 @@ def without_nearest(values, target):
 
 class TestContractingRootsFromReport:
     """spectral_split refines the conjugates carried by the report instead of
-    recomputing the minimal polynomial's roots."""
+    recomputing the minimal polynomial's roots: it finds no root at all."""
 
     SUBSTITUTIONS = [kbonacci(k) for k in range(3, 9)] + random_pisot_substitutions(71, 30)
 
@@ -230,28 +247,28 @@ class TestContractingRootsFromReport:
     @pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-15])
     def test_equal_to_fresh_roots(self, tol, monkeypatch):
         refined, fresh = [], []
-        newton, roots_of = spectral._newton, spectral.all_roots
+        newton, roots_of = spectral._newton, np.roots
 
         def recording_newton(p, starts, t):
             roots = newton(p, starts, t)
             refined.append((p, [r.value for r in roots]))
             return roots
 
-        def recording_all_roots(p, tol):
-            fresh.append(p)
-            return roots_of(p, tol=tol)
+        def recording_roots(coeffs):
+            fresh.append(coeffs)
+            return roots_of(coeffs)
 
         monkeypatch.setattr(spectral, "_newton", recording_newton)
-        monkeypatch.setattr(spectral, "all_roots", recording_all_roots)
+        monkeypatch.setattr(np, "roots", recording_roots)
         for sub in self.SUBSTITUTIONS:
             report = classify_pisot(sub)
             refined.clear()
             fresh.clear()
             try:
                 spectral_split(report, tol)
-            except NoConvergence:  # a stalled root, or an eigenvector residual above tol
+            except NoConvergence:  # a stalled root
                 pass
-            assert report.minimal_polynomial not in fresh
+            assert not fresh
             if not refined:
                 with pytest.raises(NoConvergence):
                     all_roots(report.minimal_polynomial, tol)
@@ -261,3 +278,84 @@ class TestContractingRootsFromReport:
             lam = report.perron_root
             want = [r.value for r in all_roots(report.minimal_polynomial, tol)]
             assert without_nearest(values, lam) == without_nearest(want, lam)
+
+
+def reducible_pisot_substitutions(seed, count):
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        sub = random_primitive_substitution(rng, k=rng.choice([4, 5, 6]), max_len=3)
+        try:
+            report = classify_pisot(sub)
+        except IndeterminateClassification:
+            continue
+        if report.is_pisot and not report.is_irreducible:
+            found.append(sub)
+    return found
+
+
+# p = (x - 1)^2 (x^3 - 2x^2 - x - 1): the first Pisot substitution with a
+# repeated cofactor factor that random_primitive_substitution(rng,
+# k=rng.choice([4, 5, 6]), max_len=3) draws from rng = random.Random(8)
+REPEATED_COFACTOR = Substitution.from_rules(
+    list("abcde"), {"a": "eaa", "b": "a", "c": "ccb", "d": "c", "e": "bcd"}
+)
+
+EXACT_PROJECTOR_INPUTS = (
+    [kbonacci(k) for k in range(3, 21)]
+    + [tribonacci(), flipped_tribonacci()]
+    + [family_substitution(i) for i in range(1, 5)]
+    + reducible_pisot_substitutions(17, 24)
+    + [REPEATED_COFACTOR]
+)
+
+
+def rules_id(sub):
+    return "-".join("".join(image) for image in substitution_to_dict(sub)["rules"].values())
+
+
+class TestExactProjector:
+    """P = E - P_lambda, with E = e(M) from Bezout's identity for f and c = p / f."""
+
+    def test_repeated_cofactor_input(self):
+        report = classify_pisot(REPEATED_COFACTOR)
+        assert report.is_pisot and report.is_unimodular
+        assert [(f.poly.coeffs, f.multiplicity) for f in factor_over_z(report.char_poly)] == [
+            ((-1, 1), 2),
+            ((-1, -1, -2, 1), 1),
+        ]
+
+    @pytest.mark.parametrize("sub", EXACT_PROJECTOR_INPUTS, ids=rules_id)
+    def test_idempotent_is_exact(self, sub):
+        report = classify_pisot(sub)
+        numerator, den = spectral._bezout_idempotent(report)
+        m = np.array(report.matrix.rows, dtype=object)
+        k = report.matrix.dim
+        assert (numerator @ numerator == den * numerator).all()  # E^2 = E
+        assert (numerator @ m == m @ numerator).all()  # E M = M E
+        f_of_m = np.array(evaluate_at_matrix(report.minimal_polynomial, report.matrix).rows, dtype=object)
+        assert not (f_of_m @ numerator).any()  # the image of E lies in ker f(M)
+        assert np.trace(numerator) == den * report.minimal_polynomial.degree  # and fills it
+        if report.is_irreducible:
+            assert den == 1 and (numerator == np.eye(k, dtype=int)).all()
+
+    def test_matches_a_fifty_digit_projector(self):
+        # at most 4e-16 per entry, relative to max(1, |entry|): above 4, half
+        # a binary64 ulp exceeds 4e-16 itself; P is evaluated in long double,
+        # and where that is no wider than double, a few ulps of Horner's
+        # rounding remain
+        pytest.importorskip("sympy")
+        mpmath = pytest.importorskip("mpmath")
+        bound = 4e-16 if np.finfo(np.longdouble).eps < np.finfo(float).eps else 2e-15
+        reducible = 0
+        for sub in EXACT_PROJECTOR_INPUTS:
+            report = classify_pisot(sub)
+            reducible += not report.is_irreducible
+            p = projection_operator(spectral_split(report)).matrix
+            want = sympy_contracting_projector(report.matrix, report.minimal_polynomial)
+            k = report.matrix.dim
+            for i in range(k):
+                for j in range(k):
+                    err = abs(mpmath.mpf(p[i, j]) - want[i, j])
+                    assert err <= bound * max(1, abs(want[i, j])), (rules_id(sub), i, j, float(err))
+        assert reducible >= 21
