@@ -839,9 +839,8 @@ def _newton(p: IntPolynomial, starts: Iterable[complex], tol: float) -> list[Roo
     """Newton-refine each start until |p(z)| / ||p|| < tol, in at most 60 steps.
 
     p and p' are evaluated by Horner's rule on float coefficients.  A start
-    already below tol takes no step, and one refined at a looser tol goes on
-    along the same steps.  Raises NoConvergence (with the residual) if
-    refinement stalls.
+    already below tol takes no step.  Raises NoConvergence (with the
+    residual) if refinement stalls.
     """
     coeffs = [float(c) for c in p.coeffs]
     dcoeffs = [float(c) for c in p.derivative().coeffs]

@@ -30,11 +30,10 @@ from .algebra import (
     positive_leading,
     reciprocal_poly,
 )
-from .errors import MatrixMismatch, NoSeedFound, NotBalanced, NotPrimitive
+from .errors import MatrixMismatch, NotBalanced, NotPrimitive
 from .fractal import LabeledPointCloud
 from .spectral import ProjectionOperator
 from .words import (
-    SEED_POWER_LIMIT,
     Alphabet,
     InfiniteWordStream,
     Substitution,
@@ -44,7 +43,6 @@ from .words import (
     abelianization,
     incidence_matrix,
     prefix_counts,
-    seed_power,
     stream_for,
     substitution_to_dict,
 )
@@ -423,12 +421,7 @@ def verify_common_points(
         (first, seed_pair.top.indices[0]),
         (second, seed_pair.bottom.indices[0]),
     ):
-        power = seed_power(substitution, start_letter)
-        if power is None:
-            raise NoSeedFound(
-                f"letter index {start_letter} seeds no growing fixed point within power {SEED_POWER_LIMIT}"
-            )
-        parent = InfiniteWordStream(substitution, start_letter, power)
+        parent = InfiniteWordStream(substitution, start_letter)
         eye = np.eye(substitution.alphabet.size, dtype=np.int64)
         counts = prefix_counts(parent.prefix_indices(int(checkpoints[-1])), eye)
         achieved = counts[checkpoints - 1]

@@ -7,7 +7,6 @@ classification, 3 precondition violation, 4 search or termination limit.
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 
@@ -56,22 +55,6 @@ EXIT_LIMIT = 4
 _POSITIVE = click.IntRange(min=1)
 
 
-class _Tolerance(click.ParamType):
-    """Type of the --tol options, a finite float above 0 (click.FloatRange lets
-    nan and inf through, and with either every residual check passes)."""
-
-    name = "float"
-
-    def convert(self, value, param, ctx):
-        tol = click.FLOAT.convert(value, param, ctx)
-        if not (math.isfinite(tol) and tol > 0):
-            self.fail(f"{value!r} is not a finite number above 0.", param, ctx)
-        return tol
-
-
-_TOLERANCE = _Tolerance()
-
-
 def _limit_options(command):
     """The BPA limit options of bpa and intersect, with BpaLimits' defaults."""
     defaults = BpaLimits()
@@ -111,8 +94,7 @@ def cli():
 
 @cli.command("analyze")
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--tol", type=_TOLERANCE, default=1e-10, show_default=True, help="Root and projector tolerance.")
-def cmd_analyze(path, tol):
+def cmd_analyze(path):
     """Classify a substitution file and print a JSON report."""
     sub = load_substitution(path)
     report = classify_pisot(sub)
@@ -123,7 +105,7 @@ def cmd_analyze(path, tol):
         seed = None
     spectral = None
     try:
-        split = spectral_split(report, tol)
+        split = spectral_split(report)
         op = projection_operator(split)
         spectral = {
             "contracting_dimension": split.stable_dim,
@@ -181,12 +163,11 @@ def cmd_reverse(path, out):
 @click.option("--n", type=_POSITIVE, default=10 ** 5, show_default=True, help="Number of points.")
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False, writable=True), help="Write the cloud as CSV.")
 @click.option("--svg", "svg_path", type=click.Path(dir_okay=False, writable=True), help="Render the cloud as SVG.")
-@click.option("--tol", type=_TOLERANCE, default=1e-10, show_default=True)
-def cmd_fractal(path, n, csv_path, svg_path, tol):
+def cmd_fractal(path, n, csv_path, svg_path):
     """Generate the fractal point cloud of a substitution file."""
     _check_export_paths(csv_path, svg_path)
     sub = load_substitution(path)
-    op = projection_operator(spectral_split(incidence_matrix(sub), tol))
+    op = projection_operator(spectral_split(incidence_matrix(sub)))
     cloud = rauzy_cloud(sub, n, op)
     _export(cloud, csv_path, svg_path)
     lo, hi = cloud.bounding_box()
@@ -256,9 +237,8 @@ def cmd_bpa(path1, path2, prefix_cutoff, max_pairs, max_pair_length, out):
 @click.option("--n", type=_POSITIVE, default=10 ** 5, show_default=True, help="Number of intersection points.")
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False, writable=True))
 @click.option("--svg", "svg_path", type=click.Path(dir_okay=False, writable=True))
-@click.option("--tol", type=_TOLERANCE, default=1e-10, show_default=True)
 @_limit_options
-def cmd_intersect(path1, path2, n, csv_path, svg_path, tol, prefix_cutoff, max_pairs, max_pair_length):
+def cmd_intersect(path1, path2, n, csv_path, svg_path, prefix_cutoff, max_pairs, max_pair_length):
     """Balanced pair algorithm plus the projected intersection cloud."""
     _check_export_paths(csv_path, svg_path)
     first = load_substitution(path1)
@@ -266,7 +246,7 @@ def cmd_intersect(path1, path2, n, csv_path, svg_path, tol, prefix_cutoff, max_p
     ps = run_bpa(first, second, BpaLimits(prefix_cutoff, max_pairs, max_pair_length))
     if not isinstance(ps, PairSubstitution):
         return _limit_hit(ps)
-    op = projection_operator(spectral_split(incidence_matrix(first), tol))
+    op = projection_operator(spectral_split(incidence_matrix(first)))
     cloud = intersection_cloud(ps, op, n)
     _export(cloud, csv_path, svg_path)
     lo, hi = cloud.bounding_box()

@@ -20,7 +20,7 @@ space (spanned by the conjugate eigenvectors) along the expanding line and
 the complementary space ker c(M).  Floating point enters only through
 lambda, the float Perron root sharpened by one exact Newton step and held
 in long double, in which h and h(M) E are evaluated before P is rounded to
-double; P^2 = P and P P_lambda = 0 are checked against tol.
+double; P^2 = P and P P_lambda = 0 are checked to within CHECK_LIMIT.
 
 The chart of the contracting space is the QR factorisation of the
 conjugate eigenvectors, one SVD null vector of M - mu per conjugate mu;
@@ -35,10 +35,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import IntMatrix, PisotReport, _newton, _qinverse, _zmul, classify_pisot, poly_exact_div
+from .algebra import IntMatrix, PisotReport, _qinverse, _zmul, classify_pisot, poly_exact_div
 from .errors import IllConditioned, NotPisot, NotPrimitive
 
-DEFAULT_TOL = 1e-10
+#: Largest entry of P^2 - P and of P P_lambda that projection_operator accepts.
+CHECK_LIMIT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,6 @@ class SpectralSplit:
     basis_s: np.ndarray
     projector: np.ndarray
     expanding: np.ndarray
-    tol: float
 
     @property
     def stable_dim(self) -> int:
@@ -69,7 +69,6 @@ class ProjectionOperator:
 
     matrix: np.ndarray  # k x k
     chart: np.ndarray   # d x k, rows orthonormal
-    tol: float
     report: PisotReport
 
     def project_many(self, vectors: np.ndarray) -> np.ndarray:
@@ -108,16 +107,13 @@ def _bezout_idempotent(report: PisotReport) -> tuple[np.ndarray, int]:
     return acc, den
 
 
-def spectral_split(matrix_or_report: IntMatrix | PisotReport, tol: float = DEFAULT_TOL) -> SpectralSplit:
+def spectral_split(matrix_or_report: IntMatrix | PisotReport) -> SpectralSplit:
     """P and P_lambda from the factorisation p = f c, and the conjugate eigenvectors.
 
     Takes a classify_pisot report, or a matrix that is classified here.
-    Requires a primitive matrix whose dominant root is Pisot.  tol, finite
-    and > 0, bounds the Newton refinement of the conjugates, and the
-    projection_operator checks P^2 = P and P P_lambda = 0.
+    Requires a primitive matrix whose dominant root is Pisot.  The
+    conjugates are the report's roots, already Newton-refined.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
     if isinstance(matrix_or_report, PisotReport):
         report = matrix_or_report
     else:
@@ -147,12 +143,7 @@ def spectral_split(matrix_or_report: IntMatrix | PisotReport, tol: float = DEFAU
         h_lam = h_lam * lam_ld + coeff
     expanding = acc / h_lam
 
-    # the report's roots are refined to 1e-10 already; a tighter tol goes on
-    # from them along the same Newton steps
-    roots = sorted(
-        (r.value for r in _newton(minpoly, (r.value for r in report.roots), min(tol, 1e-10))),
-        key=lambda z: (round(z.real, 9), round(z.imag, 9)),
-    )
+    roots = sorted((r.value for r in report.roots), key=lambda z: (round(z.real, 9), round(z.imag, 9)))
     nearest = min(range(len(roots)), key=lambda i: abs(roots[i] - lam))
     cols = []
     for i, mu in enumerate(roots):
@@ -174,7 +165,6 @@ def spectral_split(matrix_or_report: IntMatrix | PisotReport, tol: float = DEFAU
         basis_s=basis_s,
         projector=(idem - expanding).astype(float),
         expanding=expanding.astype(float),
-        tol=tol,
     )
 
 
@@ -191,11 +181,10 @@ def projection_operator(split: SpectralSplit) -> ProjectionOperator:
         q = q * signs
     chart = q.T
 
-    tol = split.tol
     idem = float(np.max(np.abs(p @ p - p)))
-    if idem > tol:
-        raise IllConditioned(f"projector idempotency defect {idem:.3e} above {tol:.1e}")
+    if idem > CHECK_LIMIT:
+        raise IllConditioned(f"projector idempotency defect {idem:.3e} above {CHECK_LIMIT:.1e}")
     kernel = float(np.max(np.abs(p @ split.expanding)))
-    if kernel > tol:
+    if kernel > CHECK_LIMIT:
         raise IllConditioned(f"projector does not annihilate the expanding line ({kernel:.3e})")
-    return ProjectionOperator(matrix=p, chart=chart, tol=tol, report=split.report)
+    return ProjectionOperator(matrix=p, chart=chart, report=split.report)

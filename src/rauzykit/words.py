@@ -284,7 +284,9 @@ def find_fixed_point_seed(substitution: Substitution) -> tuple[int, int]:
 
 
 class InfiniteWordStream:
-    """Lazily materialized prefix of the one-sided fixed point of sigma^power at a seed letter.
+    """Lazily materialized prefix of the one-sided fixed point at a seed letter,
+    grown by sigma^power with power = seed_power(substitution, seed_letter);
+    a letter that seeds no growing fixed point raises NoSeedFound.
 
     The buffer is a numpy array of letter_dtype(alphabet size).  It only
     ever grows, by applying the substitution to the whole buffer, so it is
@@ -293,18 +295,17 @@ class InfiniteWordStream:
     indices_range return int64.
     """
 
-    def __init__(self, substitution: Substitution, seed_letter: int, power: int):
+    def __init__(self, substitution: Substitution, seed_letter: int):
         k = substitution.alphabet.size
         if not 0 <= seed_letter < k:
             raise ValueError("seed letter out of range")
-        if power < 1:
-            raise ValueError("power must be >= 1")
-        # a growing seed's least power is its cycle length under the first-letter
-        # map, so sigma^power(seed) begins with the seed, and is longer, exactly
-        # at the multiples of that power: _grow_to gains letters every round
-        least = seed_power(substitution, seed_letter)
-        if least is None or power % least:
-            raise ValueError("sigma^power(seed) does not begin with the seed letter and grow")
+        # sigma^power(seed) begins with the seed and is longer, so _grow_to
+        # gains letters every round
+        power = seed_power(substitution, seed_letter)
+        if power is None:
+            raise NoSeedFound(
+                f"letter index {seed_letter} seeds no growing fixed point within power {SEED_POWER_LIMIT}"
+            )
         self.substitution = substitution
         self.seed_letter = seed_letter
         self.power = power
@@ -338,8 +339,8 @@ class InfiniteWordStream:
 
 def stream_for(substitution: Substitution) -> InfiniteWordStream:
     """Stream of the canonical fixed point chosen by find_fixed_point_seed."""
-    seed, power = find_fixed_point_seed(substitution)
-    return InfiniteWordStream(substitution, seed, power)
+    seed, _ = find_fixed_point_seed(substitution)
+    return InfiniteWordStream(substitution, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -408,17 +408,32 @@ class TestRefusals:
         assert out == ""
         assert "Traceback" not in err and "range" in err
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     @pytest.mark.parametrize(
         "args",
         [["analyze", "{trib}"], ["fractal", "{trib}", "--n", "10"], ["intersect", "{trib}", "{trib_rev}", "--n", "10"]],
         ids=["analyze", "fractal", "intersect"],
     )
-    def test_tolerance_must_be_finite_and_positive(self, args, tol, files, capsys):
-        code, out, err = run(capsys, [a.format(**files) for a in args] + ["--tol", tol])
+    def test_tol_is_an_unknown_option(self, args, files, capsys):
+        # the projector checks use a fixed bound; there is no tolerance to set
+        code, out, err = run(capsys, [a.format(**files) for a in args] + ["--tol", "1e-10"])
         assert code == 1
         assert out == ""
-        assert "Traceback" not in err and "--tol" in err
+        assert "Traceback" not in err and "No such option '--tol'" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "fractal"])
+    def test_five_bonacci_passes_the_fixed_projector_checks(self, command, files, capsys):
+        # at --tol 1e-15 this input used to exit 3 with a stalled root; the
+        # fixed checks accept its projector and chart
+        path = files["dir"] / "k5.json"
+        path.write_text(json.dumps(substitution_to_dict(kbonacci(5))), encoding="utf-8")
+        args = [command, str(path)] + (["--n", "50"] if command == "fractal" else [])
+        code, out, err = run(capsys, args)
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        if command == "analyze":
+            assert report["spectral"]["contracting_dimension"] == 4
+        else:
+            assert (report["points"], report["dimension"]) == (50, 4)
 
     @pytest.mark.parametrize(
         "rules, message",

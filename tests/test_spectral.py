@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -6,11 +7,11 @@ import pytest
 
 import rauzykit.spectral as spectral
 from conftest import fibonacci, kbonacci, random_primitive_substitution, tribonacci
-from oracles import all_roots, evaluate_at_matrix, sympy_contracting_projector
+from oracles import evaluate_at_matrix, sympy_contracting_projector
 from rauzykit import (
+    IllConditioned,
     IndeterminateClassification,
     IntMatrix,
-    NoConvergence,
     NotPisot,
     Substitution,
     classify_pisot,
@@ -109,10 +110,29 @@ class TestSpectralSplit:
         assert op.chart.shape == (0, 2)
         assert np.max(np.abs(op.matrix)) < 1e-15
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
-    def test_rejects_tolerance_that_is_not_finite_and_positive(self, tol):
-        with pytest.raises(ValueError):
-            spectral_split(incidence_matrix(tribonacci()), tol)
+
+class TestRemovedToleranceNames:
+    """The tolerance setting is gone: the split takes no tol, neither
+    dataclass carries one, and there is no module default."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: spectral_split(m, 1e-10),
+            lambda m: spectral_split(m, tol=1e-10),
+        ],
+        ids=["positional", "keyword"],
+    )
+    def test_spectral_split_takes_no_tol(self, call):
+        with pytest.raises(TypeError):
+            call(incidence_matrix(tribonacci()))
+
+    @pytest.mark.parametrize("cls", [spectral.SpectralSplit, spectral.ProjectionOperator], ids=lambda c: c.__name__)
+    def test_dataclass_has_no_tol_field(self, cls):
+        assert "tol" not in {f.name for f in dataclasses.fields(cls)}
+
+    def test_no_default_tol(self):
+        assert not hasattr(spectral, "DEFAULT_TOL")
 
 
 class TestProjectionOperator:
@@ -132,7 +152,28 @@ class TestProjectionOperator:
     def test_commutes_with_matrix(self):
         split, op = tribonacci_operator()
         m = split.report.matrix.to_numpy()
-        assert np.max(np.abs(op.matrix @ m - m @ op.matrix)) < 10 * split.tol
+        assert np.max(np.abs(op.matrix @ m - m @ op.matrix)) < 10 * spectral.CHECK_LIMIT
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [("projector", "idempotency defect"), ("expanding", "does not annihilate the expanding line")],
+    )
+    def test_checks_refuse_a_perturbed_split(self, field, message):
+        # negative control: one entry off by 1e-6 breaks P^2 = P, or P P_lambda = 0
+        split, _ = tribonacci_operator()
+        perturbed = getattr(split, field).copy()
+        perturbed[0, 0] += 1e-6
+        with pytest.raises(IllConditioned, match=message):
+            projection_operator(dataclasses.replace(split, **{field: perturbed}))
+
+    @pytest.mark.parametrize("field", ["projector", "expanding"])
+    def test_checks_accept_a_defect_below_the_limit(self, field):
+        # positive control: one entry off by 1e-12 stays inside CHECK_LIMIT
+        split, _ = tribonacci_operator()
+        perturbed = getattr(split, field).copy()
+        perturbed[0, 0] += 1e-12
+        op = projection_operator(dataclasses.replace(split, **{field: perturbed}))
+        assert np.max(np.abs(op.matrix @ op.matrix - op.matrix)) < spectral.CHECK_LIMIT
 
     def test_chart_isometry(self):
         _, op = tribonacci_operator()
@@ -238,46 +279,41 @@ def without_nearest(values, target):
 
 
 class TestContractingRootsFromReport:
-    """spectral_split refines the conjugates carried by the report instead of
+    """spectral_split takes the conjugates carried by the report instead of
     recomputing the minimal polynomial's roots: it finds no root at all."""
 
     SUBSTITUTIONS = [kbonacci(k) for k in range(3, 9)] + random_pisot_substitutions(71, 30)
 
-    # at 1e-15 some roots take further Newton steps and some stall
-    @pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-15])
-    def test_equal_to_fresh_roots(self, tol, monkeypatch):
-        refined, fresh = [], []
-        newton, roots_of = spectral._newton, np.roots
-
-        def recording_newton(p, starts, t):
-            roots = newton(p, starts, t)
-            refined.append((p, [r.value for r in roots]))
-            return roots
+    def test_conjugates_are_the_reports_roots(self, monkeypatch):
+        fresh, shifted = [], []
+        roots_of, null_column = np.roots, spectral._null_column
 
         def recording_roots(coeffs):
             fresh.append(coeffs)
             return roots_of(coeffs)
 
-        monkeypatch.setattr(spectral, "_newton", recording_newton)
+        def recording_null_column(a):
+            shifted.append(a)
+            return null_column(a)
+
         monkeypatch.setattr(np, "roots", recording_roots)
+        monkeypatch.setattr(spectral, "_null_column", recording_null_column)
         for sub in self.SUBSTITUTIONS:
-            report = classify_pisot(sub)
-            refined.clear()
+            report = classify_pisot(sub)  # finds the roots
             fresh.clear()
-            try:
-                spectral_split(report, tol)
-            except NoConvergence:  # a stalled root
-                pass
+            shifted.clear()
+            spectral_split(report)
             assert not fresh
-            if not refined:
-                with pytest.raises(NoConvergence):
-                    all_roots(report.minimal_polynomial, tol)
-                continue
-            [(p, values)] = refined
-            assert p == report.minimal_polynomial
-            lam = report.perron_root
-            want = [r.value for r in all_roots(report.minimal_polynomial, tol)]
-            assert without_nearest(values, lam) == without_nearest(want, lam)
+            # one M - mu per conjugate mu of the report, a complex pair once
+            mf = report.matrix.to_numpy()
+            eye = np.eye(report.matrix.dim)
+            want = [
+                mf - mu.real * eye if abs(mu.imag) <= 1e-9 else mf - mu * eye
+                for mu in without_nearest([r.value for r in report.roots], report.perron_root)
+                if mu.imag >= -1e-9
+            ]
+            assert len(shifted) == len(want)
+            assert all(any(np.array_equal(a, w) for w in want) for a in shifted)
 
 
 def reducible_pisot_substitutions(seed, count):

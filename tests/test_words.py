@@ -269,8 +269,10 @@ class TestStreams:
             assert iterate(sub, power * n, seed).reversed_() == iterate(rev, power * n, seed)
 
     def test_invalid_seed_rejected(self):
-        with pytest.raises(ValueError):
-            InfiniteWordStream(tribonacci(), seed_letter=1, power=1)
+        # b -> ac: the first-letter map sends b to a, which is fixed, so b
+        # never returns to the front
+        with pytest.raises(NoSeedFound, match="letter index 1 seeds no growing fixed point"):
+            InfiniteWordStream(tribonacci(), seed_letter=1)
 
     @pytest.mark.parametrize(
         "read",
@@ -292,9 +294,42 @@ class TestStreams:
     def test_seed_must_grow(self):
         # a -> a is a fixed letter that never grows; b -> ba grows at every power
         sub = Substitution.from_rules(["a", "b"], {"a": "a", "b": "ba"})
-        with pytest.raises(ValueError):
-            InfiniteWordStream(sub, seed_letter=0, power=1)
-        assert str(InfiniteWordStream(sub, seed_letter=1, power=2).prefix(4)) == "baaa"
+        with pytest.raises(NoSeedFound):
+            InfiniteWordStream(sub, seed_letter=0)
+        assert str(InfiniteWordStream(sub, seed_letter=1).prefix(4)) == "baaa"
+
+    @pytest.mark.parametrize(
+        "rules",
+        [
+            {"a": "ab", "b": "ac", "c": "a"},
+            {"A": "B", "B": "C", "C": "ADAEADA", "D": "F", "E": "A", "F": "ADA"},
+            {"a": "cba", "b": "a", "c": "ca"},
+            {"a": "a", "b": "ba"},
+        ],
+        ids=["tribonacci", "pair-alphabet", "reversed-growth", "fixed-letter"],
+    )
+    def test_power_is_the_seed_power(self, rules):
+        # the stream works out sigma^power itself; each letter either seeds the
+        # fixed point of sigma^seed_power or is refused
+        sub = Substitution.from_rules(list(rules), rules)
+        for letter in range(sub.alphabet.size):
+            power = seed_power(sub, letter)
+            if power is None:
+                with pytest.raises(NoSeedFound):
+                    InfiniteWordStream(sub, letter)
+                continue
+            stream = InfiniteWordStream(sub, letter)
+            assert stream.power == power
+            want = Word(sub.alphabet, (letter,))
+            while len(want) < 40:
+                want = iterate(sub, power, want)
+            assert stream.prefix(40).indices == want.indices[:40]
+
+    def test_power_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            InfiniteWordStream(tribonacci(), 0, 1)
+        with pytest.raises(TypeError):
+            InfiniteWordStream(tribonacci(), seed_letter=0, power=1)
 
     def test_concurrent_readers_see_consistent_prefixes(self):
         import concurrent.futures
