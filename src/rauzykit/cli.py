@@ -6,8 +6,11 @@ classification, 3 precondition violation, 4 search or termination limit.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import os
+import pickle
 import sys
 
 import click
@@ -32,7 +35,7 @@ from .errors import (
     RauzykitError,
     SubstitutionParseError,
 )
-from .fractal import export_csv, rauzy_cloud, render_svg
+from .fractal import export_csv, rauzy_cloud, render_svg, require_planar
 from .selfcheck import run_all_checks
 from .spectral import projection_operator, spectral_split
 from .words import (
@@ -140,12 +143,83 @@ def _check_export_paths(csv_path, svg_path) -> None:
         raise click.UsageError("--csv and --svg name the same file")
 
 
-def _export(cloud, csv_path, svg_path) -> None:
-    """Write the cloud's SVG, then its CSV: render_svg refuses a cloud above
-    two dimensions before any file is written."""
-    if svg_path:
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _svg_beside(cloud, svg_path):
+    """Write the cloud's SVG with render_svg while the with-block runs.
+
+    Where os.fork exists and this process may run on two CPUs or more, a
+    forked child process writes it, sharing this process's pages
+    copy-on-write, and leaving the block reaps the child and re-raises here
+    what render_svg raised there.  What render_svg refuses or cannot open is
+    raised before the fork, so the block never runs then.  Otherwise
+    render_svg runs in this process before the block: on one CPU the two
+    writers would take turns anyway, and the fork only adds its cost.
+    """
+    if not hasattr(os, "fork") or _usable_cpus() < 2:
         render_svg([cloud], svg_path)
-    if csv_path:
+        yield
+        return
+    require_planar([cloud])
+    open(svg_path, "w", encoding="utf-8").close()  # render_svg's open: its OSError is raised here
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # the child only formats and writes, and leaves through os._exit: it
+        # never returns into the caller, flushes inherited buffers or runs
+        # exit handlers
+        status = 1
+        try:
+            gc.disable()  # no finaliser of the parent's garbage runs here
+            os.close(read_end)
+            try:
+                render_svg([cloud], svg_path)
+                status = 0
+            except BaseException as exc:
+                with open(write_end, "wb") as pipe:
+                    pipe.write(pickle.dumps(exc))
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        yield
+    finally:
+        try:
+            with open(read_end, "rb") as pipe:
+                raised = pipe.read()
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        # an SVG error wins over one from the block, as when the SVG was
+        # written before the CSV
+        if raised:
+            raise pickle.loads(raised)
+        if status:
+            raise ChildProcessError(f"the SVG writer exited with status {status}")
+
+
+def _export(cloud, csv_path, svg_path) -> None:
+    """Write the cloud's CSV and SVG.
+
+    With both, the SVG is written at the same time as the CSV, by a forked
+    child process on POSIX with two CPUs or more (see _svg_beside); the
+    bytes are those of render_svg and export_csv alone.  The errors are
+    those of writing the SVG first: a cloud above two dimensions, or an SVG
+    path that cannot be opened, writes no file, and a CSV path that fails
+    leaves the SVG written in full.  This process's peak RSS does not grow:
+    the child shares its pages copy-on-write.
+    """
+    if csv_path and svg_path:
+        with _svg_beside(cloud, svg_path):
+            export_csv(cloud, csv_path)
+    elif svg_path:
+        render_svg([cloud], svg_path)
+    elif csv_path:
         export_csv(cloud, csv_path)
 
 

@@ -241,18 +241,24 @@ def _fmt(v: float) -> str:
     return format(v, ".6g")
 
 
+def require_planar(clouds: Sequence[LabeledPointCloud]) -> None:
+    """Refuse, with DimensionMismatch, clouds that render_svg cannot draw:
+    those above two dimensions."""
+    if any(cloud.dimension > 2 for cloud in clouds):
+        raise DimensionMismatch("svg rendering supports 1-d and 2-d clouds only")
+
+
 def render_svg(clouds: Sequence[LabeledPointCloud], path) -> None:
     """One circle per point, one group per cloud, deterministic palette per letter.
 
     Clouds of dimension 1 render on the horizontal axis; dimensions above 2
-    are refused with DimensionMismatch before any file is opened.  The
-    viewBox fits the data with a 5 percent margin.  Numbers are '%.6g';
-    '\\n' line ends, UTF-8.
+    are refused by require_planar before any file is opened.  The viewBox
+    fits the data with a 5 percent margin.  Numbers are '%.6g'; '\\n' line
+    ends, UTF-8.
     """
+    require_planar(clouds)
     planar: list[np.ndarray] = []  # per cloud, its x row and its y row
     for cloud in clouds:
-        if cloud.dimension > 2:
-            raise DimensionMismatch("svg rendering supports 1-d and 2-d clouds only")
         xy = np.zeros((2, len(cloud)))  # a 1-d cloud lies on the horizontal axis
         xy[: cloud.dimension] = cloud.coords.T
         xy[1] = -xy[1]  # svg y grows downward

@@ -1,5 +1,8 @@
+import errno
+import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -13,6 +16,7 @@ from conftest import kbonacci
 from oracles import reference_export_csv, reference_render_svg, sympy_factor_list
 from rauzykit import (
     IntPolynomial,
+    NotPisot,
     incidence_matrix,
     intersection_cloud,
     projection_operator,
@@ -34,6 +38,8 @@ GROWTH = {"alphabet": ["a", "b", "c"], "rules": {"a": "abc", "b": "a", "c": "ac"
 FLIPPED = {"alphabet": ["a", "b", "c"], "rules": {"a": "ab", "b": "ca", "c": "a"}}
 INTERVAL = {"alphabet": ["a", "b"], "rules": {"a": "aba", "b": "ab"}}
 INTERVAL_2 = {"alphabet": ["a", "b"], "rules": {"a": "aba", "b": "ba"}}
+FIB = {"alphabet": ["a", "b"], "rules": {"a": "ab", "b": "a"}}
+FIB_REV = {"alphabet": ["a", "b"], "rules": {"a": "ba", "b": "a"}}
 
 
 def family(i):
@@ -47,7 +53,9 @@ def reversed_rules(data):
 @pytest.fixture
 def files(tmp_path):
     paths = {}
-    for name, data in (("trib", TRIB), ("trib_rev", TRIB_REV), ("fam3", FAMILY_3), ("growth", GROWTH)):
+    for name, data in (
+        ("trib", TRIB), ("trib_rev", TRIB_REV), ("fam3", FAMILY_3), ("growth", GROWTH), ("fib", FIB), ("fib_rev", FIB_REV)
+    ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         paths[name] = str(path)
@@ -182,6 +190,155 @@ class TestExportFiles:
         reference_render_svg([cloud], ref["svg"])
         for name in ("csv", "svg"):
             assert out[name].read_bytes() == ref[name].read_bytes()
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+def forbidden_fork():
+    raise AssertionError("forked with one usable CPU")
+
+
+@pytest.fixture(params=["fork", "no-fork", "one-cpu"])
+def fork(request, monkeypatch):
+    """Run a test with os.fork and two usable CPUs, as on a platform without
+    os.fork, and with one usable CPU, where no child may be forked."""
+    if request.param == "fork":
+        if not hasattr(os, "fork"):
+            pytest.skip("os.fork is missing on this platform")
+        usable_cpus(monkeypatch, 2)
+    elif request.param == "no-fork":
+        monkeypatch.delattr(os, "fork", raising=False)
+    else:
+        usable_cpus(monkeypatch, 1)
+        monkeypatch.setattr(os, "fork", forbidden_fork, raising=False)
+    return request.param
+
+
+class TestConcurrentExport:
+    """With --csv and --svg, a forked child writes the SVG while the CSV is
+    written: the files, the exit codes and the errors are those of writing
+    the SVG and then the CSV in one process."""
+
+    INPUTS = {
+        "fractal": ["trib"],
+        "fractal-1d": ["fib"],
+        "intersect": ["trib", "trib_rev"],
+        "intersect-1d": ["fib", "fib_rev"],
+    }
+
+    @classmethod
+    def args(cls, case, files, n, **paths):
+        args = [case.split("-")[0], *(files[name] for name in cls.INPUTS[case]), "--n", str(n)]
+        for option, path in paths.items():
+            args += [f"--{option}", str(path)]
+        return args
+
+    @pytest.fixture(autouse=True)
+    def no_child_before(self):
+        # a child left by another test would answer the waitpid checks here
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("case", list(INPUTS))
+    def test_both_files_match_each_written_alone(self, case, fork, files, capsys):
+        # 4097 points: two blocks of the writers' 4096 rows per format call
+        d = files["dir"]
+        both = {"csv": d / "both.csv", "svg": d / "both.svg"}
+        code, out, err = run(capsys, self.args(case, files, 4097, **both))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["points"] == 4097
+        assert_no_child_left()
+        for name, path in both.items():
+            alone = d / f"alone.{name}"
+            assert run(capsys, self.args(case, files, 4097, **{name: alone}))[0] == 0
+            assert sha256(path) == sha256(alone)
+
+    @pytest.mark.parametrize("case", ["fractal", "intersect"])
+    def test_an_svg_that_cannot_be_opened_writes_no_file(self, case, fork, files, capsys):
+        d = files["dir"]
+        before = sorted(d.iterdir())
+        svg = d / "missing" / "out.svg"
+        code, out, err = run(capsys, self.args(case, files, 5000, csv=d / "out.csv", svg=svg))
+        assert code == 1 and out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{svg}'\n"
+        assert sorted(d.iterdir()) == before
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("case", ["fractal", "intersect"])
+    def test_a_csv_that_cannot_be_opened_leaves_the_svg_in_full(self, case, fork, files, capsys):
+        d = files["dir"]
+        csv = d / "missing" / "out.csv"
+        code, out, err = run(capsys, self.args(case, files, 5000, csv=csv, svg=d / "out.svg"))
+        assert code == 1 and out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{csv}'\n"
+        assert not csv.parent.exists()
+        assert_no_child_left()
+        assert run(capsys, self.args(case, files, 5000, svg=d / "alone.svg"))[0] == 0
+        assert sha256(d / "out.svg") == sha256(d / "alone.svg")
+
+    @pytest.mark.parametrize(
+        "error, exit_code, message",
+        [
+            (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), 1, f"[Errno 28] {os.strerror(errno.ENOSPC)}"),
+            (NotPisot("raised while writing"), 3, "raised while writing"),
+        ],
+        ids=["os-error", "rauzykit-error"],
+    )
+    def test_an_error_while_writing_the_svg_is_raised_by_the_command(
+        self, error, exit_code, message, fork, files, capsys, monkeypatch
+    ):
+        def failing_render_svg(clouds, path):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("<?xml")
+            raise error
+
+        monkeypatch.setattr(cli, "render_svg", failing_render_svg)
+        d = files["dir"]
+        code, out, err = run(capsys, self.args("fractal", files, 5000, csv=d / "out.csv", svg=d / "out.svg"))
+        assert (code, out, err) == (exit_code, "", f"error: {message}\n")
+        assert (d / "out.svg").read_text() == "<?xml"
+        # the CSV is written beside the SVG, or not begun when both run here
+        assert (d / "out.csv").exists() == (fork == "fork")
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is missing on this platform")
+    def test_a_killed_svg_writer_fails_the_command(self, files, capsys, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(cli, "render_svg", lambda clouds, path: os.kill(os.getpid(), signal.SIGKILL))
+        d = files["dir"]
+        code, out, err = run(capsys, self.args("fractal", files, 100, csv=d / "out.csv", svg=d / "out.svg"))
+        assert (code, out) == (1, "")
+        assert err == f"error: the SVG writer exited with status {-signal.SIGKILL}\n"
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("case", ["fractal", "intersect"])
+    def test_the_entry_point_prints_one_json_object_to_a_pipe(self, case, files):
+        # piped stdout is block-buffered: a child that flushed what it
+        # inherited, or returned into the command, would print a second object
+        import rauzykit
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(rauzykit.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        d = files["dir"]
+        args = self.args(case, files, 5000, csv=d / "out.csv", svg=d / "out.svg")
+        proc = subprocess.run(
+            [sys.executable, "-c", "from rauzykit.cli import run; run()", *args],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, check=True,
+        )
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["points"] == 5000
 
 
 class TestBpaCommand:
