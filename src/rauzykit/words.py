@@ -288,11 +288,15 @@ class InfiniteWordStream:
     grown by sigma^power with power = seed_power(substitution, seed_letter);
     a letter that seeds no growing fixed point raises NoSeedFound.
 
-    The buffer is a numpy array of letter_dtype(alphabet size).  It only
-    ever grows, by applying the substitution to the whole buffer, so it is
-    always a prefix of the fixed point.  Growth takes no lock, so a stream
-    must not be read from two threads at once.  prefix_indices and
-    indices_range return int64.
+    The buffer is a numpy array of letter_dtype(alphabet size), always a
+    prefix of the fixed point: the seed letter, then sigma^power of the
+    seed, sigma^(2 power) of the seed, and so on.  Past the seed, the buffer
+    is sigma^power(buffer[:source]), so growth applies the substitution only
+    to the unexpanded tail buffer[source:] and appends the image.  The
+    buffer and source are held as one tuple, replaced in one assignment, so
+    a reader in another thread sees a consistent pair; two threads may grow
+    the same stream at once, at the cost of duplicated work.  prefix_indices
+    and indices_range return int64.
     """
 
     def __init__(self, substitution: Substitution, seed_letter: int):
@@ -309,23 +313,30 @@ class InfiniteWordStream:
         self.substitution = substitution
         self.seed_letter = seed_letter
         self.power = power
-        self._buffer = np.array([seed_letter], dtype=letter_dtype(k))
+        # source 0: the buffer is the seed itself, the one state that is no image
+        self._state = (np.array([seed_letter], dtype=letter_dtype(k)), 0)
 
-    def _grow_to(self, n: int) -> None:
-        while len(self._buffer) < n:
+    def _grow_to(self, n: int) -> np.ndarray:
+        buffer, source = self._state
+        while len(buffer) < n:
+            tail = buffer[source:]
             for _ in range(self.power):
-                self._buffer = self.substitution.apply_indices(self._buffer)
+                tail = self.substitution.apply_indices(tail)
+            # sigma^power(buffer) = sigma^power(buffer[:source]) + sigma^power(tail),
+            # and the first part is the buffer itself, or nothing in the seed state
+            buffer, source = (np.concatenate((buffer, tail)) if source else tail), len(buffer)
+            self._state = (buffer, source)
+        return buffer
 
     def __len__(self):
-        return len(self._buffer)
+        return len(self._state[0])
 
     def _letters(self, start: int, stop: int) -> np.ndarray:
         # every public reader comes here and none calls another, so a wrapper
         # that counts growth per call (perfbench's tracer) counts it once
         if start < 0 or stop < start:
             raise ValueError(f"letter range [{start}, {stop}) needs 0 <= start <= stop")
-        self._grow_to(stop)
-        return self._buffer[start:stop]
+        return self._grow_to(stop)[start:stop]
 
     def prefix(self, n: int) -> Word:
         return _trusted(Word, alphabet=self.substitution.alphabet, indices=tuple(self._letters(0, n).tolist()))

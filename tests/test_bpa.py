@@ -214,23 +214,112 @@ WORKED_SYSTEMS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(WORKED_SYSTEMS))
-def test_run_bpa_matches_string_oracle(name):
-    oracle = _perfbench_oracle()
-    first, second = WORKED_SYSTEMS[name]()
-    limits = BpaLimits()
+def _rules_text(sub):
+    return {a: str(img) for a, img in zip(sub.alphabet, sub.images)}
+
+
+def _assert_matches_string_oracle(oracle, first, second, limits):
+    """run_bpa and the string oracle agree on the outcome, the limit, the
+    pairs in discovery order and the rules of the pairs whose images were
+    split; returns the oracle's status."""
     expected = oracle.bpa(
         "".join(first.alphabet),
-        {a: str(img) for a, img in zip(first.alphabet, first.images)},
-        {a: str(img) for a, img in zip(second.alphabet, second.images)},
+        _rules_text(first),
+        _rules_text(second),
         limits.prefix_cutoff,
         limits.max_pairs,
         limits.max_pair_length,
     )
-    assert expected.status == "ok"
-    ps = run_bpa(first, second, limits)
-    assert [(str(p.top), str(p.bottom)) for p in ps.pairs] == expected.pairs
-    assert {i: list(rule) for i, rule in enumerate(ps.rules)} == expected.rules
+    result = run_bpa(first, second, limits)
+    if expected.status == "not_found":
+        assert result == NotFound(limits.prefix_cutoff)
+        return expected.status
+    assert [(str(p.top), str(p.bottom)) for p in result.pairs] == expected.pairs
+    if expected.status == "ok":
+        assert isinstance(result, PairSubstitution)
+        assert {i: list(rule) for i, rule in enumerate(result.rules)} == expected.rules
+    else:
+        assert isinstance(result, NonTermination)
+        assert result.limit == expected.status
+        assert result.limit_value == getattr(limits, expected.status)
+        assert result.names == tuple(pair_letter_name(i) for i in range(len(result.pairs)))
+        assert {i: list(rule) for i, rule in result.completed_rules.items()} == expected.rules
+    return expected.status
+
+
+@pytest.mark.parametrize("name", sorted(WORKED_SYSTEMS))
+def test_run_bpa_matches_string_oracle(name):
+    oracle = _perfbench_oracle()
+    first, second = WORKED_SYSTEMS[name]()
+    assert _assert_matches_string_oracle(oracle, first, second, BpaLimits()) == "ok"
+
+
+@pytest.mark.parametrize("name", sorted(WORKED_SYSTEMS))
+def test_limit_runs_match_string_oracle(name):
+    # limits just below what the complete run needs, and far below it, so
+    # that each stops inside a batch of queued pairs
+    oracle = _perfbench_oracle()
+    first, second = WORKED_SYSTEMS[name]()
+    full = run_bpa(first, second)
+    longest = max(pair.length for pair in full.pairs)
+    stopped = 0
+    for max_pairs in sorted({1, 2, full.size // 2, full.size - 1} - {0}):
+        assert _assert_matches_string_oracle(oracle, first, second, BpaLimits(max_pairs=max_pairs)) == "max_pairs"
+        stopped += 1
+    for cap in sorted({1, longest // 2, longest - 1} - {0}):
+        stopped += _assert_matches_string_oracle(oracle, first, second, BpaLimits(max_pair_length=cap)) != "ok"
+    assert stopped >= 3
+
+
+def test_c8_sample_limit_runs_match_string_oracle():
+    # shuffled-copy systems as criterion C8 draws them, at its limits and at
+    # small ones
+    oracle = _perfbench_oracle()
+    rng = random.Random(83)
+    statuses = []
+    for _ in range(60):
+        first = random_primitive_substitution(rng)
+        second = shuffled_images_copy(rng, first)
+        for limits in (
+            BpaLimits(prefix_cutoff=20000, max_pairs=80, max_pair_length=20000),
+            BpaLimits(prefix_cutoff=20000, max_pairs=6, max_pair_length=20000),
+            BpaLimits(prefix_cutoff=20000, max_pairs=80, max_pair_length=12),
+            # both limits bind: the cap is checked first
+            BpaLimits(prefix_cutoff=20000, max_pairs=5, max_pair_length=5),
+        ):
+            statuses.append(_assert_matches_string_oracle(oracle, first, second, limits))
+    assert min(statuses.count(status) for status in ("ok", "max_pairs", "max_pair_length")) >= 10
+
+
+def _long_pairs():
+    """A system whose run splits the images of pairs of 19683 and 39366
+    letters before it stops at BpaLimits(max_pair_length=40000)."""
+    return (
+        Substitution.from_rules(["a", "b"], {"a": "abb", "b": "aab"}),
+        Substitution.from_rules(["a", "b"], {"a": "bab", "b": "baa"}),
+    )
+
+
+@pytest.mark.parametrize("budget", [1, 5])
+def test_results_do_not_depend_on_the_batch_budget(monkeypatch, budget):
+    import rauzykit.bpa as bpa
+
+    runs = [(*make(), limits) for make in WORKED_SYSTEMS.values() for limits in (BpaLimits(), BpaLimits(max_pairs=4))]
+    runs.append((*_long_pairs(), BpaLimits(max_pair_length=40000)))
+    expected = [run_bpa(*run) for run in runs]
+    long_run = expected[-1]
+    assert isinstance(long_run, NonTermination)
+    assert max(long_run.pairs[i].length for i in long_run.completed_rules) > bpa._BATCH_LETTERS
+    assert any(pair.length > budget for pair in long_run.pairs)
+    monkeypatch.setattr(bpa, "_BATCH_LETTERS", budget)
+    for run, want in zip(runs, expected):
+        assert run_bpa(*run) == want
+
+
+def test_long_pairs_match_string_oracle():
+    first, second = _long_pairs()
+    limits = BpaLimits(max_pair_length=40000)
+    assert _assert_matches_string_oracle(_perfbench_oracle(), first, second, limits) == "max_pair_length"
 
 
 class TestFirstMinimalPair:

@@ -331,6 +331,31 @@ class TestStreams:
         with pytest.raises(TypeError):
             InfiniteWordStream(tribonacci(), seed_letter=0, power=1)
 
+    @pytest.mark.parametrize(
+        "rules, power",
+        [
+            ({"a": "ab", "b": "a"}, 1),
+            ({"a": "b", "b": "ab"}, 2),
+            ({"a": "b", "b": "c", "c": "ab"}, 3),
+        ],
+        ids=["power-1", "power-2", "power-3"],
+    )
+    def test_each_growth_step_holds_the_next_power_image(self, rules, power):
+        # a growth step rewrites only the letters the step before appended,
+        # yet after j steps the buffer is sigma^(power j)(seed), as when each
+        # step rewrote the whole buffer
+        sub = Substitution.from_rules(list(rules), rules)
+        stream = stream_for(sub)
+        assert stream.power == power
+        want = sub.alphabet[stream.seed_letter]
+        assert len(stream) == 1
+        while len(want) < 20_000:
+            for _ in range(power):
+                want = "".join(rules[a] for a in want)
+            stream.prefix_indices(len(stream) + 1)  # one letter past the buffer: one step
+            assert len(stream) == len(want)
+            assert str(stream.prefix(len(want))) == want
+
     def test_concurrent_readers_see_consistent_prefixes(self):
         import concurrent.futures
 
@@ -345,6 +370,28 @@ class TestStreams:
             results = list(pool.map(lambda n: (n, fresh.prefix(n).indices), [4999, 12, 777, 5000] * 8))
         for n, got in results:
             assert got == reference[:n]
+
+    def test_threads_growing_one_stream_under_fast_switching(self):
+        # the buffer and the start of its unexpanded tail change together; a
+        # thread that read one of them new and the other old would append
+        # the wrong image, or spin on an empty tail until the timeout
+        import concurrent.futures
+        import sys
+
+        sub = Substitution.from_rules(["a", "b", "c"], {"a": "b", "b": "c", "c": "ab"})
+        reference = stream_for(sub).prefix_indices(60_000).tolist()
+        lengths = [7, 60_000, 300, 2_000, 31, 15_000, 60_000, 1] * 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                stream = stream_for(sub)
+                with concurrent.futures.ThreadPoolExecutor(max_workers=16) as pool:
+                    futures = [pool.submit(stream.prefix_indices, n) for n in lengths]
+                    for n, future in zip(lengths, futures):
+                        assert future.result(timeout=60).tolist() == reference[:n]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestValidation:
@@ -436,7 +483,7 @@ class TestArrayKernelsAgainstRewriting:
         sub = Substitution.from_rules(names, rules)
         stream = stream_for(sub)
         got = stream.prefix_indices(20_000)
-        assert stream._buffer.dtype == np.uint16
+        assert stream._state[0].dtype == np.uint16
         assert got.max() > 255
         want = rewritten_fixed_point(rules, names[stream.seed_letter], stream.power, 20_000)
         assert [names[i] for i in got.tolist()] == want
