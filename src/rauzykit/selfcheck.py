@@ -4,6 +4,9 @@ Five fixed substitution pairs with known balanced-pair systems, exact
 characteristic polynomial identities, fixed-point prefixes, grid-level
 symmetry estimates, and the classification of a char poly whose largest
 root is a double root.  Everything here is embedded; no files are read.
+These checks are the only ones written for the worked examples:
+`rauzykit selftest` runs every group of CHECK_GROUPS, and the acceptance
+tests run each group as one pytest case.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from typing import Callable, Iterator
 from .algebra import IntPolynomial, classify_pisot
 from .bpa import (
     NotFound,
+    PairSubstitution,
     pair_incidence,
     reciprocal_factor_report,
     run_bpa,
@@ -194,12 +198,26 @@ def _check(name: str, ok: bool, detail: str = "") -> CheckResult:
     return CheckResult(name, bool(ok), detail)
 
 
+def _pair_system(group: str, first: Substitution, second: Substitution):
+    """run_bpa(first, second) when it finds a pair substitution; otherwise
+    yields a failing check and returns None, so that the group reports the
+    result instead of reading pairs it does not have.  Use as
+    ``ps = yield from _pair_system(...)``."""
+    result = run_bpa(first, second)
+    if isinstance(result, PairSubstitution):
+        return result
+    yield _check(f"{group}: run_bpa finds a pair substitution", False, str(result))
+    return None
+
+
 def _interval_checks() -> Iterator[CheckResult]:
     first, second = interval_pair()
-    ps = run_bpa(first, second)
+    ps = yield from _pair_system("interval", first, second)
+    if ps is None:
+        return
     yield _check(
         "interval: three pairs with the expected contents",
-        ps.size == 3 and _pair_contents(ps) == INTERVAL_PAIRS,
+        ps.pair_alphabet.letters == tuple(INTERVAL_PAIRS) and _pair_contents(ps) == INTERVAL_PAIRS,
         str(_pair_contents(ps)),
     )
     yield _check("interval: rule table", ps.rule_table() == INTERVAL_RULES, str(ps.rule_table()))
@@ -208,8 +226,11 @@ def _interval_checks() -> Iterator[CheckResult]:
     yield _check("interval: characteristic polynomial (exact)", got == expect, str(got))
     rep = reciprocal_factor_report(first, ps)
     yield _check(
-        "interval: self-reciprocal factor divides",
-        rep.p_equals_q and rep.p_divides and rep.q_divides,
+        "interval: factor x^2 - 3x + 1 is self-reciprocal and divides",
+        rep.p == IntPolynomial(INTERVAL_CHARPOLY_FACTORS[0])
+        and rep.p_equals_q
+        and rep.p_divides
+        and rep.q_divides,
         str(rep.p),
     )
 
@@ -217,7 +238,9 @@ def _interval_checks() -> Iterator[CheckResult]:
 def _family_checks() -> Iterator[CheckResult]:
     for i in (1, 2, 3, 4):
         first = family_substitution(i)
-        ps = run_bpa(first, reverse_substitution(first))
+        ps = yield from _pair_system(f"family i={i}", first, reverse_substitution(first))
+        if ps is None:
+            continue
         ok_size = ps.size == 6
         ok_pairs = _pair_contents(ps) == family_expected_pairs(i)
         ok_rules = ps.rule_table() == family_expected_rules(i)
@@ -243,7 +266,9 @@ def _family_checks() -> Iterator[CheckResult]:
 
 def _flipped_checks() -> Iterator[CheckResult]:
     first = flipped_tribonacci()
-    ps = run_bpa(first, reverse_substitution(first))
+    ps = yield from _pair_system("flipped", first, reverse_substitution(first))
+    if ps is None:
+        return
     yield _check("flipped: fifteen pairs", ps.size == 15, str(ps.size))
     yield _check("flipped: rule table", ps.rule_table() == FLIPPED_RULES, str(ps.rule_table()))
     yield _check(
@@ -264,23 +289,26 @@ def _flipped_checks() -> Iterator[CheckResult]:
 
 def _nonpalindromic_checks() -> Iterator[CheckResult]:
     first, second = nonpalindromic_pair()
-    ps = run_bpa(first, second)
-    got_pairs = {
-        (str(ps.pairs[i].top), str(ps.pairs[i].bottom)) for i in range(ps.size)
-    }
+    ps = yield from _pair_system("nonpalindromic", first, second)
+    if ps is None:
+        return
+    found = [(str(pair.top), str(pair.bottom)) for pair in ps.pairs]
     yield _check(
         "nonpalindromic: the five known pairs are found",
-        ps.size == 5 and got_pairs == set(NONPALINDROMIC_LISTED_PAIRS),
-        str(sorted(got_pairs)),
+        ps.size == 5 and set(found) == set(NONPALINDROMIC_LISTED_PAIRS),
+        str(sorted(found)),
+    )
+    yield _check(
+        "nonpalindromic: pairs and rules in FIFO left-to-right discovery order",
+        found == NONPALINDROMIC_DISCOVERY_PAIRS
+        and ps.rule_table() == NONPALINDROMIC_DISCOVERY_RULES,
+        f"{found} {ps.rule_table()}",
     )
     # compare rule systems under the content-based relabeling A..E of the listed order
-    listed_names = {}
-    for rank, contents in enumerate(NONPALINDROMIC_LISTED_PAIRS):
-        listed_names[contents] = chr(ord("A") + rank)
-    rename = {
-        ps.name(i): listed_names[(str(ps.pairs[i].top), str(ps.pairs[i].bottom))]
-        for i in range(ps.size)
+    listed_names = {
+        contents: chr(ord("A") + rank) for rank, contents in enumerate(NONPALINDROMIC_LISTED_PAIRS)
     }
+    rename = {ps.name(i): listed_names.get(contents, "?") for i, contents in enumerate(found)}
     relabeled = {
         rename[name]: "".join(rename[ch] for ch in word)
         for name, word in ps.rule_table().items()
@@ -326,29 +354,33 @@ def _no_prefix_checks() -> Iterator[CheckResult]:
 
 
 def _symmetry_checks() -> Iterator[CheckResult]:
-    first = family_substitution(1)
-    second = reverse_substitution(first)
-    op = projection_operator(spectral_split(incidence_matrix(first)))
-    cloud = rauzy_cloud(first, SYMMETRY_POINTS, op)
-    cloud_rev = rauzy_cloud(second, SYMMETRY_POINTS, op)
-    eps = 0.02 * cloud.diameter()
-    h = hausdorff_distance(cloud_rev, reflect_cloud(cloud), eps)
-    yield _check(
-        "symmetry: reflected cloud within 3 cells of the reverse cloud",
-        h <= 3 * eps,
-        f"hausdorff {h:.5f} vs 3*eps {3 * eps:.5f}",
-    )
-    inter = grid_intersection_estimate(cloud, cloud_rev, eps)
-    sym_frac = (
-        len(inter.cells ^ negate_cells(inter.cells)) / inter.cell_count
-        if inter.cell_count
-        else 1.0
-    )
-    yield _check(
-        "symmetry: intersection grid is nonempty and centrally symmetric",
-        inter.cell_count > 0 and sym_frac <= 0.05,
-        f"{inter.cell_count} cells, symmetric difference {sym_frac:.3%}",
-    )
+    # Tribonacci is conjugate to its reverse, so its Omega is itself
+    # centrally symmetric up to translation; flipped tribonacci's is not, so
+    # only there is the symmetry of the intersection a finding.
+    cases = (("tribonacci", family_substitution(1)), ("flipped tribonacci", flipped_tribonacci()))
+    for name, first in cases:
+        second = reverse_substitution(first)
+        op = projection_operator(spectral_split(incidence_matrix(first)))
+        cloud = rauzy_cloud(first, SYMMETRY_POINTS, op)
+        cloud_rev = rauzy_cloud(second, SYMMETRY_POINTS, op)
+        eps = 0.02 * cloud.diameter()
+        h = hausdorff_distance(cloud_rev, reflect_cloud(cloud), eps)
+        yield _check(
+            f"symmetry: {name} reflected cloud within 3 cells of the reverse cloud",
+            h <= 3 * eps,
+            f"hausdorff {h:.5f} vs 3*eps {3 * eps:.5f}",
+        )
+        inter = grid_intersection_estimate(cloud, cloud_rev, eps)
+        sym_frac = (
+            len(inter.cells ^ negate_cells(inter.cells)) / inter.cell_count
+            if inter.cell_count
+            else 1.0
+        )
+        yield _check(
+            f"symmetry: {name} intersection grid is nonempty and centrally symmetric",
+            inter.cell_count > 0 and sym_frac <= 0.05,
+            f"{inter.cell_count} cells, symmetric difference {sym_frac:.3%}",
+        )
 
 
 def _common_point_checks() -> Iterator[CheckResult]:
@@ -359,7 +391,9 @@ def _common_point_checks() -> Iterator[CheckResult]:
         fam = family_substitution(i)
         cases.append((f"family i={i}", fam, reverse_substitution(fam)))
     for name, first, second in cases:
-        ps = run_bpa(first, second)
+        ps = yield from _pair_system(f"common points: {name}", first, second)
+        if ps is None:
+            continue
         res = verify_common_points(ps, first, second, COMMON_POINT_PREFIX)
         yield _check(
             f"common points: {name} exact lattice membership",
@@ -382,20 +416,37 @@ def _classification_checks() -> Iterator[CheckResult]:
     )
 
 
-CHECK_GROUPS: tuple[Callable[[], Iterator[CheckResult]], ...] = (
-    _interval_checks,
-    _family_checks,
-    _flipped_checks,
-    _nonpalindromic_checks,
-    _no_prefix_checks,
-    _symmetry_checks,
-    _common_point_checks,
-    _classification_checks,
-)
+# The one place the worked examples are checked: `rauzykit selftest` runs
+# every group, and the pytest suite runs each group as one case.
+CHECK_GROUPS: dict[str, Callable[[], Iterator[CheckResult]]] = {
+    "interval": _interval_checks,
+    "family": _family_checks,
+    "flipped": _flipped_checks,
+    "nonpalindromic": _nonpalindromic_checks,
+    "no-balanced-prefix": _no_prefix_checks,
+    "symmetry": _symmetry_checks,
+    "common-points": _common_point_checks,
+    "classification": _classification_checks,
+}
 
 
 def run_all_checks() -> list[CheckResult]:
+    """Every group's checks; a group that raises keeps the checks it gave
+    before, adds one failing check naming the exception and the line that
+    raised it, and the other groups still run."""
     results: list[CheckResult] = []
-    for group in CHECK_GROUPS:
-        results.extend(group())
+    for name, group in CHECK_GROUPS.items():
+        try:
+            results.extend(group())  # keeps what the group gave before it raised
+        except Exception as exc:
+            import traceback  # only on failure, so it stays off cli's import path
+
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            results.append(
+                _check(
+                    f"{name}: raised {type(exc).__name__}: {exc}",
+                    False,
+                    f"at {where.filename}:{where.lineno} in {where.name}",
+                )
+            )
     return results

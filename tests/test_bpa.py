@@ -18,7 +18,6 @@ from rauzykit import (
     Alphabet,
     BalancedPair,
     BpaLimits,
-    IntPolynomial,
     MatrixMismatch,
     NonTermination,
     NotBalanced,
@@ -341,18 +340,6 @@ class TestFirstMinimalPair:
 
 
 class TestRunBpa:
-    def test_interval_pair_exact(self):
-        first, second = interval_pair()
-        ps = run_bpa(first, second)
-        assert isinstance(ps, PairSubstitution)
-        assert ps.pair_alphabet.letters == ("A", "B", "C")
-        assert [(str(p.top), str(p.bottom)) for p in ps.pairs] == [
-            ("a", "a"),
-            ("b", "b"),
-            ("ab", "ba"),
-        ]
-        assert ps.rule_table() == {"A": "ABA", "B": "C", "C": "CAC"}
-
     def test_matrix_mismatch(self):
         first, _ = interval_pair()
         other = Substitution.from_rules(["a", "b"], {"a": "ab", "b": "a"})
@@ -402,21 +389,10 @@ class TestRunBpa:
 
 
 class TestPairIncidence:
-    def test_interval_char_poly(self):
-        first, second = interval_pair()
-        inc = pair_incidence(run_bpa(first, second))
-        assert inc.char_polynomial == IntPolynomial((-1, 4, -4, 1))
-
     def test_homomorphism_exact(self):
         first, second = interval_pair()
         ps = run_bpa(first, second)
         assert intertwines(ps, first)
-
-    def test_factor_report_self_reciprocal(self):
-        first, second = interval_pair()
-        rep = reciprocal_factor_report(first, run_bpa(first, second))
-        assert rep.p == IntPolynomial((1, -3, 1))
-        assert rep.p_equals_q and rep.p_divides and rep.q_divides
 
     def test_one_pair_char_poly_per_pair_system(self, monkeypatch):
         import rauzykit.bpa as bpa

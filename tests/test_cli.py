@@ -12,10 +12,12 @@ import pytest
 import rauzykit.algebra as algebra
 import rauzykit.bpa as bpa
 import rauzykit.cli as cli
+import rauzykit.selfcheck as selfcheck
 from conftest import kbonacci
 from oracles import reference_export_csv, reference_render_svg, sympy_factor_list
 from rauzykit import (
     IntPolynomial,
+    NotFound,
     NotPisot,
     incidence_matrix,
     intersection_cloud,
@@ -628,7 +630,7 @@ class TestSelftest:
         assert code == 0
         assert "FAIL" not in out
         lines = [line for line in out.splitlines() if line.startswith("[PASS]")]
-        assert len(lines) >= 25
+        assert len(lines) >= 32
 
     def test_a_failing_check_exits_one(self, capsys, monkeypatch):
         failing = [CheckResult("stand-in check", False, "forced failure")]
@@ -636,6 +638,37 @@ class TestSelftest:
         code, out, err = run(capsys, ["selftest"])
         assert code == 1
         assert out.splitlines() == ["[FAIL] stand-in check :: forced failure", "0/1 checks passed"]
+        assert err == "error: 1 selftest checks failed\n"
+
+    def test_a_result_that_is_not_a_pair_substitution_fails_its_checks(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(selfcheck, "run_bpa", lambda first, second: NotFound(10))
+        code, out, err = run(capsys, ["selftest"])
+        assert code == 1
+        failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+        assert f"[FAIL] interval: run_bpa finds a pair substitution :: {NotFound(10)}" in failed
+        assert not any("raised" in line for line in failed)
+        assert err.startswith("error: ")
+
+    def test_a_group_that_raises_fails_once_and_the_others_still_run(
+        self, capsys, monkeypatch
+    ):
+        def raising():
+            yield CheckResult("first: before the raise", True)
+            raise RuntimeError("boom")
+
+        def passing():
+            yield CheckResult("second: after the raise", True)
+
+        monkeypatch.setattr(selfcheck, "CHECK_GROUPS", {"first": raising, "second": passing})
+        code, out, err = run(capsys, ["selftest"])
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "[PASS] first: before the raise"
+        assert lines[1].startswith("[FAIL] first: raised RuntimeError: boom :: at ")
+        assert lines[1].endswith(" in raising")
+        assert lines[2:] == ["[PASS] second: after the raise", "2/3 checks passed"]
         assert err == "error: 1 selftest checks failed\n"
 
 

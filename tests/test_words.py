@@ -30,7 +30,7 @@ from rauzykit import (
     substitution_from_dict,
     substitution_to_dict,
 )
-from rauzykit.selfcheck import FORWARD_PREFIX_24, REVERSE_PREFIX_24_DERIVED, flipped_tribonacci
+from rauzykit.selfcheck import REVERSE_PREFIX_24_DERIVED, flipped_tribonacci
 from rauzykit.words import letter_dtype
 
 
@@ -229,11 +229,6 @@ class TestSeedSearchOracle:
 
 
 class TestStreams:
-    def test_growth_example_prefix(self):
-        sub = Substitution.from_rules(["a", "b", "c"], {"a": "abc", "b": "a", "c": "ac"})
-        stream = stream_for(sub)
-        assert str(stream.prefix(24)) == FORWARD_PREFIX_24
-
     def test_zero_prefix(self):
         stream = stream_for(tribonacci())
         assert len(stream.prefix(0)) == 0
