@@ -78,6 +78,58 @@ def test_a_corrupted_table_fails_its_group_case_and_selftest(monkeypatch, capsys
     assert "[FAIL] interval: rule table :: " in capsys.readouterr().out
 
 
+# Each table below backs a check that replaced a deleted unit or acceptance
+# test; corrupting it must fail exactly the checks that read it.
+CORRUPTED_TABLES = {
+    "interval-pair-alphabet-order": (
+        "interval",
+        "INTERVAL_PAIRS",
+        {"B": ("b", "b"), "A": ("a", "a"), "C": ("ab", "ba")},
+        ["interval: three pairs with the expected contents"],
+    ),
+    "interval-factor": (
+        "interval",
+        "INTERVAL_CHARPOLY_FACTORS",
+        ((1, -3, 2), (-1, 1)),
+        [
+            "interval: characteristic polynomial (exact)",
+            "interval: factor x^2 - 3x + 1 is self-reciprocal and divides",
+        ],
+    ),
+    "family-i1-rules": (
+        "family",
+        "FAMILY_I1_RULES",
+        {**selfcheck.FAMILY_I1_RULES, "E": "D"},
+        ["family i=1: independently derived rule table"],
+    ),
+    "discovery-pairs": (
+        "nonpalindromic",
+        "NONPALINDROMIC_DISCOVERY_PAIRS",
+        sorted(NONPALINDROMIC_DISCOVERY_PAIRS),
+        ["nonpalindromic: pairs and rules in FIFO left-to-right discovery order"],
+    ),
+    "discovery-rules": (
+        "nonpalindromic",
+        "NONPALINDROMIC_DISCOVERY_RULES",
+        {**NONPALINDROMIC_DISCOVERY_RULES, "E": "AEDCB"},
+        ["nonpalindromic: pairs and rules in FIFO left-to-right discovery order"],
+    ),
+    "forward-prefix": (
+        "no-balanced-prefix",
+        "FORWARD_PREFIX_24",
+        selfcheck.FORWARD_PREFIX_24[:23] + "b",
+        ["no-balanced-prefix: forward fixed-point prefix"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CORRUPTED_TABLES))
+def test_a_corrupted_table_fails_the_checks_that_read_it(case, monkeypatch):
+    group, table, corrupted, failing = CORRUPTED_TABLES[case]
+    monkeypatch.setattr(selfcheck, table, corrupted)
+    assert [f.split(" :: ")[0] for f in group_failures(group)] == failing
+
+
 # ---------------------------------------------------------------------------
 # string-level oracles: substitutions as plain {letter: image} dicts
 
