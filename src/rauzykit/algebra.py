@@ -21,9 +21,9 @@ classify_pisot reads every exact flag off the char poly p and its
 factorisation: unimodularity off p(0), irreducibility off the factor list.
 It picks the minimal polynomial first, as the factor with the largest float
 estimate of a real root, and brackets the Perron root once, by exact sign
-bisection on that squarefree factor alone; the bracket also seeds the
-Newton refinement of its conjugates, which the PisotReport carries on.  A
-reciprocal minimal polynomial of degree >= 3 is decided "not Pisot" exactly.
+bisection on that squarefree factor alone, and never refines it; numpy's
+other root estimates, its conjugates, are Newton-refined for the PisotReport.
+A reciprocal minimal polynomial of degree >= 3 is decided "not Pisot" exactly.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -724,17 +724,17 @@ def factor_over_z(p: IntPolynomial) -> tuple[Factor, ...]:
             factors.append(Factor(IntPolynomial(tuple(g)), k, cyclotomic))
 
     take([0, 1], False)
-    if max(abs(c) for c in rest) < 2 ** 1000:  # the filters below need float coefficients
-        coeffs = np.array(rest[::-1], dtype=float)
-        orders = _cyclotomic_orders(len(rest) - 1)
-        with np.errstate(all="ignore"):
-            values = np.abs(np.polyval(coeffs, np.exp(2j * np.pi / np.array([m for m, _ in orders]))))
-        # a root of unity is a root of rest only where its float value is
-        # within rounding of 0; the division decides exactly
-        tol = 1e-9 * float(np.abs(coeffs).sum())
-        for (m, phi), v in zip(orders, values):
-            if not v > tol and phi < len(rest):
-                take(_cyclotomic(m, phi), True)
+    scale = max(abs(c) for c in rest)  # int / int rounds correctly at any size
+    coeffs = np.array([c / scale for c in rest[::-1]])
+    orders = _cyclotomic_orders(len(rest) - 1)
+    with np.errstate(all="ignore"):
+        values = np.abs(np.polyval(coeffs, np.exp(2j * np.pi / np.array([m for m, _ in orders]))))
+    # a root of unity is a root of rest only where its float value is
+    # within rounding of 0; the division decides exactly
+    tol = 1e-9 * float(np.abs(coeffs).sum())
+    for (m, phi), v in zip(orders, values):
+        if not v > tol and phi < len(rest):
+            take(_cyclotomic(m, phi), True)
     if len(rest) > 1:
         prime = next(q for q in _primes(101, 2) if rest[-1] % q)
         if not _squarefree_mod(_zreduce(rest, prime), prime):
@@ -835,13 +835,17 @@ def dominant_real_root(p: IntPolynomial) -> DominantRoot:
     return DominantRoot(float(Fraction(lo + hi, 2 << e)), Fraction(lo, 1 << e), Fraction(hi, 1 << e))
 
 
-def _newton(p: IntPolynomial, starts: Iterable[complex], tol: float) -> list[Root]:
-    """Newton-refine each start until |p(z)| / ||p|| < tol, in at most 60 steps.
+def _conjugates(p: IntPolynomial, lam: float) -> list[Root]:
+    """The deg(p) - 1 roots of p other than lam: numpy's estimates less the
+    one nearest lam, each Newton-refined until |p(z)| / ||p|| < 1e-10, in at
+    most 60 steps.
 
-    p and p' are evaluated by Horner's rule on float coefficients.  A start
-    already below tol takes no step.  Raises NoConvergence (with the
-    residual) if refinement stalls.
+    p and p' are evaluated by Horner's rule on float coefficients.  An
+    estimate already below 1e-10 takes no step.  Raises NoConvergence (with
+    the residual) if refinement stalls.
     """
+    estimates = list(np.roots(np.array(p.coeffs[::-1], dtype=float)))
+    del estimates[min(range(len(estimates)), key=lambda i: abs(estimates[i] - lam))]
     coeffs = [float(c) for c in p.coeffs]
     dcoeffs = [float(c) for c in p.derivative().coeffs]
     norm = math.sqrt(sum(c * c for c in coeffs))
@@ -853,11 +857,11 @@ def _newton(p: IntPolynomial, starts: Iterable[complex], tol: float) -> list[Roo
         return acc
 
     roots = []
-    for z in starts:
+    for z in estimates:
         z = complex(z)
         residual = abs(horner(coeffs, z)) / norm
         for _ in range(60):
-            if residual < tol:
+            if residual < 1e-10:
                 break
             d = horner(dcoeffs, z)
             if abs(d) < 1e-300:
@@ -865,20 +869,10 @@ def _newton(p: IntPolynomial, starts: Iterable[complex], tol: float) -> list[Roo
                 d = horner(dcoeffs, z)
             z = z - horner(coeffs, z) / d
             residual = abs(horner(coeffs, z)) / norm
-        if residual >= tol:
+        if residual >= 1e-10:
             raise NoConvergence(f"root refinement stalled at residual {residual:.3e}")
         roots.append(Root(z, residual))
     return roots
-
-
-def _roots_near(p: IntPolynomial, dom: DominantRoot | None, tol: float) -> list[Root]:
-    """All deg(p) roots, from numpy's estimates with the one nearest dom.value
-    snapped to it, Newton-refined to tol."""
-    estimates = list(np.roots(np.array(p.coeffs[::-1], dtype=float)))
-    if dom is not None:
-        nearest = min(range(len(estimates)), key=lambda i: abs(estimates[i] - dom.value))
-        estimates[nearest] = complex(dom.value)
-    return _newton(p, estimates, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -889,13 +883,13 @@ def _roots_near(p: IntPolynomial, dom: DominantRoot | None, tol: float) -> list[
 class PisotReport:
     """Classification flags for a substitution's incidence matrix.
 
-    matrix is the incidence matrix classified.  margin is the smallest
-    distance of a non-dominant minimal-polynomial root modulus from 1 (inf
-    when the dominant root has no conjugates).  char_poly is the
-    characteristic polynomial and minimal_polynomial its irreducible factor
-    vanishing at the Perron root; roots are the minimal polynomial's roots,
-    Newton-refined to a residual below 1e-10 (empty when the Perron root is
-    exactly 1).
+    matrix is the incidence matrix classified.  perron_root is the midpoint
+    of its exact bracket, never refined.  margin is the smallest distance of
+    a conjugate's modulus from 1 (inf when the Perron root has no
+    conjugates).  char_poly is the characteristic polynomial and
+    minimal_polynomial its irreducible factor vanishing at the Perron root;
+    conjugates are the minimal polynomial's other roots, Newton-refined to a
+    residual below 1e-10 (empty when the minimal polynomial is linear).
     """
 
     perron_root: float
@@ -907,7 +901,7 @@ class PisotReport:
     char_poly: IntPolynomial
     minimal_polynomial: IntPolynomial
     matrix: IntMatrix
-    roots: tuple[Root, ...]
+    conjugates: tuple[Root, ...]
 
 
 def _as_incidence(value) -> IntMatrix:
@@ -938,9 +932,18 @@ def classify_pisot(substitution_or_matrix) -> PisotReport:
     polynomial among others, sets is_pisot to False without the margin test;
     margin is still the float distance.
 
-    Raises IndeterminateClassification when the dominant root, or a
-    conjugate of a non-reciprocal minimal polynomial, has a modulus within
-    CLASSIFICATION_MARGIN of 1 without being exactly 1, and
+    lambda needs no refusal margin: a k x k nonnegative integer matrix has
+    spectral radius 0, 1 or at least 2^(1/k^2), so lambda != 1 lies within
+    1e-9 of 1 only if k > 2.6 * 10^4.  Proof: lambda is the largest radius
+    of M's irreducible diagonal blocks.  A zero 1 x 1 block has radius 0, a
+    block with unit row sums is a cycle, of radius 1.  In any other block,
+    of size s, some index i has two distinct first steps (two entries, or
+    one >= 2), each closing into a walk back to i of length l1, l2 <= s.
+    Repeated l2 and l1 times, they give (M^N)_ii >= 2 at N = l1 l2 <= s^2,
+    so lambda^N >= 2.  At lambda = 1, f = x - 1 has no conjugates: not Pisot.
+
+    Raises IndeterminateClassification when a conjugate of a non-reciprocal
+    minimal polynomial has a modulus within CLASSIFICATION_MARGIN of 1, and
     TooManyModularFactors, before any root work, when p cannot be factored
     within MODULAR_FACTOR_CAP.
     """
@@ -951,20 +954,9 @@ def classify_pisot(substitution_or_matrix) -> PisotReport:
     factors = [f.poly for f in factor_over_z(p)]
     minpoly = factors[0] if len(factors) == 1 else max(factors, key=_largest_real_estimate)
     irreducible = minpoly.degree == p.degree
-    dom = dominant_real_root(minpoly)
-    lam = dom.value
-
-    if abs(lam - 1) <= CLASSIFICATION_MARGIN:
-        if minpoly.evaluate(1) == 0:
-            # dominant root is exactly 1: decidable, not Pisot
-            return PisotReport(1.0, primitive, False, irreducible, unimodular, math.inf, p, minpoly, m, ())
-        raise IndeterminateClassification(
-            f"dominant root {lam!r} within {CLASSIFICATION_MARGIN} of 1"
-        )
-
-    roots = tuple(_roots_near(minpoly, dom, 1e-10))
-    nearest = min(range(len(roots)), key=lambda i: abs(roots[i].value - lam))
-    moduli = [abs(r.value) for i, r in enumerate(roots) if i != nearest]
+    lam = dominant_real_root(minpoly).value
+    conjugates = tuple(_conjugates(minpoly, lam))
+    moduli = [abs(r.value) for r in conjugates]
     margin = min((abs(1 - mu) for mu in moduli), default=math.inf)
     reciprocal = minpoly.degree >= 3 and minpoly.coeffs == minpoly.coeffs[::-1]
     if margin <= CLASSIFICATION_MARGIN and not reciprocal:
@@ -972,4 +964,4 @@ def classify_pisot(substitution_or_matrix) -> PisotReport:
             f"a conjugate modulus is within {margin:.3e} of 1"
         )
     pisot = not reciprocal and lam > 1 and all(mu < 1 for mu in moduli)
-    return PisotReport(lam, primitive, pisot, irreducible, unimodular, margin, p, minpoly, m, roots)
+    return PisotReport(lam, primitive, pisot, irreducible, unimodular, margin, p, minpoly, m, conjugates)

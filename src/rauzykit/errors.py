@@ -60,7 +60,7 @@ class NoConvergence(RauzykitError):
 
 
 class IndeterminateClassification(RauzykitError):
-    """A root modulus sits too close to 1 to classify without guessing."""
+    """A conjugate's modulus sits too close to 1 to classify without guessing."""
 
 
 class IllConditioned(RauzykitError):

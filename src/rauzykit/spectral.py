@@ -112,7 +112,7 @@ def spectral_split(matrix_or_report: IntMatrix | PisotReport) -> SpectralSplit:
 
     Takes a classify_pisot report, or a matrix that is classified here.
     Requires a primitive matrix whose dominant root is Pisot.  The
-    conjugates are the report's roots, already Newton-refined.
+    conjugates come from the report, already Newton-refined.
     """
     if isinstance(matrix_or_report, PisotReport):
         report = matrix_or_report
@@ -143,12 +143,11 @@ def spectral_split(matrix_or_report: IntMatrix | PisotReport) -> SpectralSplit:
         h_lam = h_lam * lam_ld + coeff
     expanding = acc / h_lam
 
-    roots = sorted((r.value for r in report.roots), key=lambda z: (round(z.real, 9), round(z.imag, 9)))
-    nearest = min(range(len(roots)), key=lambda i: abs(roots[i] - lam))
+    conjugates = sorted((r.value for r in report.conjugates), key=lambda z: (round(z.real, 9), round(z.imag, 9)))
     cols = []
-    for i, mu in enumerate(roots):
-        if i == nearest or mu.imag < -1e-9:
-            continue  # lambda, or a conjugate partner handled with imag > 0
+    for mu in conjugates:
+        if mu.imag < -1e-9:
+            continue  # a conjugate partner handled with imag > 0
         if abs(mu.imag) <= 1e-9:
             cols.append(_canonical_sign(_null_column(mf - mu.real * np.eye(k)).real))
         else:

@@ -14,10 +14,12 @@ def fibonacci() -> Substitution:
     return Substitution.from_rules(["a", "b"], {"a": "ab", "b": "a"})
 
 
-def kbonacci(k: int) -> Substitution:
-    letters = list(string.ascii_lowercase[:k])
-    rules = {letters[i]: letters[0] + letters[i + 1] for i in range(k - 1)}
-    rules[letters[-1]] = letters[0]
+def kbonacci(k: int, i: int = 1, j: int = 1) -> Substitution:
+    """x_t -> a^i x_(t+1) for t < k - 1 and x_(k-1) -> a^j, with a = x_0, on
+    the letters a..z, A..Z (k <= 52); i = j = 1 is the k-bonacci substitution."""
+    letters = list(string.ascii_letters[:k])
+    rules = {letters[t]: letters[0] * i + letters[t + 1] for t in range(k - 1)}
+    rules[letters[-1]] = letters[0] * j
     return Substitution.from_rules(letters, rules)
 
 

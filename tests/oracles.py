@@ -12,8 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from rauzykit import DimensionMismatch, IntMatrix, IntPolynomial, NoConvergence, Root, dominant_real_root
-from rauzykit.algebra import _roots_near
+from rauzykit import DimensionMismatch, IntMatrix, IntPolynomial
 from rauzykit.fractal import PALETTE
 
 
@@ -76,23 +75,6 @@ def evaluate_at_matrix(p: IntPolynomial, m: IntMatrix) -> IntMatrix:
             for i in range(k)
         ]
     return IntMatrix(acc)
-
-
-def all_roots(p: IntPolynomial, tol: float = 1e-10) -> list[Root]:
-    """All deg(p) complex roots, Newton-refined until |p(z)| / ||p|| < tol.
-
-    The largest real root is snapped to its sign-bisected value when
-    dominant_real_root can bracket it, and otherwise, as at a root of even
-    multiplicity, left to numpy's estimate and Newton's steps.  Raises
-    NoConvergence (with the residual) if refinement stalls.
-    """
-    if p.degree < 1:
-        raise ValueError("need degree >= 1")
-    try:
-        dom = dominant_real_root(p)
-    except NoConvergence:
-        dom = None
-    return _roots_near(p, dom, tol)
 
 
 def fraction_dominant_real_root(p: IntPolynomial) -> tuple[float, Fraction, Fraction]:

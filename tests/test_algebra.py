@@ -5,7 +5,6 @@ import pytest
 
 from conftest import fibonacci, kbonacci, random_substitution, tribonacci
 from oracles import (
-    all_roots,
     bareiss_determinant,
     char_poly_via_cofactors,
     evaluate_at_matrix,
@@ -251,6 +250,19 @@ class TestIrreducibility:
         assert factor_pairs(p) == sympy_factor_list(p)
         assert not is_irreducible_over_q(p)
 
+    @pytest.mark.parametrize(
+        "cyclotomic, exponent", [((-1, 1), 1000), ((1, 1, 1), 1100)], ids=["x-1", "x^2+x+1"]
+    )
+    def test_cyclotomic_factor_beside_a_coefficient_past_the_float_range(self, cyclotomic, exponent):
+        # the root-of-unity filter reads the coefficients over the largest one,
+        # so it still runs when a coefficient does not fit in a float
+        big = IntPolynomial((-(2 ** exponent), 1))
+        factors = factor_over_z(IntPolynomial(cyclotomic) * big)
+        assert {(f.poly, f.multiplicity, f.cyclotomic) for f in factors} == {
+            (IntPolynomial(cyclotomic), 1, True),
+            (big, 1, False),
+        }
+
     def test_minimal_polynomial_extraction(self):
         p = IntPolynomial((-1, 4, -4, 1))  # (x^2 - 3x + 1)(x - 1)
         rep = classify_pisot(IntMatrix([[2, 0, 1], [1, 0, 0], [0, 1, 2]]))
@@ -353,44 +365,91 @@ class TestModularLayer:
                 assert got == sorted(g.degree() for g, _ in expected), (p, f)
 
 
+def roots_of(report):
+    """The Perron root (real, from its exact bracket) and the report's conjugates."""
+    return [complex(report.perron_root)] + [r.value for r in report.conjugates]
+
+
+def classified_sample(seed, count):
+    """Reports of seeded random substitutions on 2 to 6 letters, refusals skipped."""
+    rng = random.Random(seed)
+    reports = []
+    for _ in range(count):
+        try:
+            reports.append(classify_pisot(random_substitution(rng, k=rng.randint(2, 6))))
+        except IndeterminateClassification:
+            continue
+    return reports
+
+
 class TestRoots:
+    """The Perron root is dominant_real_root's exact bracket, never refined;
+    the other roots of the minimal polynomial are classify_pisot's
+    Newton-refined conjugates."""
+
     def test_golden_quadratic(self):
-        roots = sorted(r.value.real for r in all_roots(IntPolynomial((1, -3, 1))))
-        assert roots[1] == pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-12)
-        assert roots[0] == pytest.approx((3 - math.sqrt(5)) / 2, abs=1e-12)
+        rep = classify_pisot(IntMatrix([[2, 1], [1, 1]]))  # x^2 - 3x + 1
+        assert rep.minimal_polynomial == IntPolynomial((1, -3, 1))
+        assert rep.perron_root == pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-12)
+        (mu,) = rep.conjugates
+        assert mu.value == pytest.approx((3 - math.sqrt(5)) / 2, abs=1e-12)
 
     def test_linear(self):
-        (root,) = all_roots(IntPolynomial((-1, 1)))
-        assert root.value == pytest.approx(1.0, abs=1e-14)
+        dom = dominant_real_root(IntPolynomial((-1, 1)))
+        assert dom.value == 1.0 and dom.lower == dom.upper == 1
+        # a Perron root of exactly 1 has no conjugates and is not Pisot
+        rep = classify_pisot(IntMatrix([[1]]))
+        assert rep.perron_root == 1.0 and rep.conjugates == ()
+        assert rep.is_primitive and not rep.is_pisot and rep.margin == math.inf
 
     def test_tribonacci_roots(self):
-        roots = all_roots(TRIB_POLY)
-        lam = max(r.value.real for r in roots)
+        rep = classify_pisot(tribonacci())
+        lam = rep.perron_root
         assert lam == pytest.approx(1.839286755214161, abs=1e-12)
-        pair = [r.value for r in roots if abs(r.value.imag) > 1e-9]
+        pair = [r.value for r in rep.conjugates]
+        assert len(pair) == 2 and all(abs(z.imag) > 1e-9 for z in pair)
         # |conjugate pair product| = 1/lambda because |det| = 1
         assert abs(pair[0] * pair[1]) == pytest.approx(1 / lam, abs=1e-12)
         assert abs(pair[0]) == pytest.approx(0.7373527, abs=1e-6)
 
     def test_residuals_below_tolerance(self):
-        for r in all_roots(IntPolynomial((-1, 4, -4, 1)), tol=1e-12):
-            assert r.residual < 1e-12
+        reports = [classify_pisot(IntMatrix([[2, 0, 1], [1, 0, 0], [0, 1, 2]]))]
+        reports += [classify_pisot(kbonacci(k)) for k in (5, 20, 40)] + classified_sample(43, 40)
+        for rep in reports:
+            f = rep.minimal_polynomial
+            norm = math.sqrt(sum(c * c for c in f.coeffs))
+            assert len(rep.conjugates) == f.degree - 1
+            for r in rep.conjugates:
+                assert r.residual < 1e-10
+                assert abs(f.evaluate(r.value)) / norm == pytest.approx(r.residual, rel=1e-6, abs=1e-15)
 
     def test_root_sum_and_product(self):
-        rng = random.Random(41)
-        for _ in range(60):
-            deg = rng.randint(1, 5)
-            coeffs = [rng.randint(-5, 5) for _ in range(deg)] + [rng.choice([1, -1, 2])]
-            p = IntPolynomial(tuple(coeffs))
-            if p.degree < 1:
-                continue
-            roots = [r.value for r in all_roots(p)]
-            total = sum(roots)
+        # Vieta over the Perron root and its conjugates
+        reports = [classify_pisot(kbonacci(k)) for k in (3, 12, 27)] + classified_sample(41, 60)
+        for rep in reports:
+            f = rep.minimal_polynomial
+            roots = roots_of(rep)
+            assert len(roots) == f.degree
             prod = 1
             for z in roots:
                 prod *= z
-            assert abs(total - (-p.coeffs[-2] / p.leading)) < 1e-6
-            assert abs(prod - (-1) ** p.degree * p.coeffs[0] / p.leading) < 1e-6
+            root_sum = -f.coeffs[-2] / f.leading
+            root_product = (-1) ** f.degree * f.coeffs[0] / f.leading
+            assert abs(sum(roots) - root_sum) < 1e-9 * f.degree * max(1.0, rep.perron_root)
+            assert abs(prod - root_product) < 1e-9 * max(1.0, abs(root_product))
+
+    def test_roots_match_sympy_nroots(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        reports = [classify_pisot(kbonacci(k)) for k in (3, 12, 27, 40)] + classified_sample(44, 60)
+        for rep in reports:
+            f = rep.minimal_polynomial
+            got = roots_of(rep)
+            for w in sympy.Poly(f.coeffs[::-1], x).nroots(n=30):
+                w = complex(w)
+                i = min(range(len(got)), key=lambda j: abs(got[j] - w))
+                assert abs(got.pop(i) - w) < 1e-9 * max(1.0, abs(w)), (str(f), w)
+            assert not got
 
     def test_dominant_root_bracket(self):
         dom = dominant_real_root(TRIB_POLY)
@@ -428,11 +487,13 @@ class TestRoots:
         square = GOLDEN_POLY * GOLDEN_POLY
         with pytest.raises(NoConvergence):
             dominant_real_root(square)
-        roots = sorted(r.value.real for r in all_roots(square))
-        assert len(roots) == 4
+        # classification brackets the squarefree factor instead
+        rep = classify_pisot(rules("a:ab b:a c:cd d:c"))
+        assert rep.char_poly == square and rep.minimal_polynomial == GOLDEN_POLY
         phi = (1 + math.sqrt(5)) / 2
-        for got, want in zip(roots, [1 - phi, 1 - phi, phi, phi]):
-            assert got == pytest.approx(want, abs=1e-4)
+        assert rep.perron_root == pytest.approx(phi, rel=1e-15)
+        (mu,) = rep.conjugates
+        assert mu.value == pytest.approx(1 - phi, rel=1e-15)
 
 
 # substitutions whose minimal polynomial is reciprocal, with that polynomial
@@ -509,7 +570,7 @@ class TestClassification:
             raise AssertionError("root work before the recombination refusal")
 
         monkeypatch.setattr(algebra, "dominant_real_root", no_roots)
-        monkeypatch.setattr(algebra, "_roots_near", no_roots)
+        monkeypatch.setattr(algebra, "_conjugates", no_roots)
         m = swinnerton_dyer_blocks()
         assert m.dim // 2 > MODULAR_FACTOR_CAP  # two or more factors per quartic block
         with pytest.raises(TooManyModularFactors):
@@ -517,7 +578,7 @@ class TestClassification:
         with pytest.raises(TooManyModularFactors):
             is_irreducible_over_q(char_poly(m))
 
-    @pytest.mark.parametrize("k", range(3, 21))
+    @pytest.mark.parametrize("k", range(3, 41))
     def test_kbonacci_classifies_without_refusal(self, k):
         rep = classify_pisot(kbonacci(k))
         assert rep.char_poly == IntPolynomial((-1,) * k + (1,))

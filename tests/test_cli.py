@@ -19,6 +19,7 @@ from rauzykit import (
     IntPolynomial,
     NotFound,
     NotPisot,
+    classify_pisot,
     incidence_matrix,
     intersection_cloud,
     projection_operator,
@@ -593,6 +594,21 @@ class TestRefusals:
             assert report["spectral"]["contracting_dimension"] == 4
         else:
             assert (report["points"], report["dimension"]) == (50, 4)
+
+    @pytest.mark.parametrize("k, i", [(16, 2), (8, 8)])
+    def test_a_large_perron_root_classifies_projects_and_draws(self, k, i, files, capsys):
+        # x_t -> a^i x_(t+1), last letter -> a: lambda^deg is too large for a
+        # float residual test on lambda to pass, so classification must take
+        # lambda from its exact bracket alone
+        sub = kbonacci(k, i)
+        report = classify_pisot(sub)
+        assert report.is_pisot and report.is_irreducible and report.is_unimodular
+        assert projection_operator(spectral_split(report)).chart.shape == (k - 1, k)
+        path = files["dir"] / "large_root.json"
+        path.write_text(json.dumps(substitution_to_dict(sub)), encoding="utf-8")
+        code, out, err = run(capsys, ["fractal", str(path), "--n", "100"])
+        assert code == 0 and err == ""
+        assert (json.loads(out)["points"], json.loads(out)["dimension"]) == (100, k - 1)
 
     @pytest.mark.parametrize(
         "rules, message",

@@ -273,11 +273,6 @@ def random_pisot_substitutions(seed, count):
     return found
 
 
-def without_nearest(values, target):
-    nearest = min(range(len(values)), key=lambda i: abs(values[i] - target))
-    return [z for i, z in enumerate(values) if i != nearest]
-
-
 class TestContractingRootsFromReport:
     """spectral_split takes the conjugates carried by the report instead of
     recomputing the minimal polynomial's roots: it finds no root at all."""
@@ -309,7 +304,7 @@ class TestContractingRootsFromReport:
             eye = np.eye(report.matrix.dim)
             want = [
                 mf - mu.real * eye if abs(mu.imag) <= 1e-9 else mf - mu * eye
-                for mu in without_nearest([r.value for r in report.roots], report.perron_root)
+                for mu in (r.value for r in report.conjugates)
                 if mu.imag >= -1e-9
             ]
             assert len(shifted) == len(want)
