@@ -884,9 +884,9 @@ class PisotReport:
     """Classification flags for a substitution's incidence matrix.
 
     matrix is the incidence matrix classified.  perron_root is the midpoint
-    of its exact bracket, never refined.  margin is the smallest distance of
-    a conjugate's modulus from 1 (inf when the Perron root has no
-    conjugates).  char_poly is the characteristic polynomial and
+    of perron_bracket, its exact bracket, never refined.  margin is the
+    smallest distance of a conjugate's modulus from 1 (inf when the Perron
+    root has no conjugates).  char_poly is the characteristic polynomial and
     minimal_polynomial its irreducible factor vanishing at the Perron root;
     conjugates are the minimal polynomial's other roots, Newton-refined to a
     residual below 1e-10 (empty when the minimal polynomial is linear).
@@ -902,6 +902,7 @@ class PisotReport:
     minimal_polynomial: IntPolynomial
     matrix: IntMatrix
     conjugates: tuple[Root, ...]
+    perron_bracket: DominantRoot
 
 
 def _as_incidence(value) -> IntMatrix:
@@ -954,8 +955,8 @@ def classify_pisot(substitution_or_matrix) -> PisotReport:
     factors = [f.poly for f in factor_over_z(p)]
     minpoly = factors[0] if len(factors) == 1 else max(factors, key=_largest_real_estimate)
     irreducible = minpoly.degree == p.degree
-    lam = dominant_real_root(minpoly).value
-    conjugates = tuple(_conjugates(minpoly, lam))
+    bracket = dominant_real_root(minpoly)
+    conjugates = tuple(_conjugates(minpoly, bracket.value))
     moduli = [abs(r.value) for r in conjugates]
     margin = min((abs(1 - mu) for mu in moduli), default=math.inf)
     reciprocal = minpoly.degree >= 3 and minpoly.coeffs == minpoly.coeffs[::-1]
@@ -963,5 +964,5 @@ def classify_pisot(substitution_or_matrix) -> PisotReport:
         raise IndeterminateClassification(
             f"a conjugate modulus is within {margin:.3e} of 1"
         )
-    pisot = not reciprocal and lam > 1 and all(mu < 1 for mu in moduli)
-    return PisotReport(lam, primitive, pisot, irreducible, unimodular, margin, p, minpoly, m, conjugates)
+    pisot = not reciprocal and bracket.value > 1 and all(mu < 1 for mu in moduli)
+    return PisotReport(bracket.value, primitive, pisot, irreducible, unimodular, margin, p, minpoly, m, conjugates, bracket)

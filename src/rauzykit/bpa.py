@@ -311,8 +311,9 @@ class _FlatPairs:
 
 
 def run_bpa(first: Substitution, second: Substitution, limits: BpaLimits = BpaLimits()):
-    """Run the balanced pair algorithm for two substitutions with equal
-    incidence matrices.
+    """Run the balanced pair algorithm for two substitutions with one
+    alphabet, letters in the same order, and equal incidence matrices;
+    MatrixMismatch refuses any other two.
 
     FIFO worklist seeded with the first balanced prefix pair of the two
     fixed points; each pair maps to (first(top), second(bottom)), which is
@@ -335,6 +336,8 @@ def run_bpa(first: Substitution, second: Substitution, limits: BpaLimits = BpaLi
     m2 = incidence_matrix(second)
     if m1 != m2:
         raise MatrixMismatch("the substitutions have different incidence matrices")
+    if first.alphabet != second.alphabet:
+        raise MatrixMismatch("the substitutions have different alphabets (letters or their order)")
     if not is_primitive(m1):
         raise NotPrimitive("the balanced pair algorithm needs primitive substitutions")
 

@@ -17,10 +17,10 @@ the lambda-eigenvector by h(lambda) != 0, so P_lambda = h(M) E / h(lambda)
 is the projector onto the expanding line along the conjugate eigenvectors
 and ker c(M), and P = E - P_lambda is the projector onto the contracting
 space (spanned by the conjugate eigenvectors) along the expanding line and
-the complementary space ker c(M).  Floating point enters only through
-lambda, the float Perron root sharpened by one exact Newton step and held
-in long double, in which h and h(M) E are evaluated before P is rounded to
-double; P^2 = P and P P_lambda = 0 are checked to within CHECK_LIMIT.
+the complementary space ker c(M).  Both are evaluated exactly at the
+midpoint a / 2^t of the Perron root's bracket, in integers scaled by powers
+of 2^t, and each entry is rounded once to double; P^2 = P and P P_lambda = 0
+are checked to within CHECK_LIMIT.
 
 The chart of the contracting space is the QR factorisation of the
 conjugate eigenvectors, one SVD null vector of M - mu per conjugate mu;
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -92,6 +92,14 @@ def _null_column(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a)[2][-1].conj()
 
 
+def _matrix_horner(coeffs: Sequence[int], m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] m^j x in integers (object arrays), by Horner's rule."""
+    acc = coeffs[-1] * x
+    for coeff in reversed(coeffs[:-1]):
+        acc = m @ acc + coeff * x
+    return acc
+
+
 def _bezout_idempotent(report: PisotReport) -> tuple[np.ndarray, int]:
     """(A, D) with E = A / D exactly: A an integer (object) array, D >= 1."""
     f = report.minimal_polynomial.coeffs
@@ -100,19 +108,18 @@ def _bezout_idempotent(report: PisotReport) -> tuple[np.ndarray, int]:
     den = math.lcm(*(x.denominator for x in u))
     e = _zmul(c, [int(x * den) for x in u])
     m = np.array(report.matrix.rows, dtype=object)
-    ones = np.identity(len(m), dtype=object)
-    acc = e[-1] * ones
-    for coeff in reversed(e[:-1]):
-        acc = acc @ m + coeff * ones
-    return acc, den
+    return _matrix_horner(e, m, np.identity(len(m), dtype=object)), den
 
 
 def spectral_split(matrix_or_report: IntMatrix | PisotReport) -> SpectralSplit:
     """P and P_lambda from the factorisation p = f c, and the conjugate eigenvectors.
 
     Takes a classify_pisot report, or a matrix that is classified here.
-    Requires a primitive matrix whose dominant root is Pisot.  The
-    conjugates come from the report, already Newton-refined.
+    Requires a primitive matrix whose dominant root is Pisot.  P and P_lambda
+    are exact at lambda = a / s (s a power of 2), the midpoint of the report's
+    perron_bracket, and rounded once: with E = A / D and n = deg f,
+    s^(n-1) h(M) A and s^(n-1) h(lambda) are integers.  The conjugates come
+    from the report.
     """
     if isinstance(matrix_or_report, PisotReport):
         report = matrix_or_report
@@ -125,23 +132,15 @@ def spectral_split(matrix_or_report: IntMatrix | PisotReport) -> SpectralSplit:
 
     k = report.matrix.dim
     mf = report.matrix.to_numpy()
-    lam = report.perron_root
     minpoly = report.minimal_polynomial
+    a, s = ((report.perron_bracket.lower + report.perron_bracket.upper) / 2).as_integer_ratio()
 
     numerator, den = _bezout_idempotent(report)
-    idem = numerator.astype(np.longdouble) / den
-    at = Fraction(lam)
-    step = -minpoly.evaluate(at) / minpoly.derivative().evaluate(at)
-    lam_ld = np.longdouble(lam) + np.longdouble(float(step))
-    h = [np.longdouble(minpoly.coeffs[-1])]  # f / (x - lambda), highest degree first
-    for coeff in minpoly.coeffs[-2:0:-1]:
-        h.append(coeff + lam_ld * h[-1])
-    m_ld = mf.astype(np.longdouble)
-    acc, h_lam = h[0] * idem, h[0]
-    for coeff in h[1:]:
-        acc = m_ld @ acc + coeff * idem
-        h_lam = h_lam * lam_ld + coeff
-    expanding = acc / h_lam
+    h, h_lam = [minpoly.coeffs[-1]], minpoly.coeffs[-1]  # s^i h_(n-1-i), and s^(n-1) h(lambda)
+    for i, coeff in enumerate(minpoly.coeffs[-2:0:-1], 1):  # synthetic division by x - a / s
+        h.append(coeff * s**i + a * h[-1])
+        h_lam = h_lam * a + h[-1]
+    h_a = _matrix_horner([c * s**j for j, c in enumerate(h[::-1])], np.array(report.matrix.rows, dtype=object), numerator)
 
     conjugates = sorted((r.value for r in report.conjugates), key=lambda z: (round(z.real, 9), round(z.imag, 9)))
     cols = []
@@ -162,8 +161,8 @@ def spectral_split(matrix_or_report: IntMatrix | PisotReport) -> SpectralSplit:
     return SpectralSplit(
         report=report,
         basis_s=basis_s,
-        projector=(idem - expanding).astype(float),
-        expanding=expanding.astype(float),
+        projector=((h_lam * numerator - h_a) / (den * h_lam)).astype(float),
+        expanding=(h_a / (den * h_lam)).astype(float),
     )
 
 

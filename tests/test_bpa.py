@@ -346,6 +346,19 @@ class TestRunBpa:
         with pytest.raises(MatrixMismatch):
             run_bpa(first, other)
 
+    @pytest.mark.parametrize(
+        "letters, rules",
+        [(["b", "a"], {"a": "aab", "b": "abb"}), (["x", "y"], {"x": "xxy", "y": "xyy"})],
+        ids=["letters-reordered", "other-letters"],
+    )
+    def test_alphabet_mismatch(self, letters, rules):
+        # equal incidence matrices [[2, 1], [1, 2]]: the alphabets alone differ
+        first = Substitution.from_rules(["a", "b"], {"a": "aab", "b": "abb"})
+        other = Substitution.from_rules(letters, rules)
+        assert incidence_matrix(first) == incidence_matrix(other)
+        with pytest.raises(MatrixMismatch, match="different alphabets"):
+            run_bpa(first, other)
+
     def test_not_primitive_rejected(self):
         stuck = Substitution.from_rules(["a", "b"], {"a": "ab", "b": "b"})
         with pytest.raises(NotPrimitive):

@@ -568,6 +568,26 @@ class TestRefusals:
         assert out == ""
         assert "Traceback" not in err and "range" in err
 
+    @pytest.mark.parametrize("command", ["bpa", "intersect"])
+    @pytest.mark.parametrize(
+        "second",
+        [
+            {"alphabet": ["b", "a"], "rules": {"a": "aab", "b": "abb"}},
+            {"alphabet": ["x", "y"], "rules": {"x": "xxy", "y": "xyy"}},
+        ],
+        ids=["letters-reordered", "other-letters"],
+    )
+    def test_mismatched_alphabets_exit_three(self, command, second, files, capsys):
+        # both incidence matrices are [[2, 1], [1, 2]], so only the alphabets
+        # tell the two substitutions apart
+        first, other = files["dir"] / "first.json", files["dir"] / "second.json"
+        first.write_text(json.dumps({"alphabet": ["a", "b"], "rules": {"a": "aab", "b": "abb"}}))
+        other.write_text(json.dumps(second))
+        code, out, err = run(capsys, [command, str(first), str(other)])
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == ["error: the substitutions have different alphabets (letters or their order)"]
+
     @pytest.mark.parametrize(
         "args",
         [["analyze", "{trib}"], ["fractal", "{trib}", "--n", "10"], ["intersect", "{trib}", "{trib_rev}", "--n", "10"]],

@@ -15,10 +15,12 @@ from rauzykit import (
     NotPisot,
     Substitution,
     classify_pisot,
+    export_csv,
     factor_over_z,
     incidence_matrix,
     prefix_counts,
     projection_operator,
+    rauzy_cloud,
     spectral_split,
     stream_for,
     substitution_to_dict,
@@ -371,15 +373,13 @@ class TestExactProjector:
             assert den == 1 and (numerator == np.eye(k, dtype=int)).all()
 
     def test_matches_a_fifty_digit_projector(self):
-        # at most 4e-16 per entry, relative to max(1, |entry|): above 4, half
-        # a binary64 ulp exceeds 4e-16 itself; P is evaluated in long double,
-        # and where that is no wider than double, a few ulps of Horner's
-        # rounding remain
+        # P is exact at the midpoint of the Perron root's 80-bit bracket and
+        # rounded once, so each entry is the 50-digit projector rounded once
+        # (mpmath's float() rounds to nearest)
         pytest.importorskip("sympy")
-        mpmath = pytest.importorskip("mpmath")
-        bound = 4e-16 if np.finfo(np.longdouble).eps < np.finfo(float).eps else 2e-15
+        pytest.importorskip("mpmath")
         reducible = 0
-        for sub in EXACT_PROJECTOR_INPUTS:
+        for sub in EXACT_PROJECTOR_INPUTS + [kbonacci(k) for k in range(21, 25)]:
             report = classify_pisot(sub)
             reducible += not report.is_irreducible
             p = projection_operator(spectral_split(report)).matrix
@@ -387,6 +387,24 @@ class TestExactProjector:
             k = report.matrix.dim
             for i in range(k):
                 for j in range(k):
-                    err = abs(mpmath.mpf(p[i, j]) - want[i, j])
-                    assert err <= bound * max(1, abs(want[i, j])), (rules_id(sub), i, j, float(err))
+                    assert p[i, j] == float(want[i, j]), (rules_id(sub), i, j, p[i, j] - float(want[i, j]))
         assert reducible >= 21
+
+
+class TestNoLongDouble:
+    """P is computed in integers and rounded once, so a build whose long
+    double is binary64 (MSVC, Apple arm64) gets the same P, chart and CSV."""
+
+    @pytest.mark.parametrize("sub", [tribonacci(), flipped_tribonacci(), kbonacci(10)], ids=rules_id)
+    def test_binary64_long_double_changes_nothing(self, sub, tmp_path, monkeypatch):
+        def outputs(name):
+            op = projection_operator(spectral_split(classify_pisot(sub)))
+            export_csv(rauzy_cloud(sub, 5000, op), tmp_path / name)
+            return op.matrix, op.chart, (tmp_path / name).read_bytes()
+
+        native = outputs("native.csv")
+        monkeypatch.setattr(np, "longdouble", np.float64)
+        binary64 = outputs("binary64.csv")
+        assert np.array_equal(binary64[0], native[0])
+        assert np.array_equal(binary64[1], native[1])
+        assert binary64[2] == native[2]
