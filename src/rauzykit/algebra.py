@@ -840,35 +840,27 @@ def _conjugates(p: IntPolynomial, lam: float) -> list[Root]:
     one nearest lam, each Newton-refined until |p(z)| / ||p|| < 1e-10, in at
     most 60 steps.
 
-    p and p' are evaluated by Horner's rule on float coefficients.  An
+    p and p' are evaluated by IntPolynomial.evaluate at the complex z.  An
     estimate already below 1e-10 takes no step.  Raises NoConvergence (with
     the residual) if refinement stalls.
     """
     estimates = list(np.roots(np.array(p.coeffs[::-1], dtype=float)))
     del estimates[min(range(len(estimates)), key=lambda i: abs(estimates[i] - lam))]
-    coeffs = [float(c) for c in p.coeffs]
-    dcoeffs = [float(c) for c in p.derivative().coeffs]
-    norm = math.sqrt(sum(c * c for c in coeffs))
-
-    def horner(cs: list[float], z: complex) -> complex:
-        acc = cs[-1]
-        for c in reversed(cs[:-1]):
-            acc = acc * z + c
-        return acc
-
+    dp = p.derivative()
+    norm = math.sqrt(sum(c * c for c in map(float, p.coeffs)))
     roots = []
     for z in estimates:
         z = complex(z)
-        residual = abs(horner(coeffs, z)) / norm
+        residual = abs(p.evaluate(z)) / norm
         for _ in range(60):
             if residual < 1e-10:
                 break
-            d = horner(dcoeffs, z)
+            d = dp.evaluate(z)
             if abs(d) < 1e-300:
                 z += 1e-8 * (1 + abs(z))
-                d = horner(dcoeffs, z)
-            z = z - horner(coeffs, z) / d
-            residual = abs(horner(coeffs, z)) / norm
+                d = dp.evaluate(z)
+            z = z - p.evaluate(z) / d
+            residual = abs(p.evaluate(z)) / norm
         if residual >= 1e-10:
             raise NoConvergence(f"root refinement stalled at residual {residual:.3e}")
         roots.append(Root(z, residual))

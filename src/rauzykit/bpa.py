@@ -33,7 +33,7 @@ from .algebra import (
     reciprocal_poly,
 )
 from .errors import MatrixMismatch, NotBalanced, NotPrimitive
-from .fractal import LabeledPointCloud
+from .fractal import LabeledPointCloud, _walk_cloud
 from .spectral import ProjectionOperator
 from .words import (
     Alphabet,
@@ -142,11 +142,12 @@ def first_minimal_balanced_pair(
     """Shortest pair of equal-count prefixes of the two fixed points.
 
     Minimal by construction (it is the first balance point).  Returns
-    NotFound(cutoff) when no prefix pair balances within the cutoff.
+    NotFound(cutoff) when no prefix pair balances within the cutoff;
+    MatrixMismatch refuses streams over two alphabets.
     """
     alphabet = top_stream.substitution.alphabet
     if alphabet != bottom_stream.substitution.alphabet:
-        raise ValueError("streams must share an alphabet")
+        raise MatrixMismatch("the substitutions have different alphabets (letters or their order)")
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     carry = np.zeros(alphabet.size, dtype=np.int64)  # top minus bottom counts before the block
@@ -228,12 +229,6 @@ class PairSubstitution:
 
     def name(self, i: int) -> str:
         return self.pair_alphabet[i]
-
-    def rule_word(self, i: int) -> str:
-        return "".join(self.pair_alphabet[j] for j in self.rules[i])
-
-    def rule_table(self) -> dict[str, str]:
-        return {self.name(i): self.rule_word(i) for i in range(self.size)}
 
     def to_dict(self) -> dict:
         single = self.base_alphabet.single_char
@@ -472,16 +467,10 @@ def reciprocal_factor_report(
 def intersection_cloud(
     pair_sub: PairSubstitution, op: ProjectionOperator, n: int
 ) -> LabeledPointCloud:
-    """Projected cumulative letter-image sums along the pair fixed point.
-
-    Points are labeled by pair letters; the projector is the one attached to
-    the parent substitutions' common incidence matrix.
-    """
-    if n < 1:
-        raise ValueError("need at least one point")
-    prefix = stream_for(pair_sub.substitution).prefix_indices(n)
-    coords = op.project_many(prefix_counts(prefix, pair_sub.letter_images))
-    return LabeledPointCloud(coords, pair_sub.pair_alphabet, prefix)
+    """Projected cumulative letter-image sums along the pair fixed point,
+    labeled by pair letters: rauzy_cloud's walk and checks, stepping by each
+    pair's top-word counts; op is built for the parents' incidence matrix."""
+    return _walk_cloud(pair_sub.substitution, pair_sub.letter_images, op, n)
 
 
 @dataclass(frozen=True)

@@ -328,7 +328,7 @@ def cmd_intersect(path1, path2, n, csv_path, svg_path, prefix_cutoff, max_pairs,
         {
             "version": __version__,
             "pairs": ps.size,
-            "rules": ps.rule_table(),
+            "rules": substitution_to_dict(ps.substitution)["rules"],
             "char_poly": _poly_payload(pair_incidence(ps).char_polynomial),
             "points": len(cloud),
             "diameter": cloud.diameter(),

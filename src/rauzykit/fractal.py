@@ -82,24 +82,34 @@ class LabeledPointCloud:
         return tuple(self.label_counts())
 
 
-def rauzy_cloud(substitution: Substitution, n: int, op: ProjectionOperator) -> LabeledPointCloud:
-    """First n projected broken-line points of the fixed point, labeled by the
-    letter read at each step.
+def _walk_cloud(
+    substitution: Substitution, steps: np.ndarray, op: ProjectionOperator, n: int
+) -> LabeledPointCloud:
+    """First n projected points of the broken line that steps by steps[a]
+    for each letter a of the fixed point, labeled by the letter.
 
-    op must be built for the substitution's incidence matrix (a reversed
-    substitution shares it); its classification is not recomputed.
-    Deterministic for fixed substitution, n, and chart.
+    With M op's matrix, N the substitution's incidence matrix and
+    S = steps.T, M S = S N must hold exactly, in integers (MatrixMismatch);
+    then op must be unimodular (NotPisot), and n at least 1 (ValueError).
     """
-    if op.report.matrix != incidence_matrix(substitution):
+    m = np.array(op.report.matrix.rows, dtype=object)
+    s = np.array(steps, dtype=object).T
+    inc = np.array(incidence_matrix(substitution).rows, dtype=object)
+    if len(m) != len(s) or (m @ s != s @ inc).any():
         raise MatrixMismatch("the projection operator was built for another incidence matrix")
     if not op.report.is_unimodular:
         raise NotPisot("fractal generation needs a unimodular Pisot substitution")
     if n < 1:
         raise ValueError("need at least one point")
-    alphabet = substitution.alphabet
     idx = stream_for(substitution).prefix_indices(n)
-    coords = op.project_many(prefix_counts(idx, np.eye(alphabet.size, dtype=np.int64)))
-    return LabeledPointCloud(coords, alphabet, idx)
+    return LabeledPointCloud(op.project_many(prefix_counts(idx, steps)), substitution.alphabet, idx)
+
+
+def rauzy_cloud(substitution: Substitution, n: int, op: ProjectionOperator) -> LabeledPointCloud:
+    """First n projected broken-line points of the fixed point, labeled by the
+    letter read at each step.  op must be built for the substitution's
+    incidence matrix (a reversed substitution shares it)."""
+    return _walk_cloud(substitution, np.eye(substitution.alphabet.size, dtype=np.int64), op, n)
 
 
 def reflect_cloud(cloud: LabeledPointCloud) -> LabeledPointCloud:

@@ -200,9 +200,6 @@ class Substitution:
     def image(self, letter_index: int) -> Word:
         return self.images[letter_index]
 
-    def image_indices(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(img.indices for img in self.images)
-
     @cached_property
     def _image_table(self) -> tuple[np.ndarray, np.ndarray]:
         # entries of the smallest unsigned dtype that holds every letter, so
@@ -240,45 +237,54 @@ def reverse_substitution(substitution: Substitution) -> Substitution:
     )
 
 
-#: Largest power the fixed-point seed search tries.
-SEED_POWER_LIMIT = 64
-
-
 def seed_power(substitution: Substitution, letter: int) -> int | None:
-    """Smallest power l <= SEED_POWER_LIMIT with sigma^l(letter) starting at
-    letter and |sigma^l(letter)| >= 2, or None when there is none.
+    """Smallest power l >= 1 with sigma^l(letter) starting at letter and
+    |sigma^l(letter)| >= 2, or None when there is none.
 
-    sigma^l(a) = sigma^(l-1)(sigma(a)) begins with f^l(a), f the first-letter
-    map, and is at least two letters long once one of a, f(a), ...,
-    f^(l-1)(a) has an image that long: only the first letters and the image
-    lengths of the rules are read.
+    sigma^l(a) begins with f^l(a), f the first-letter map, and has two
+    letters or more once one of a, f(a), ..., f^(l-1)(a) has an image that
+    long.  If f^l(a) = a for some l >= 1, let c be the least: a, ...,
+    f^(c-1)(a) are distinct, so c <= k = alphabet size, and f^l(a) = a
+    exactly when c divides l; a, ..., f^(l-1)(a) are then the letters of the
+    first lap again, so sigma^l(a) grows exactly when sigma^c(a) does.  The
+    answer is c or None, decided at step c, and f never returns to a when it
+    does not within k steps.
     """
-    images = substitution.image_indices()
+    images = substitution.images
     current, grown = letter, False
-    for l in range(1, SEED_POWER_LIMIT + 1):
+    for l in range(1, len(images) + 1):
         grown = grown or len(images[current]) >= 2
-        current = images[current][0]
-        if current == letter and grown:
-            return l
+        current = images[current].indices[0]
+        if current == letter:
+            return l if grown else None
     return None
 
 
 def find_fixed_point_seed(substitution: Substitution) -> tuple[int, int]:
     """Smallest power l, then smallest letter a, with sigma^l(a) starting at a
-    and |sigma^l(a)| >= 2.
+    and |sigma^l(a)| >= 2: by seed_power, the smallest letter of a shortest
+    cycle of the first-letter map that holds a growing letter.
 
-    Deterministic search order makes every downstream fixed point reproducible.
+    Each letter is marked by the first walk along that map to reach it, so
+    the search is linear in the alphabet size.  Deterministic search order
+    makes every downstream fixed point reproducible.
     """
-    found = [
-        (power, a)
-        for a in range(substitution.alphabet.size)
-        if (power := seed_power(substitution, a)) is not None
-    ]
+    first = [image.indices[0] for image in substitution.images]
+    walk = [-1] * len(first)  # the walk that first reached each letter
+    found = []
+    for start in range(len(first)):
+        a = start
+        while walk[a] < 0:
+            walk[a] = start
+            a = first[a]
+        # a walk that stops at a letter it marked has closed a new cycle
+        if walk[a] == start and (power := seed_power(substitution, a)):
+            cycle = [a]
+            while len(cycle) < power:
+                cycle.append(first[cycle[-1]])
+            found.append((power, min(cycle)))
     if not found:
-        raise NoSeedFound(
-            f"no growing fixed point seed within power {SEED_POWER_LIMIT}; "
-            "the substitution may not be primitive"
-        )
+        raise NoSeedFound("no growing fixed point seed; the substitution may not be primitive")
     power, letter = min(found)
     return letter, power
 
@@ -307,9 +313,7 @@ class InfiniteWordStream:
         # gains letters every round
         power = seed_power(substitution, seed_letter)
         if power is None:
-            raise NoSeedFound(
-                f"letter index {seed_letter} seeds no growing fixed point within power {SEED_POWER_LIMIT}"
-            )
+            raise NoSeedFound(f"letter index {seed_letter} seeds no growing fixed point")
         self.substitution = substitution
         self.seed_letter = seed_letter
         self.power = power

@@ -22,6 +22,7 @@ from rauzykit import (
     NonTermination,
     NotBalanced,
     NotFound,
+    NotPisot,
     NotPrimitive,
     PairSubstitution,
     Substitution,
@@ -338,6 +339,22 @@ class TestFirstMinimalPair:
         result = first_minimal_balanced_pair(stream_for(sub), stream_for(rev), 10 ** 4)
         assert result == NotFound(10 ** 4)
 
+    @pytest.mark.parametrize(
+        "letters, rules",
+        [(["b", "a"], {"a": "aab", "b": "abb"}), (["x", "y"], {"x": "xxy", "y": "xyy"})],
+        ids=["letters-reordered", "other-letters"],
+    )
+    def test_streams_over_two_alphabets_are_a_mismatch(self, letters, rules):
+        first = Substitution.from_rules(["a", "b"], {"a": "aab", "b": "abb"})
+        other = Substitution.from_rules(letters, rules)
+        with pytest.raises(MatrixMismatch, match="different alphabets"):
+            first_minimal_balanced_pair(stream_for(first), stream_for(other), 100)
+
+    def test_a_cutoff_below_one_is_a_value_error(self):
+        sub = tribonacci()
+        with pytest.raises(ValueError, match="cutoff"):
+            first_minimal_balanced_pair(stream_for(sub), stream_for(sub), 0)
+
 
 class TestRunBpa:
     def test_matrix_mismatch(self):
@@ -486,6 +503,33 @@ class TestIntersectionCloud:
         cloud = intersection_cloud(self.ps, self.op, 10 ** 5)
         eps = 0.02 * cloud.diameter()
         assert hausdorff_distance(cloud, reflect_cloud(cloud), eps) < 3 * eps
+
+    def test_refuses_a_non_unimodular_pair_system(self):
+        # a -> ba, b -> babb: char poly x^2 - 4x + 2, Pisot with det 2; the
+        # pair system with its reverse has three letters
+        first = Substitution.from_rules(["a", "b"], {"a": "ba", "b": "babb"})
+        ps = run_bpa(first, reverse_substitution(first))
+        op = projection_operator(spectral_split(incidence_matrix(first)))
+        assert ps.size == 3 and op.report.is_pisot and not op.report.is_unimodular
+        with pytest.raises(NotPisot, match="unimodular"):
+            intersection_cloud(ps, op, 100)
+
+    def test_refuses_the_operator_of_another_matrix(self):
+        op = projection_operator(spectral_split(incidence_matrix(family_substitution(2))))
+        with pytest.raises(MatrixMismatch, match="another incidence matrix"):
+            intersection_cloud(self.ps, op, 100)
+
+    def test_refuses_an_operator_of_another_dimension(self):
+        op = projection_operator(spectral_split(incidence_matrix(interval_pair()[0])))
+        with pytest.raises(MatrixMismatch, match="another incidence matrix"):
+            intersection_cloud(self.ps, op, 100)
+
+    def test_checks_the_operator_before_the_point_count(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            intersection_cloud(self.ps, self.op, 0)
+        op = projection_operator(spectral_split(incidence_matrix(family_substitution(2))))
+        with pytest.raises(MatrixMismatch):
+            intersection_cloud(self.ps, op, 0)
 
     def test_points_lie_on_both_parent_clouds(self):
         from rauzykit import rauzy_cloud

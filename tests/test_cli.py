@@ -43,6 +43,7 @@ INTERVAL = {"alphabet": ["a", "b"], "rules": {"a": "aba", "b": "ab"}}
 INTERVAL_2 = {"alphabet": ["a", "b"], "rules": {"a": "aba", "b": "ba"}}
 FIB = {"alphabet": ["a", "b"], "rules": {"a": "ab", "b": "a"}}
 FIB_REV = {"alphabet": ["a", "b"], "rules": {"a": "ba", "b": "a"}}
+DET_2 = {"alphabet": ["a", "b"], "rules": {"a": "ba", "b": "babb"}}
 
 
 def family(i):
@@ -455,6 +456,38 @@ class TestIntersect:
         assert payload["pairs"] == 6
         assert payload["points"] == 2000
         assert csv_path.exists()
+
+    @pytest.mark.parametrize("command", ["fractal", "intersect"])
+    def test_non_unimodular_input_exits_three(self, command, files, capsys):
+        # a -> ba, b -> babb: Pisot, char poly x^2 - 4x + 2, det 2; three pairs
+        # against its reverse, and both commands refuse it before writing
+        first, second = files["dir"] / "det2.json", files["dir"] / "det2_rev.json"
+        first.write_text(json.dumps(DET_2))
+        second.write_text(json.dumps(reversed_rules(DET_2)))
+        csv_path = files["dir"] / "out.csv"
+        paths = [str(first)] if command == "fractal" else [str(first), str(second)]
+        code, out, err = run(capsys, [command, *paths, "--n", "100", "--csv", str(csv_path)])
+        assert code == 3
+        assert out == "" and not csv_path.exists()
+        assert err.splitlines() == ["error: fractal generation needs a unimodular Pisot substitution"]
+
+    def test_rules_are_those_of_bpa_past_twenty_six_pairs(self, files, capsys):
+        # 59 pairs: names past Z have two letters, so rules are arrays of names
+        first, second = files["dir"] / "c8.json", files["dir"] / "c8_other.json"
+        first.write_text(json.dumps({"alphabet": ["a", "b", "c"], "rules": {"a": "baa", "b": "acb", "c": "a"}}))
+        second.write_text(json.dumps({"alphabet": ["a", "b", "c"], "rules": {"a": "baa", "b": "cab", "c": "a"}}))
+        paths = [str(first), str(second)]
+        code, out, _ = run(capsys, ["bpa", *paths])
+        assert code == 0
+        bpa_rules = json.loads(out)["rules"]
+        code, out, _ = run(capsys, ["intersect", *paths, "--n", "100"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["pairs"] == len(bpa_rules) == 59
+        assert payload["rules"] == bpa_rules
+        assert payload["rules"]["AB"] == ["AS", "D", "V"]
+        pairs = substitution_from_dict({"alphabet": list(bpa_rules), "rules": payload["rules"]})
+        assert substitution_to_dict(pairs)["rules"] == bpa_rules
 
     def test_limit_hit_prints_the_bpa_payload(self, files, capsys):
         flipped = files["dir"] / "flipped.json"

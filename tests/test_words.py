@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import numpy as np
 import pytest
@@ -194,10 +195,39 @@ class TestFixedPointSeed:
         with pytest.raises(NoSeedFound):
             find_fixed_point_seed(swap)
 
+    @pytest.mark.parametrize("k", [70, 100])
+    def test_a_cycle_through_every_letter_seeds_at_the_alphabet_size(self, k):
+        # the first-letter map is one k-cycle, so each letter returns to the
+        # front at power k and no sooner
+        sub = first_letter_chain(k, 0)
+        assert find_fixed_point_seed(sub) == (0, k)
+        assert seed_power(sub, 0) == seed_power(sub, k - 1) == k
 
-def rewriting_seed_power(rules, letter, limit=64):
+    def test_a_long_tail_into_a_short_cycle_is_searched_in_linear_time(self):
+        # x_0 -> x_1 -> ... -> x_9999 -> x_9997 under the first-letter map: only
+        # the last three letters seed.  A search that walks from every letter
+        # afresh, or rereads every rule per letter, takes seconds at this size.
+        k = 10 ** 4
+        sub = first_letter_chain(k, k - 3)
+        start = time.perf_counter()
+        assert find_fixed_point_seed(sub) == (k - 3, 3)
+        assert time.perf_counter() - start < 0.5
+        assert seed_power(sub, 0) is None and seed_power(sub, k - 1) == 3
+
+
+def first_letter_chain(k, last):
+    """x_t -> x_(t+1) x_0 for t < k - 1, and x_(k-1) -> x_last."""
+    names = [f"x{t}" for t in range(k)]
+    rules = {names[t]: [names[t + 1], names[0]] for t in range(k - 1)}
+    rules[names[-1]] = [names[last]]
+    return Substitution.from_rules(names, rules)
+
+
+def rewriting_seed_power(rules, letter, limit=None):
     """sigma^l(letter) cut to its first two letters, by string rewriting: the
-    first two letters of sigma(u) depend only on those of u."""
+    first two letters of sigma(u) depend only on those of u.  The search
+    stops at power limit, by default the alphabet size."""
+    limit = len(rules) if limit is None else limit
     word = letter
     for power in range(1, limit + 1):
         word = "".join(rules[a] for a in word)[:2]
@@ -215,6 +245,8 @@ class TestSeedSearchOracle:
             sub = random_substitution(rng, k=k, max_len=rng.choice([1, 2, 3]))
             rules = {a: str(img) for a, img in zip(sub.alphabet, sub.images)}
             powers = [rewriting_seed_power(rules, a) for a in sub.alphabet]
+            # no letter returns to the front growing past the alphabet size
+            assert [rewriting_seed_power(rules, a, limit=4 * k) for a in sub.alphabet] == powers
             assert [seed_power(sub, i) for i in range(k)] == powers
             found = [(p, i) for i, p in enumerate(powers) if p is not None]
             if found:
