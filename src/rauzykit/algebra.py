@@ -11,10 +11,10 @@ Python ints handled by one set of helpers (multiply, divide, gcd, power);
 numpy holds only matrices: the Hessenberg reduction mod p, the primitivity
 test, and the float root estimates and filters.  char_poly is a Hessenberg
 reduction mod several primes joined by the Chinese remainder theorem under
-a proven coefficient bound; factor_over_z is Zassenhaus' algorithm
-(distinct-degree and Cantor-Zassenhaus splitting, Hensel lifting, subset
-recombination).  No degree is capped: the subset search refuses when more
-than MODULAR_FACTOR_CAP modular factors remain after the single ones are
+a proven coefficient bound; factor_over_z is Zassenhaus' algorithm mod one
+good prime (distinct-degree and Cantor-Zassenhaus splitting, Hensel lifting,
+subset recombination).  No degree is capped: the subset search refuses when
+more than MODULAR_FACTOR_CAP modular factors remain after the single ones are
 taken out.
 
 classify_pisot reads every exact flag off the char poly p and its
@@ -118,10 +118,6 @@ class IntPolynomial:
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def zero(cls) -> "IntPolynomial":
-        return cls(())
 
     @property
     def is_zero(self) -> bool:
@@ -464,9 +460,9 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
 #: factors are taken out, it refuses.
 MODULAR_FACTOR_CAP = 16
 
-#: Good primes whose distinct-degree factorisations are intersected before
-#: any lifting (Musser 1975).
-_DEGREE_SET_PRIMES = 5
+#: Good primes factored after the first when it leaves more than
+#: MODULAR_FACTOR_CAP modular factors; the prime with the fewest is used.
+_SPARE_PRIMES = 4
 
 
 @dataclass(frozen=True)
@@ -618,13 +614,12 @@ def _hensel(f: list[int], factors: list[list[int]], p: int, modulus: int) -> lis
     return _hensel(g, factors[:half], p, modulus) + _hensel(h, factors[half:], p, modulus)
 
 
-def _recombine(f: list[int], lifted: list[list[int]], modulus: int, degrees: int) -> list[list[int]]:
+def _recombine(f: list[int], lifted: list[list[int]], modulus: int) -> list[list[int]]:
     """Zassenhaus recombination: true factors of f are the subsets of the
     lifted factors whose product, times lc(f) and taken symmetrically mod
-    `modulus`, divides f.  `degrees` has bit d set when a factor of degree d
-    is possible.  Single factors, among them every rational root, are taken
-    out first; subsets of two or more, exponential in number, are tried
-    only for at most MODULAR_FACTOR_CAP factors."""
+    `modulus`, divides f.  Single factors, among them every rational root,
+    are taken out first; subsets of two or more, exponential in number, are
+    tried only for at most MODULAR_FACTOR_CAP factors."""
     found = []
     size = 1
     while 2 * size <= len(lifted):
@@ -634,8 +629,6 @@ def _recombine(f: list[int], lifted: list[list[int]], modulus: int, degrees: int
                 f"recombination is capped at {MODULAR_FACTOR_CAP}"
             )
         for subset in itertools.combinations(range(len(lifted)), size):
-            if not degrees >> sum(len(lifted[i]) - 1 for i in subset) & 1:
-                continue
             c0 = f[-1]
             for i in subset:
                 c0 = c0 * lifted[i][0] % modulus
@@ -657,55 +650,51 @@ def _recombine(f: list[int], lifted: list[list[int]], modulus: int, degrees: int
     return found + [f]
 
 
+def _good_primes(f: list[int]):
+    """(number of modular factors, p, distinct-degree parts of f mod p) for
+    each prime p >= 101, in order, that divides neither lc(f) nor the
+    discriminant."""
+    for p in _primes(101, 2):
+        fp = _zreduce(f, p)
+        if f[-1] % p and _squarefree_mod(fp, p):
+            parts = _ddf(_monic(fp, p), p)
+            yield sum((len(g) - 1) // d for g, d in parts), p, parts
+
+
 def _zassenhaus(f: list[int]) -> list[list[int]]:
     """Irreducible factors of the primitive squarefree f with positive leading
-    coefficient and f(0) != 0."""
+    coefficient and f(0) != 0, factored mod the good prime that
+    factor_over_z describes."""
     n = len(f) - 1
     if n == 1:
         return [f]
-    degrees = (1 << (n + 1)) - 1
-    best = None
-    good = 0
-    for p in _primes(101, 2):
-        if f[-1] % p == 0:
-            continue
-        fp = _zreduce(f, p)
-        if not _squarefree_mod(fp, p):
-            continue  # p divides the discriminant
-        parts = _ddf(_monic(fp, p), p)
-        sums, count = 1, 0
-        for g, d in parts:
-            for _ in range((len(g) - 1) // d):
-                sums |= sums << d
-                count += 1
-        degrees &= sums
-        if degrees == 1 | 1 << n:
-            return [f]
-        if best is None or count < best[0]:
-            best = (count, p, parts)
-        good += 1
-        if good == _DEGREE_SET_PRIMES:
-            break
-    _, p, parts = best
+    primes = _good_primes(f)
+    count, p, parts = next(primes)
+    if count > MODULAR_FACTOR_CAP:
+        count, p, parts = min([(count, p, parts), *itertools.islice(primes, _SPARE_PRIMES)])
+    if count == 1:
+        return [f]  # one modular factor: f is irreducible
     rng = random.Random(p)
     modular = [u for g, d in parts for u in _edf(g, d, p, rng)]
     bound = 2 * (math.isqrt(n + 1) + 1) * 2 ** n * f[-1] * max(abs(c) for c in f)
     modulus = p
     while modulus <= bound:
         modulus *= modulus
-    return _recombine(f, _hensel(f, modular, p, modulus), modulus, degrees)
+    return _recombine(f, _hensel(f, modular, p, modulus), modulus)
 
 
 def factor_over_z(p: IntPolynomial) -> tuple[Factor, ...]:
     """Irreducible factors of p over Z with multiplicities; the content is dropped.
 
     The factors x and the cyclotomic polynomials are divided out exactly
-    first.  The squarefree rest is factored mod a good prime
+    first.  The squarefree rest is factored mod one good prime
     (distinct-degree then Cantor-Zassenhaus splitting), Hensel-lifted past
     the coefficient bound and recombined (Zassenhaus 1969), single lifted
     factors first, so that every rational root is taken out before any
-    subset search; the distinct-degree patterns mod several primes,
-    intersected, often prove the rest irreducible before any lifting.
+    subset search.  The prime is the first p >= 101 that divides neither
+    the leading coefficient nor the discriminant; only where it leaves more
+    than MODULAR_FACTOR_CAP modular factors are the next _SPARE_PRIMES good
+    primes factored too, and the one with the fewest factors used.
     Raises TooManyModularFactors when subsets of more than
     MODULAR_FACTOR_CAP modular factors would have to be searched.
     Deterministic; factors come sorted by degree, then by coefficients.

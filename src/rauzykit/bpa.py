@@ -75,6 +75,10 @@ class BalancedPair:
     def __str__(self):
         return f"({self.top}/{self.bottom})"
 
+    def to_dict(self) -> dict:
+        """The pair's JSON form, written alike by complete and limit-hit reports."""
+        return {"top": self.top.to_json(), "bottom": self.bottom.to_json()}
+
 
 def _imbalance(top, bottom, k: int) -> np.ndarray:
     """Running letter counts of top minus bottom, row m after m + 1 letters.
@@ -231,16 +235,8 @@ class PairSubstitution:
         return self.pair_alphabet[i]
 
     def to_dict(self) -> dict:
-        single = self.base_alphabet.single_char
-        pairs = {}
-        for i, pair in enumerate(self.pairs):
-            top, bottom = pair.top.letters(), pair.bottom.letters()
-            pairs[self.name(i)] = {
-                "top": "".join(top) if single else list(top),
-                "bottom": "".join(bottom) if single else list(bottom),
-            }
         data = substitution_to_dict(self.substitution)
-        data["pairs"] = pairs
+        data["pairs"] = {self.name(i): pair.to_dict() for i, pair in enumerate(self.pairs)}
         return data
 
 

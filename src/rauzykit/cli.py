@@ -269,10 +269,7 @@ def _limit_hit(result) -> int:
             "limit": result.limit,
             "limit_value": result.limit_value,
             "pairs_found": len(result.pairs),
-            "pairs": {
-                name: {"top": str(pair.top), "bottom": str(pair.bottom)}
-                for name, pair in zip(result.names, result.pairs)
-            },
+            "pairs": {name: pair.to_dict() for name, pair in zip(result.names, result.pairs)},
             "detail": result.detail,
         }
     _emit(payload)

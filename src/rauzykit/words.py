@@ -4,9 +4,9 @@ Letters are arbitrary strings mapped to dense indices at construction time;
 all computation runs on indices.  Substitutions act by concatenation of
 per-letter image words, gathered in numpy from a padded image table.
 
-A word is validated once, where it enters: ``Word(...)``, ``from_letters``,
-``from_string`` and JSON parsing.  Slices, reversals and images of words
-that are already valid are built by ``_trusted``, which skips the checks.
+A word is validated once, where it enters: ``Word(...)``, ``from_letters``
+and JSON parsing.  Slices, reversals and images of words that are already
+valid are built by ``_trusted``, which skips the checks.
 """
 
 from __future__ import annotations
@@ -111,13 +111,6 @@ class Word:
         # Alphabet.index refuses an unknown name, so the indices are valid
         return _trusted(cls, alphabet=alphabet, indices=tuple(alphabet.index(n) for n in names))
 
-    @classmethod
-    def from_string(cls, alphabet: Alphabet, text: str) -> "Word":
-        """Parse a word from a plain string; requires single-character letter names."""
-        if not alphabet.single_char:
-            raise ValueError("string form needs single-character letter names")
-        return cls.from_letters(alphabet, text)
-
     @cached_property
     def array(self) -> np.ndarray:
         return _frozen(np.array(self.indices, dtype=letter_dtype(self.alphabet.size)))
@@ -140,6 +133,11 @@ class Word:
     def __str__(self):
         names = self.letters()
         return "".join(names) if self.alphabet.single_char else ",".join(names)
+
+    def to_json(self) -> str | list[str]:
+        """The JSON form: a string over single-character letter names, else an array."""
+        names = self.letters()
+        return "".join(names) if self.alphabet.single_char else list(names)
 
 
 def abelianization(word: Word) -> tuple[int, ...]:
@@ -431,11 +429,7 @@ def load_substitution(path) -> Substitution:
 
 
 def substitution_to_dict(substitution: Substitution) -> dict:
-    single = substitution.alphabet.single_char
-    rules = {}
-    for i, img in enumerate(substitution.images):
-        names = img.letters()
-        rules[substitution.alphabet[i]] = "".join(names) if single else list(names)
+    rules = {name: img.to_json() for name, img in zip(substitution.alphabet, substitution.images)}
     return {"alphabet": list(substitution.alphabet.letters), "rules": rules}
 
 

@@ -33,7 +33,7 @@ def _poly_det(rows: list[list[IntPolynomial]]) -> IntPolynomial:
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    total = IntPolynomial.zero()
+    total = IntPolynomial(())
     for j, head in enumerate(rows[0]):
         if head.is_zero:
             continue

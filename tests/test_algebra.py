@@ -35,9 +35,10 @@ from rauzykit import (
     poly_exact_div,
     positive_leading,
     reciprocal_poly,
+    reverse_substitution,
     run_bpa,
 )
-from rauzykit.algebra import _add, _ddf, _edf, _powmod, _squarefree_mod, _xgcd, _zdivmod, _zmul, _zreduce
+from rauzykit.algebra import _add, _ddf, _edf, _good_primes, _powmod, _squarefree_mod, _xgcd, _zdivmod, _zmul, _zreduce
 
 TRIB_POLY = IntPolynomial((-1, -1, -1, 1))  # x^3 - x^2 - x - 1
 GOLDEN_POLY = IntPolynomial((-1, -1, 1))  # x^2 - x - 1
@@ -131,7 +132,7 @@ class TestCharPoly:
     def test_string_form(self):
         assert str(TRIB_POLY) == "x^3 - x^2 - x - 1"
         assert str(IntPolynomial((-1, 4, -4, 1))) == "x^3 - 4x^2 + 4x - 1"
-        assert str(IntPolynomial.zero()) == "0"
+        assert str(IntPolynomial(())) == "0"
 
 
 class TestDeterminant:
@@ -209,7 +210,7 @@ class TestPolynomialOps:
 
     def test_divide_by_zero(self):
         with pytest.raises(DivideByZeroPoly):
-            poly_divides(IntPolynomial.zero(), TRIB_POLY)
+            poly_divides(IntPolynomial(()), TRIB_POLY)
 
     def test_divides_products(self):
         rng = random.Random(31)
@@ -578,6 +579,18 @@ class TestClassification:
         with pytest.raises(TooManyModularFactors):
             is_irreducible_over_q(char_poly(m))
 
+    def test_spare_primes_keep_a_pair_char_poly_under_the_cap(self):
+        # the char poly of 11-bonacci's pair system against its reverse has
+        # 18 factors mod its first good prime, 101, more than the cap; the
+        # next good primes leave as few as 6, so it factors without refusal
+        sub = kbonacci(11)
+        p = char_poly(incidence_matrix(run_bpa(sub, reverse_substitution(sub)).substitution))
+        assert next(_good_primes(list(p.coeffs)))[:2] == (18, 101) and 18 > MODULAR_FACTOR_CAP
+        factors = factor_over_z(p)
+        assert [(f.poly.degree, f.multiplicity) for f in factors] == [(11, 1), (55, 1)]
+        assert factors[0].poly == IntPolynomial((-1,) * 11 + (1,))
+        assert factors[0].poly * factors[1].poly == p
+
     @pytest.mark.parametrize("k", range(3, 41))
     def test_kbonacci_classifies_without_refusal(self, k):
         rep = classify_pisot(kbonacci(k))
@@ -636,8 +649,6 @@ class TestClassification:
 
     def test_reverse_has_same_char_poly(self):
         rng = random.Random(51)
-        from rauzykit import reverse_substitution
-
         for _ in range(60):
             sub = random_substitution(rng)
             assert char_poly(incidence_matrix(sub)) == char_poly(
@@ -666,9 +677,13 @@ class TestAgainstSympy:
         assert factor_pairs(p) == sympy_factor_list(p)
 
     def test_factorization_matches_sympy(self):
-        # seeded products of planted factors, with repeats and reciprocal pairs
+        # seeded products of planted factors, with repeats and reciprocal
+        # pairs; then char polys of seeded 0/1 matrices, nine of ten
+        # irreducible with 2 to 7 factors mod the chosen prime, so that
+        # Hensel lifting and recombination prove them irreducible
         pytest.importorskip("sympy")
         rng = random.Random(62)
+        polys = []
         for _ in range(80):
             p = IntPolynomial((rng.choice([1, 2, 6]),))
             for _ in range(rng.randint(1, 4)):
@@ -679,6 +694,10 @@ class TestAgainstSympy:
                     p = p * f
                 if rng.random() < 0.3:
                     p = p * reciprocal_poly(f)
+            polys.append(p)
+        rng = random.Random(64)
+        polys += [char_poly(random_matrix(rng, k, 0, 1)) for k in (17, 20, 23, 26, 29, 31, 34, 36, 38, 40)]
+        for p in polys:
             factors = factor_over_z(p)
             assert factor_pairs(p) == sympy_factor_list(p), str(p)
             keys = [(f.poly.degree, f.poly.coeffs) for f in factors]

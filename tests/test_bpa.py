@@ -59,7 +59,7 @@ AB = Alphabet(("a", "b"))
 
 
 def w(text, alphabet=AB):
-    return Word.from_string(alphabet, text)
+    return Word.from_letters(alphabet, text)
 
 
 def intertwines(ps, first):

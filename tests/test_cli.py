@@ -39,6 +39,7 @@ TRIB_REV = {"alphabet": ["a", "b", "c"], "rules": {"a": "ba", "b": "ca", "c": "a
 FAMILY_3 = {"alphabet": ["a", "b", "c"], "rules": {"a": "aaab", "b": "aaac", "c": "a"}}
 GROWTH = {"alphabet": ["a", "b", "c"], "rules": {"a": "abc", "b": "a", "c": "ac"}}
 FLIPPED = {"alphabet": ["a", "b", "c"], "rules": {"a": "ab", "b": "ca", "c": "a"}}
+FLIPPED_MULTI = {"alphabet": ["a1", "b1", "c1"], "rules": {"a1": ["a1", "b1"], "b1": ["c1", "a1"], "c1": ["a1"]}}
 INTERVAL = {"alphabet": ["a", "b"], "rules": {"a": "aba", "b": "ab"}}
 INTERVAL_2 = {"alphabet": ["a", "b"], "rules": {"a": "aba", "b": "ba"}}
 FIB = {"alphabet": ["a", "b"], "rules": {"a": "ab", "b": "a"}}
@@ -418,11 +419,12 @@ class TestBpaCommand:
         assert code == 4
         assert json.loads(out) == {"status": "no-balanced-prefix", "cutoff": 100000}
 
-    def test_limit_hit_reports_partial_state(self, files, capsys):
+    @pytest.mark.parametrize("data", [FLIPPED, FLIPPED_MULTI], ids=["single", "multi"])
+    def test_limit_hit_reports_partial_state(self, data, files, capsys):
+        # a limit report writes its pairs as the complete report does: strings
+        # over one-character letters, arrays of names otherwise
         flipped = files["dir"] / "flipped.json"
-        flipped.write_text(
-            json.dumps({"alphabet": ["a", "b", "c"], "rules": {"a": "ab", "b": "ca", "c": "a"}})
-        )
+        flipped.write_text(json.dumps(data))
         flipped_rev = files["dir"] / "flipped_rev.json"
         run(capsys, ["reverse", str(flipped), str(flipped_rev)])
         code, out, _ = run(
@@ -433,6 +435,10 @@ class TestBpaCommand:
         assert payload["status"] == "non-termination"
         assert payload["limit"] == "max_pairs"
         assert payload["pairs_found"] <= 4
+        code, out, _ = run(capsys, ["bpa", str(flipped), str(flipped_rev)])
+        assert code == 0
+        full = list(json.loads(out)["pairs"].items())
+        assert payload["pairs"] == dict(full[: payload["pairs_found"]])
 
     def test_mismatched_matrices_exit_three(self, files, capsys):
         fib = files["dir"] / "fib.json"

@@ -36,7 +36,7 @@ from rauzykit.words import letter_dtype
 
 
 def word(alphabet, text):
-    return Word.from_string(alphabet, text)
+    return Word.from_letters(alphabet, text)
 
 
 AB = Alphabet(("a", "b"))
@@ -56,7 +56,7 @@ class TestAbelianization:
 class TestApply:
     def test_tribonacci_digits(self):
         sub = Substitution.from_rules(["1", "2", "3"], {"1": "12", "2": "13", "3": "1"})
-        w = Word.from_string(sub.alphabet, "12")
+        w = Word.from_letters(sub.alphabet, "12")
         assert str(sub.apply(w)) == "1213"
 
     def test_empty_word(self):
@@ -440,8 +440,6 @@ class TestValidation:
     def test_parse_boundary_refuses_unknown_letters(self):
         with pytest.raises(KeyError):
             Word.from_letters(AB, ["a", "z"])
-        with pytest.raises(KeyError):
-            Word.from_string(AB, "abz")
 
     def test_array_is_read_only_and_matches_indices(self):
         w = word(AB, "abba")
