@@ -7,12 +7,13 @@ generates a finite pair alphabet and a substitution on it whose projected
 broken line runs through exactly the common points of the two parent
 broken lines (Sirvent, Bull. Belg. Math. Soc. 7, 2000).
 
-BalancedPair(...) checks its words.  run_bpa works on letter arrays: it
-keeps the tops and bottoms of the pairs it finds in one flat array each,
-takes the images of a batch of queued pairs at once and splits them with
-one imbalance pass, checking each image's balance on that pass's rows.  It
-builds BalancedPair and Word objects (with words._trusted, since they are
-balanced by construction) only for the pairs it returns.
+BalancedPair(...) checks its words.  Inside this module a pair is its
+letter-pair codes top * k + bottom (_codes): run_bpa keeps the code bytes
+of the pairs it finds end to end in one store, keyed by those bytes, takes
+the images of a batch of queued pairs at once and splits them with one
+imbalance pass, checking each image's balance on that pass's rows.
+BalancedPair and Word objects (built with words._trusted, since they are
+balanced by construction) are made only for the pairs returned.
 """
 
 from __future__ import annotations
@@ -80,31 +81,53 @@ class BalancedPair:
         return {"top": self.top.to_json(), "bottom": self.bottom.to_json()}
 
 
-def _imbalance(top, bottom, k: int) -> np.ndarray:
+def _codes(top, bottom, k: int) -> np.ndarray:
+    """Letter-pair codes top * k + bottom, in letter_dtype(k * k) whatever
+    the dtype of the letters: one byte per code up to k = 16, two up to 256."""
+    dtype = letter_dtype(k * k)
+    return np.asarray(top, dtype=dtype) * k + np.asarray(bottom, dtype=dtype)
+
+
+def _imbalance(codes, k: int) -> np.ndarray:
     """Running letter counts of top minus bottom, row m after m + 1 letters.
 
     A row is zero exactly where the two prefixes balance.  One prefix_counts
-    pass over the letter-pair codes top * k + bottom, weighted by the k^2-row
-    table whose row a * k + b is e_a - e_b.
+    pass over the letter-pair codes, weighted by the k^2-row table whose row
+    a * k + b is e_a - e_b.
     """
     eye = np.eye(k, dtype=np.int64)
     table = (eye[:, None, :] - eye[None, :, :]).reshape(k * k, k)
-    codes = np.asarray(top, dtype=np.intp) * k + np.asarray(bottom, dtype=np.intp)
     return prefix_counts(codes, table)
 
 
-def _cuts(top, bottom, k: int, ends) -> list[int]:
+def _cuts(codes, k: int, ends) -> list[int]:
     """Ends of the minimal balanced factors of balanced pairs laid end to end.
 
-    top and bottom are the pairs' words, concatenated; ends lists where each
-    pair ends.  The running imbalance returns to zero at every pair's end, so
-    its zero rows are all the cut points, ascending.  NotBalanced when the
-    row at one of the ends is not zero.
+    codes are the pairs' letter-pair codes, concatenated; ends lists where
+    each pair ends.  The running imbalance returns to zero at every pair's
+    end, so its zero rows are all the cut points, ascending.  NotBalanced
+    when the row at one of the ends is not zero.
     """
-    unbalanced = _imbalance(top, bottom, k).any(axis=1)
+    unbalanced = _imbalance(codes, k).any(axis=1)
     if unbalanced[np.asarray(ends) - 1].any():
         raise NotBalanced("pair members must have equal letter counts")
     return (np.flatnonzero(~unbalanced) + 1).tolist()
+
+
+def _balanced_pairs(codes: np.ndarray, ends, alphabet: Alphabet) -> tuple[BalancedPair, ...]:
+    """The pairs whose codes lie end to end in codes, pair i at
+    codes[ends[i]:ends[i + 1]], as BalancedPair objects whose words' arrays
+    are read-only views of one copy of the letters, in letter_dtype(k)."""
+    letters = np.array(np.divmod(codes, alphabet.size), dtype=letter_dtype(alphabet.size))
+    tops, bottoms = _frozen(letters)
+
+    def word(row: np.ndarray) -> Word:
+        return _trusted(Word, alphabet=alphabet, indices=tuple(row.tolist()), array=row)
+
+    return tuple(
+        _trusted(BalancedPair, top=word(tops[a:b]), bottom=word(bottoms[a:b]))
+        for a, b in zip(ends, ends[1:])
+    )
 
 
 def minimal_split(pair: BalancedPair) -> list[BalancedPair]:
@@ -116,21 +139,11 @@ def minimal_split(pair: BalancedPair) -> list[BalancedPair]:
     zero); the factors are balanced by construction and not recounted.
     """
     alphabet = pair.top.alphabet
-    top, bottom = pair.top.indices, pair.bottom.indices
-    if len(top) != len(bottom) or not top:
+    n = len(pair.top)
+    if n != len(pair.bottom) or not n:
         raise NotBalanced("pair members must be nonempty and of equal length")
-    factors: list[BalancedPair] = []
-    start = 0
-    for stop in _cuts(pair.top.array, pair.bottom.array, alphabet.size, [len(top)]):
-        factors.append(
-            _trusted(
-                BalancedPair,
-                top=_trusted(Word, alphabet=alphabet, indices=top[start:stop]),
-                bottom=_trusted(Word, alphabet=alphabet, indices=bottom[start:stop]),
-            )
-        )
-        start = stop
-    return factors
+    codes = _codes(pair.top.array, pair.bottom.array, alphabet.size)
+    return list(_balanced_pairs(codes, [0, *_cuts(codes, alphabet.size, [n])], alphabet))
 
 
 @dataclass(frozen=True)
@@ -154,14 +167,14 @@ def first_minimal_balanced_pair(
         raise MatrixMismatch("the substitutions have different alphabets (letters or their order)")
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    carry = np.zeros(alphabet.size, dtype=np.int64)  # top minus bottom counts before the block
+    k = alphabet.size
+    carry = np.zeros(k, dtype=np.int64)  # top minus bottom counts before the block
     start = 0
     block = 1024
     while start < cutoff:
         stop = min(cutoff, start + block)
-        imbalance = _imbalance(
-            top_stream.indices_range(start, stop), bottom_stream.indices_range(start, stop), alphabet.size
-        )
+        codes = _codes(top_stream.indices_range(start, stop), bottom_stream.indices_range(start, stop), k)
+        imbalance = _imbalance(codes, k)
         imbalance += carry
         balanced = ~imbalance.any(axis=1)
         if balanced.any():
@@ -202,11 +215,10 @@ class PairSubstitution:
 
     rules[i] lists pair indices whose concatenated contents reproduce the
     image of pair i under (first, second).  The pair Substitution, the
-    letter images and the pair incidence are each built once per object, on
-    first use.
+    letter images and the pair incidence (read it with pair_incidence) are
+    each built once per object, on first use.
     """
 
-    base_alphabet: Alphabet
     pair_alphabet: Alphabet
     pairs: tuple[BalancedPair, ...]
     rules: tuple[tuple[int, ...], ...]
@@ -227,7 +239,7 @@ class PairSubstitution:
         return _frozen(np.array([abelianization(pair.top) for pair in self.pairs], dtype=np.int64))
 
     @cached_property
-    def incidence(self) -> PairIncidence:
+    def _incidence(self) -> PairIncidence:
         m = incidence_matrix(self.substitution)
         return PairIncidence(m, char_poly(m))
 
@@ -262,45 +274,6 @@ class NonTermination:
 _BATCH_LETTERS = 1 << 14
 
 
-class _FlatPairs:
-    """The pairs found so far, laid end to end: row 0 of letters holds the
-    tops, row 1 the bottoms, and pair i is columns ends[i]:ends[i + 1].  The
-    array doubles when it is full."""
-
-    def __init__(self, top: np.ndarray, bottom: np.ndarray):
-        self.letters = np.empty((2, 2 * len(top)), dtype=top.dtype)
-        self.ends = [0]
-        self.append(top, bottom)
-
-    def __len__(self):
-        return len(self.ends) - 1
-
-    def append(self, top: np.ndarray, bottom: np.ndarray) -> None:
-        start = self.ends[-1]
-        stop = start + len(top)
-        if stop > self.letters.shape[1]:
-            grown = np.empty((2, 2 * stop), dtype=self.letters.dtype)
-            grown[:, :start] = self.letters[:, :start]
-            self.letters = grown
-        self.letters[0, start:stop] = top
-        self.letters[1, start:stop] = bottom
-        self.ends.append(stop)
-
-    def pairs(self, alphabet: Alphabet) -> tuple[BalancedPair, ...]:
-        """BalancedPair objects whose words' arrays are read-only views of one
-        copy of the letters."""
-        ends = self.ends
-        tops, bottoms = _frozen(self.letters[:, : ends[-1]].copy())
-
-        def word(row: np.ndarray) -> Word:
-            return _trusted(Word, alphabet=alphabet, indices=tuple(row.tolist()), array=row)
-
-        return tuple(
-            _trusted(BalancedPair, top=word(tops[a:b]), bottom=word(bottoms[a:b]))
-            for a, b in zip(ends, ends[1:])
-        )
-
-
 def run_bpa(first: Substitution, second: Substitution, limits: BpaLimits = BpaLimits()):
     """Run the balanced pair algorithm for two substitutions with one
     alphabet, letters in the same order, and equal incidence matrices;
@@ -320,8 +293,9 @@ def run_bpa(first: Substitution, second: Substitution, limits: BpaLimits = BpaLi
     checks that each image is balanced.  Equal incidence matrices give
     every letter images of equal lengths, so a pair's two images end at the
     same place.  Its factors are then registered one by one, left to right,
-    keyed by the bytes of their letter-pair codes top * k + bottom, so a
-    limit stops the run at the same factor as pair-by-pair processing.
+    keyed by their code bytes, which a new pair appends to the store of the
+    pairs found, so a limit stops the run at the same factor as
+    pair-by-pair processing.
     """
     m1 = incidence_matrix(first)
     m2 = incidence_matrix(second)
@@ -340,45 +314,45 @@ def run_bpa(first: Substitution, second: Substitution, limits: BpaLimits = BpaLi
 
     alphabet = first.alphabet
     k = alphabet.size
-    code_dtype = letter_dtype(k * k)
-    width = code_dtype.itemsize
-
-    def codes(top: np.ndarray, bottom: np.ndarray) -> bytes:
-        return (top.astype(code_dtype) * k + bottom).tobytes()
-
-    found = _FlatPairs(seed.top.array, seed.bottom.array)
-    registry = {codes(seed.top.array, seed.bottom.array): 0}
+    seed_codes = _codes(seed.top.array, seed.bottom.array, k)
+    width = seed_codes.itemsize  # bytes per code
+    found = bytearray(seed_codes.tobytes())  # the store: every pair's codes, end to end
+    ends = [0, len(seed_codes)]  # pair i is codes ends[i]:ends[i + 1] of found
+    registry = {bytes(found): 0}
     rules: dict[int, tuple[int, ...]] = {}
     image_lengths = np.array([len(image) for image in first.images], dtype=np.int64)
+
+    def pairs() -> tuple[BalancedPair, ...]:
+        return _balanced_pairs(np.frombuffer(found, seed_codes.dtype), ends, alphabet)
 
     def partial(limit: str, value: int, detail: str) -> NonTermination:
         return NonTermination(
             limit=limit,
             limit_value=value,
-            pairs=found.pairs(alphabet),
-            names=tuple(pair_letter_name(i) for i in range(len(found))),
+            pairs=pairs(),
+            names=tuple(pair_letter_name(i) for i in range(len(registry))),
             completed_rules=dict(rules),
             detail=detail,
         )
 
     i = 0  # the next queued pair
-    while i < len(found):
-        ends = found.ends
+    while i < len(registry):
         start = ends[i]
-        batch_stop = bisect_left(ends, start + _BATCH_LETTERS, i + 1, len(found))
-        tops, bottoms = found.letters[:, start : ends[batch_stop]]
-        top_image = first.apply_indices(tops)
-        bottom_image = second.apply_indices(bottoms)
+        batch_stop = bisect_left(ends, start + _BATCH_LETTERS, i + 1, len(registry))
+        # from a copy: a view of found would stop it from growing
+        codes = np.frombuffer(found[start * width : ends[batch_stop] * width], seed_codes.dtype)
+        tops, bottoms = np.divmod(codes, k)
         image_ends = np.cumsum(image_lengths[tops])[np.array(ends[i + 1 : batch_stop + 1]) - start - 1]
-        cuts = _cuts(top_image, bottom_image, k, image_ends)
-        image_codes = codes(top_image, bottom_image)
+        image_codes = _codes(first.apply_indices(tops), second.apply_indices(bottoms), k)
+        cuts = _cuts(image_codes, k, image_ends)
+        image_bytes = image_codes.tobytes()
 
         pair_ends = iter(image_ends.tolist())
         pair_end = next(pair_ends)
         rule: list[int] = []
         begin = 0
         for stop in cuts:
-            key = image_codes[begin * width : stop * width]
+            key = image_bytes[begin * width : stop * width]
             idx = registry.get(key)
             if idx is None:
                 if stop - begin > limits.max_pair_length:
@@ -387,15 +361,16 @@ def run_bpa(first: Substitution, second: Substitution, limits: BpaLimits = BpaLi
                         limits.max_pair_length,
                         f"minimal pair of length {stop - begin} exceeds the cap",
                     )
-                if len(found) >= limits.max_pairs:
+                if len(registry) >= limits.max_pairs:
                     return partial(
                         "max_pairs",
                         limits.max_pairs,
                         f"more than {limits.max_pairs} distinct minimal pairs",
                     )
-                idx = len(found)
+                idx = len(registry)
                 registry[key] = idx
-                found.append(top_image[begin:stop], bottom_image[begin:stop])
+                found += key
+                ends.append(ends[-1] + stop - begin)
             rule.append(idx)
             begin = stop
             if stop == pair_end:
@@ -404,12 +379,11 @@ def run_bpa(first: Substitution, second: Substitution, limits: BpaLimits = BpaLi
                 i += 1
                 pair_end = next(pair_ends, None)
 
-    names = tuple(pair_letter_name(i) for i in range(len(found)))
+    names = tuple(pair_letter_name(i) for i in range(len(registry)))
     return PairSubstitution(
-        base_alphabet=alphabet,
         pair_alphabet=Alphabet(names),
-        pairs=found.pairs(alphabet),
-        rules=tuple(rules[i] for i in range(len(found))),
+        pairs=pairs(),
+        rules=tuple(rules[i] for i in range(len(registry))),
     )
 
 
@@ -421,7 +395,7 @@ class PairIncidence:
 
 def pair_incidence(pair_sub: PairSubstitution) -> PairIncidence:
     """Incidence matrix over the pair alphabet and its exact characteristic polynomial."""
-    return pair_sub.incidence
+    return pair_sub._incidence
 
 
 @dataclass(frozen=True)

@@ -143,26 +143,18 @@ def _check_export_paths(csv_path, svg_path) -> None:
         raise click.UsageError("--csv and --svg name the same file")
 
 
-def _usable_cpus() -> int:
-    """Number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 @contextlib.contextmanager
 def _svg_beside(cloud, svg_path):
     """Write the cloud's SVG with render_svg while the with-block runs.
 
-    Where os.fork exists and this process may run on two CPUs or more, a
-    forked child process writes it, sharing this process's pages
-    copy-on-write, and leaving the block reaps the child and re-raises here
-    what render_svg raised there.  What render_svg refuses or cannot open is
-    raised before the fork, so the block never runs then.  Otherwise
-    render_svg runs in this process before the block: on one CPU the two
-    writers would take turns anyway, and the fork only adds its cost.
+    Where os.fork exists, a forked child process writes it, sharing this
+    process's pages copy-on-write, and leaving the block reaps the child
+    and re-raises here what render_svg raised there.  What render_svg
+    refuses or cannot open is raised before the fork, so the block never
+    runs then.  Where os.fork is missing, render_svg runs in this process
+    before the block.
     """
-    if not hasattr(os, "fork") or _usable_cpus() < 2:
+    if not hasattr(os, "fork"):
         render_svg([cloud], svg_path)
         yield
         return
@@ -207,11 +199,11 @@ def _export(cloud, csv_path, svg_path) -> None:
     """Write the cloud's CSV and SVG.
 
     With both, the SVG is written at the same time as the CSV, by a forked
-    child process on POSIX with two CPUs or more (see _svg_beside); the
-    bytes are those of render_svg and export_csv alone.  The errors are
-    those of writing the SVG first: a cloud above two dimensions, or an SVG
-    path that cannot be opened, writes no file, and a CSV path that fails
-    leaves the SVG written in full.  This process's peak RSS does not grow:
+    child process where os.fork exists (see _svg_beside); the bytes are
+    those of render_svg and export_csv alone.  The errors are those of
+    writing the SVG first: a cloud above two dimensions, or an SVG path
+    that cannot be opened, writes no file, and a CSV path that fails leaves
+    the SVG written in full.  This process's peak RSS does not grow:
     the child shares its pages copy-on-write.
     """
     if csv_path and svg_path:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import random
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from conftest import (
+    kbonacci,
     random_primitive_substitution,
     shuffled_images_copy,
     tracked_balance_points,
@@ -45,7 +47,7 @@ from rauzykit import (
     substitution_from_dict,
     verify_common_points,
 )
-from rauzykit.bpa import _imbalance
+from rauzykit.bpa import _codes, _imbalance
 from rauzykit.selfcheck import (
     family_substitution,
     flipped_tribonacci,
@@ -53,7 +55,7 @@ from rauzykit.selfcheck import (
     no_balanced_prefix_substitution,
     nonpalindromic_pair,
 )
-from rauzykit.words import _trusted
+from rauzykit.words import _trusted, letter_dtype
 
 AB = Alphabet(("a", "b"))
 
@@ -150,8 +152,50 @@ class TestImbalance:
                     counts[b] -= 1
                     expected.append(list(counts))
                 # uint8 letters, as Word.array holds them: the codes top * k + bottom pass 255 at k = 17
-                got = _imbalance(np.array(top, dtype=np.uint8), np.array(bottom, dtype=np.uint8), k)
+                got = _imbalance(_codes(np.array(top, dtype=np.uint8), np.array(bottom, dtype=np.uint8), k), k)
                 assert got.dtype == np.int64 and got.tolist() == expected
+
+
+class TestCodes:
+    @pytest.mark.parametrize("k", [2, 16, 17, 256])
+    def test_one_dtype_whatever_the_letters(self, k):
+        # the seed search passes int64 stream ranges and the worklist Word
+        # arrays: both must give the same registry key bytes
+        rng = random.Random(k)
+        top = [rng.randrange(k) for _ in range(50)]
+        bottom = [rng.randrange(k) for _ in range(50)]
+        from_int64 = _codes(np.array(top, dtype=np.int64), np.array(bottom, dtype=np.int64), k)
+        from_letters = _codes(np.array(top, dtype=letter_dtype(k)), np.array(bottom, dtype=letter_dtype(k)), k)
+        assert from_int64.dtype == from_letters.dtype == letter_dtype(k * k)
+        assert from_int64.tobytes() == from_letters.tobytes()
+        assert from_int64.tolist() == [a * k + b for a, b in zip(top, bottom)]
+
+
+class TestReturnedPairs:
+    """Pairs come back as words whose arrays are read-only views of one
+    copy of their letters, in the alphabet's letter dtype."""
+
+    @staticmethod
+    def pairs(source):
+        if source == "split":
+            pair = BalancedPair(w("abaabbab"), w("baababba"))
+            return minimal_split(pair)
+        first, second = _against_reverse(flipped_tribonacci())
+        limits = BpaLimits(max_pairs=5) if source == "limit" else BpaLimits()
+        return run_bpa(first, second, limits).pairs
+
+    @pytest.mark.parametrize("source", ["complete", "limit", "split"])
+    def test_words_share_one_read_only_copy(self, source):
+        pairs = self.pairs(source)
+        arrays = [word.array for pair in pairs for word in (pair.top, pair.bottom)]
+        assert len(pairs) > 1
+        assert all(array.base is not None for array in arrays)
+        assert len({id(array.base) for array in arrays}) == 1
+        for pair in pairs:
+            for word in (pair.top, pair.bottom):
+                assert word.array.dtype == letter_dtype(word.alphabet.size)
+                assert not word.array.flags.writeable
+                assert word.array.tolist() == list(word.indices)
 
 
 class _ArrayStream:
@@ -322,6 +366,25 @@ def test_long_pairs_match_string_oracle():
     assert _assert_matches_string_oracle(_perfbench_oracle(), first, second, limits) == "max_pair_length"
 
 
+@pytest.mark.parametrize(
+    "limits, status",
+    [
+        (BpaLimits(), "ok"),
+        (BpaLimits(max_pairs=70), "max_pairs"),
+        (BpaLimits(max_pair_length=65535), "max_pair_length"),
+    ],
+    ids=["complete", "max-pairs", "max-pair-length"],
+)
+def test_two_byte_codes_match_string_oracle(limits, status):
+    # 17-bonacci has 17 letters, so its letter-pair codes pass 255 and the
+    # worklist stores, keys and slices two bytes per code
+    first, second = _against_reverse(kbonacci(17))
+    assert letter_dtype(17 * 17).itemsize == 2
+    assert _assert_matches_string_oracle(_perfbench_oracle(), first, second, limits) == status
+    if status == "ok":
+        assert run_bpa(first, second).size == 153
+
+
 class TestFirstMinimalPair:
     def test_interval_pair_starts_at_one(self):
         first, second = interval_pair()
@@ -419,6 +482,13 @@ class TestRunBpa:
 
 
 class TestPairIncidence:
+    def test_one_public_spelling_and_no_unread_field(self):
+        first, second = interval_pair()
+        ps = run_bpa(first, second)
+        assert "base_alphabet" not in {f.name for f in dataclasses.fields(PairSubstitution)}
+        assert not hasattr(ps, "incidence")
+        assert pair_incidence(ps) is pair_incidence(ps)
+
     def test_homomorphism_exact(self):
         first, second = interval_pair()
         ps = run_bpa(first, second)

@@ -206,28 +206,14 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def usable_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: count)
-
-
-def forbidden_fork():
-    raise AssertionError("forked with one usable CPU")
-
-
-@pytest.fixture(params=["fork", "no-fork", "one-cpu"])
+@pytest.fixture(params=["fork", "no-fork"])
 def fork(request, monkeypatch):
-    """Run a test with os.fork and two usable CPUs, as on a platform without
-    os.fork, and with one usable CPU, where no child may be forked."""
+    """Run a test with os.fork, and as on a platform without it."""
     if request.param == "fork":
         if not hasattr(os, "fork"):
             pytest.skip("os.fork is missing on this platform")
-        usable_cpus(monkeypatch, 2)
-    elif request.param == "no-fork":
-        monkeypatch.delattr(os, "fork", raising=False)
     else:
-        usable_cpus(monkeypatch, 1)
-        monkeypatch.setattr(os, "fork", forbidden_fork, raising=False)
+        monkeypatch.delattr(os, "fork", raising=False)
     return request.param
 
 
@@ -319,7 +305,6 @@ class TestConcurrentExport:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is missing on this platform")
     def test_a_killed_svg_writer_fails_the_command(self, files, capsys, monkeypatch):
-        usable_cpus(monkeypatch, 2)
         monkeypatch.setattr(cli, "render_svg", lambda clouds, path: os.kill(os.getpid(), signal.SIGKILL))
         d = files["dir"]
         code, out, err = run(capsys, self.args("fractal", files, 100, csv=d / "out.csv", svg=d / "out.svg"))
