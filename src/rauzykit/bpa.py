@@ -180,7 +180,8 @@ def first_minimal_balanced_pair(
         if balanced.any():
             m = start + int(np.argmax(balanced)) + 1
             return _trusted(BalancedPair, top=top_stream.prefix(m), bottom=bottom_stream.prefix(m))
-        carry = imbalance[-1].copy()  # a copy, so the block's rows can be freed
+        carry = imbalance[-1].copy()
+        del imbalance, balanced  # free this block's rows before the next block's are made
         start = stop
         block = min(block * 4, 1 << 18)
     return NotFound(cutoff)

@@ -155,10 +155,10 @@ def _svg_beside(cloud, svg_path):
     before the block.
     """
     if not hasattr(os, "fork"):
-        render_svg([cloud], svg_path)
+        render_svg(cloud, svg_path)
         yield
         return
-    require_planar([cloud])
+    require_planar(cloud)
     open(svg_path, "w", encoding="utf-8").close()  # render_svg's open: its OSError is raised here
     read_end, write_end = os.pipe()
     pid = os.fork()
@@ -171,7 +171,7 @@ def _svg_beside(cloud, svg_path):
             gc.disable()  # no finaliser of the parent's garbage runs here
             os.close(read_end)
             try:
-                render_svg([cloud], svg_path)
+                render_svg(cloud, svg_path)
                 status = 0
             except BaseException as exc:
                 with open(write_end, "wb") as pipe:
@@ -210,7 +210,7 @@ def _export(cloud, csv_path, svg_path) -> None:
         with _svg_beside(cloud, svg_path):
             export_csv(cloud, csv_path)
     elif svg_path:
-        render_svg([cloud], svg_path)
+        render_svg(cloud, svg_path)
     elif csv_path:
         export_csv(cloud, csv_path)
 

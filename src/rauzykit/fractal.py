@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -39,7 +40,7 @@ class LabeledPointCloud:
 
     coords: np.ndarray   # (n, d), column-major
     alphabet: Alphabet
-    letters: np.ndarray  # (n,), integers in 0..len(alphabet)-1
+    letters: np.ndarray  # (n,), integers in 0..len(alphabet)-1, kept as given
 
     def __post_init__(self):
         coords = np.asfortranarray(self.coords, dtype=float)
@@ -78,9 +79,6 @@ class LabeledPointCloud:
         counts = np.bincount(self.letters, minlength=len(self.alphabet)).tolist()
         return dict(sorted((self.alphabet[j], c) for j, c in enumerate(counts) if c))
 
-    def label_set(self) -> tuple[str, ...]:
-        return tuple(self.label_counts())
-
 
 def _walk_cloud(
     substitution: Substitution, steps: np.ndarray, op: ProjectionOperator, n: int
@@ -91,6 +89,7 @@ def _walk_cloud(
     With M op's matrix, N the substitution's incidence matrix and
     S = steps.T, M S = S N must hold exactly, in integers (MatrixMismatch);
     then op must be unimodular (NotPisot), and n at least 1 (ValueError).
+    The steps are then summed in float64, the form op projects uncopied.
     """
     m = np.array(op.report.matrix.rows, dtype=object)
     s = np.array(steps, dtype=object).T
@@ -102,7 +101,8 @@ def _walk_cloud(
     if n < 1:
         raise ValueError("need at least one point")
     idx = stream_for(substitution).prefix_indices(n)
-    return LabeledPointCloud(op.project_many(prefix_counts(idx, steps)), substitution.alphabet, idx)
+    sums = prefix_counts(idx, np.asarray(steps, dtype=np.float64))
+    return LabeledPointCloud(op.project_many(sums), substitution.alphabet, idx)
 
 
 def rauzy_cloud(substitution: Substitution, n: int, op: ProjectionOperator) -> LabeledPointCloud:
@@ -173,8 +173,6 @@ def hausdorff_distance(a: LabeledPointCloud, b: LabeledPointCloud, eps: float) -
 @dataclass(frozen=True)
 class IntersectionEstimate:
     cells: frozenset[tuple[int, ...]]
-    cell_count: int
-    cell_size: float
     area: float
 
 
@@ -185,12 +183,7 @@ def grid_intersection_estimate(
     if a.dimension != b.dimension:
         raise DimensionMismatch(f"dimensions {a.dimension} and {b.dimension} differ")
     common = GridIndex.from_cloud(a, eps).occupied_cells() & GridIndex.from_cloud(b, eps).occupied_cells()
-    return IntersectionEstimate(
-        cells=common,
-        cell_count=len(common),
-        cell_size=eps,
-        area=len(common) * eps ** max(a.dimension, 1),
-    )
+    return IntersectionEstimate(cells=common, area=len(common) * eps ** max(a.dimension, 1))
 
 
 def negate_cells(cells: frozenset[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
@@ -251,58 +244,42 @@ def _fmt(v: float) -> str:
     return format(v, ".6g")
 
 
-def require_planar(clouds: Sequence[LabeledPointCloud]) -> None:
-    """Refuse, with DimensionMismatch, clouds that render_svg cannot draw:
-    those above two dimensions."""
-    if any(cloud.dimension > 2 for cloud in clouds):
+def require_planar(cloud: LabeledPointCloud) -> None:
+    """Refuse, with DimensionMismatch, a cloud that render_svg cannot draw:
+    one above two dimensions."""
+    if cloud.dimension > 2:
         raise DimensionMismatch("svg rendering supports 1-d and 2-d clouds only")
 
 
-def render_svg(clouds: Sequence[LabeledPointCloud], path) -> None:
-    """One circle per point, one group per cloud, deterministic palette per letter.
+def render_svg(cloud: LabeledPointCloud, path) -> None:
+    """One circle per point in one group, <g id="cloud0">, filled from
+    PALETTE by the rank of the point's label among the labels present.
 
-    Clouds of dimension 1 render on the horizontal axis; dimensions above 2
-    are refused by require_planar before any file is opened.  The viewBox
-    fits the data with a 5 percent margin.  Numbers are '%.6g'; '\\n' line
-    ends, UTF-8.
+    A 1-d cloud renders on the horizontal axis; dimensions above 2 are
+    refused by require_planar before any file is opened.  The viewBox fits
+    the data with a 5 percent margin.  Numbers are '%.6g'; '\\n' line ends,
+    UTF-8.
     """
-    require_planar(clouds)
-    planar: list[np.ndarray] = []  # per cloud, its x row and its y row
-    for cloud in clouds:
-        xy = np.zeros((2, len(cloud)))  # a 1-d cloud lies on the horizontal axis
-        xy[: cloud.dimension] = cloud.coords.T
-        xy[1] = -xy[1]  # svg y grows downward
-        planar.append(xy)
-
-    occupied = [p for p in planar if p.shape[1]]
-    if occupied:
-        lo = np.min([p.min(axis=1) for p in occupied], axis=0)
-        hi = np.max([p.max(axis=1) for p in occupied], axis=0)
-        span = np.maximum(hi - lo, 1e-9)
-        margin = 0.05 * span
+    require_planar(cloud)
+    xy = np.zeros((2, len(cloud)))  # a 1-d cloud lies on the horizontal axis
+    xy[: cloud.dimension] = cloud.coords.T
+    xy[1] = -xy[1]  # svg y grows downward
+    lo, hi = np.zeros(2), np.ones(2)  # an empty cloud's viewBox
+    if len(cloud):
+        lo, hi = xy.min(axis=1), xy.max(axis=1)
+        margin = 0.05 * np.maximum(hi - lo, 1e-9)
         lo, hi = lo - margin, hi + margin
-        diam = float(np.linalg.norm(hi - lo))
-    else:
-        lo, hi = np.zeros(2), np.ones(2)
-        diam = math.sqrt(2.0)
+    diam = float(np.linalg.norm(hi - lo))
+    # a letter absent from the cloud gets no colour and is never looked up
+    colors = dict(zip(cloud.label_counts(), itertools.cycle(PALETTE)))
+    palette = np.array([colors.get(label) for label in cloud.alphabet], dtype=object)
     circle = f'<circle cx="%.6g" cy="%.6g" r="{_fmt(0.01 * diam)}" fill="%s"/>\n'
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(
             '<?xml version="1.0" encoding="UTF-8"?>\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_fmt(lo[0])} {_fmt(lo[1])} '
             f'{_fmt(hi[0] - lo[0])} {_fmt(hi[1] - lo[1])}">\n'
+            '<g id="cloud0">\n'
         )
-        color_cursor = 0
-        for ci, (cloud, xy) in enumerate(zip(clouds, planar)):
-            labels = cloud.label_set()
-            colors = {
-                label: PALETTE[(color_cursor + rank) % len(PALETTE)]
-                for rank, label in enumerate(labels)
-            }
-            color_cursor += len(labels)
-            handle.write(f'<g id="cloud{ci}">\n')
-            # a letter absent from the cloud gets no colour and is never looked up
-            palette = np.array([colors.get(label) for label in cloud.alphabet], dtype=object)
-            _write_rows(handle, circle, [*xy, palette[cloud.letters]])
-            handle.write("</g>\n")
-        handle.write("</svg>\n")
+        _write_rows(handle, circle, [*xy, palette[cloud.letters]])
+        handle.write("</g>\n</svg>\n")

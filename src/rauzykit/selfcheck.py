@@ -375,15 +375,12 @@ def _symmetry_checks() -> Iterator[CheckResult]:
             f"hausdorff {h:.5f} vs 3*eps {3 * eps:.5f}",
         )
         inter = grid_intersection_estimate(cloud, cloud_rev, eps)
-        sym_frac = (
-            len(inter.cells ^ negate_cells(inter.cells)) / inter.cell_count
-            if inter.cell_count
-            else 1.0
-        )
+        count = len(inter.cells)
+        sym_frac = len(inter.cells ^ negate_cells(inter.cells)) / count if count else 1.0
         yield _check(
             f"symmetry: {name} intersection grid is nonempty and centrally symmetric",
-            inter.cell_count > 0 and sym_frac <= 0.05,
-            f"{inter.cell_count} cells, symmetric difference {sym_frac:.3%}",
+            count > 0 and sym_frac <= 0.05,
+            f"{count} cells, symmetric difference {sym_frac:.3%}",
         )
 
 

@@ -74,9 +74,9 @@ class ProjectionOperator:
     def project_many(self, vectors: np.ndarray) -> np.ndarray:
         """Row-wise projection of an (n, k) array to (n, d) chart coordinates.
 
-        The product reads column-major input, as prefix_counts returns it,
-        without a copy; its result is row-major, and LabeledPointCloud stores
-        it column-major.
+        Float64 input, such as the cloud walk's column-major prefix_counts
+        sums, is read without a copy; integer input is converted first.  The
+        result is row-major, and LabeledPointCloud stores it column-major.
         """
         vs = np.asarray(vectors, dtype=float)
         return (vs @ self.matrix.T) @ self.chart.T

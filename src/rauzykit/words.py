@@ -150,14 +150,17 @@ def prefix_counts(indices, weights) -> np.ndarray:
 
     With the k x k identity as weights, row m counts each letter of the first
     m + 1 letters (a broken-line vertex); two words balance after m + 1
-    letters exactly where their rows m are equal.  Exact int64 arithmetic.
+    letters exactly where their rows m are equal.  Float weights are summed
+    in float64 (exact while every sum is an integer below 2^53), others in int64.
 
     The (n, k) result is column-major: the columns of weights.T are gathered
     into a (k, n) array, summed along its rows and returned transposed, so a
     reduction over the k entries of each row, or over the n rows of one
     column, reads contiguous memory.
     """
-    columns = np.asarray(weights, dtype=np.int64).T.take(np.asarray(indices, dtype=np.intp), axis=1)
+    weights = np.asarray(weights)
+    weights = weights.astype(np.float64 if weights.dtype.kind == "f" else np.int64, copy=False)
+    columns = weights.T.take(np.asarray(indices, dtype=np.intp), axis=1)
     return np.cumsum(columns, axis=1, out=columns).T
 
 
@@ -299,8 +302,10 @@ class InfiniteWordStream:
     to the unexpanded tail buffer[source:] and appends the image.  The
     buffer and source are held as one tuple, replaced in one assignment, so
     a reader in another thread sees a consistent pair; two threads may grow
-    the same stream at once, at the cost of duplicated work.  prefix_indices
-    and indices_range return int64.
+    the same stream at once, at the cost of duplicated work.  Each buffer is
+    read-only; prefix_indices and indices_range return views of it, so a kept
+    array (a cloud's letters) keeps the buffer alive: at most one growth
+    round past the letters read, one byte per letter up to 256 letters.
     """
 
     def __init__(self, substitution: Substitution, seed_letter: int):
@@ -316,7 +321,7 @@ class InfiniteWordStream:
         self.seed_letter = seed_letter
         self.power = power
         # source 0: the buffer is the seed itself, the one state that is no image
-        self._state = (np.array([seed_letter], dtype=letter_dtype(k)), 0)
+        self._state = (_frozen(np.array([seed_letter], dtype=letter_dtype(k))), 0)
 
     def _grow_to(self, n: int) -> np.ndarray:
         buffer, source = self._state
@@ -326,7 +331,7 @@ class InfiniteWordStream:
                 tail = self.substitution.apply_indices(tail)
             # sigma^power(buffer) = sigma^power(buffer[:source]) + sigma^power(tail),
             # and the first part is the buffer itself, or nothing in the seed state
-            buffer, source = (np.concatenate((buffer, tail)) if source else tail), len(buffer)
+            buffer, source = _frozen(np.concatenate((buffer, tail)) if source else tail), len(buffer)
             self._state = (buffer, source)
         return buffer
 
@@ -344,10 +349,10 @@ class InfiniteWordStream:
         return _trusted(Word, alphabet=self.substitution.alphabet, indices=tuple(self._letters(0, n).tolist()))
 
     def prefix_indices(self, n: int) -> np.ndarray:
-        return self._letters(0, n).astype(np.int64)
+        return self._letters(0, n)
 
     def indices_range(self, start: int, stop: int) -> np.ndarray:
-        return self._letters(start, stop).astype(np.int64)
+        return self._letters(start, stop)
 
 
 def stream_for(substitution: Substitution) -> InfiniteWordStream:

@@ -1,5 +1,6 @@
 import random
 import string
+import tracemalloc
 
 from rauzykit import Substitution, incidence_matrix, is_primitive
 
@@ -32,6 +33,16 @@ def random_substitution(rng: random.Random, k: int | None = None, max_len: int =
         for letter in letters
     }
     return Substitution.from_rules(letters, rules)
+
+
+def traced_peak_mb(call):
+    """call()'s result, and the peak in MB of what Python and numpy allocate
+    while it runs."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def iterate(sub: Substitution, n: int, word):

@@ -12,6 +12,7 @@ from conftest import (
     kbonacci,
     random_primitive_substitution,
     shuffled_images_copy,
+    traced_peak_mb,
     tracked_balance_points,
     tribonacci,
 )
@@ -159,8 +160,9 @@ class TestImbalance:
 class TestCodes:
     @pytest.mark.parametrize("k", [2, 16, 17, 256])
     def test_one_dtype_whatever_the_letters(self, k):
-        # the seed search passes int64 stream ranges and the worklist Word
-        # arrays: both must give the same registry key bytes
+        # callers pass letters in letter_dtype(k), narrower than the codes'
+        # dtype from k = 17 on: the cast widens them before the product, and
+        # letters of any integer dtype give the same registry key bytes
         rng = random.Random(k)
         top = [rng.randrange(k) for _ in range(50)]
         bottom = [rng.randrange(k) for _ in range(50)]
@@ -224,6 +226,18 @@ class TestSeedSearchBlocks:
         pair = first_minimal_balanced_pair(top, bottom, 2 * n)
         assert (str(pair.top), str(pair.bottom)) == ("a" * n + "b" * n, "b" * n + "a" * n)
         assert first_minimal_balanced_pair(top, bottom, 2 * n - 1) == NotFound(2 * n - 1)
+
+    def test_a_block_is_freed_before_the_next(self):
+        # at 2^18-letter blocks one block's imbalance rows take 6.3 MB; with
+        # the streams already grown, holding two blocks' rows at once
+        # peaked at 15.2 MB, and one block's rows at 8.7 MB
+        sub = no_balanced_prefix_substitution()
+        top, bottom = stream_for(sub), stream_for(reverse_substitution(sub))
+        top.prefix_indices(10 ** 6)
+        bottom.prefix_indices(10 ** 6)
+        result, peak = traced_peak_mb(lambda: first_minimal_balanced_pair(top, bottom, 10 ** 6))
+        assert result == NotFound(10 ** 6)
+        assert peak < 11
 
 
 class TestKeptChecks:

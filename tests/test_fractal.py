@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import fibonacci, tribonacci
+from conftest import fibonacci, traced_peak_mb, tribonacci
 from oracles import reference_export_csv, reference_render_svg
 from rauzykit import (
     DimensionMismatch,
@@ -127,6 +127,14 @@ class TestRauzyCloud:
         assert labels_of(cloud) == ("a",)
         assert np.allclose(cloud.coords[0], op.project_many([[1, 0, 0]])[0])
 
+    def test_a_million_points_hold_each_datum_once(self):
+        # the letters are the stream's own bytes and the walk's sums the
+        # floats it projects: 96.0 MB with an int64 copy of each, 65.4 MB without
+        op = tribonacci_operator()
+        cloud, peak = traced_peak_mb(lambda: rauzy_cloud(tribonacci(), 10 ** 6, op))
+        assert len(cloud) == 10 ** 6 and cloud.letters.dtype == np.uint8
+        assert peak < 75
+
     def test_diameter_growth_under_one_percent(self):
         op = tribonacci_operator()
         small = rauzy_cloud(tribonacci(), 10 ** 4, op)
@@ -154,11 +162,11 @@ class TestRauzyCloud:
     def test_label_partition(self):
         op = tribonacci_operator()
         cloud = rauzy_cloud(tribonacci(), 2000, op)
-        parts = [label_cloud(cloud, label) for label in cloud.label_set()]
+        parts = [label_cloud(cloud, label) for label in cloud.label_counts()]
         assert sum(len(part) for part in parts) == len(cloud)
         union = frozenset().union(*(GridIndex.from_cloud(part, 0.05).occupied_cells() for part in parts))
         assert union == GridIndex.from_cloud(cloud, 0.05).occupied_cells()
-        per_label = sum(labels_of(cloud).count(label) for label in cloud.label_set())
+        per_label = sum(labels_of(cloud).count(label) for label in cloud.label_counts())
         assert per_label == len(cloud)
 
     def test_label_classes_disjoint_except_boundary_cells(self):
@@ -166,8 +174,8 @@ class TestRauzyCloud:
         # set, so the shared fraction shrinks with the cell size
         op = tribonacci_operator()
         cloud = rauzy_cloud(tribonacci(), 2 * 10 ** 5, op)
-        assert cloud.label_set() == ("a", "b", "c")
-        parts = [label_cloud(cloud, label) for label in cloud.label_set()]
+        assert tuple(cloud.label_counts()) == ("a", "b", "c")
+        parts = [label_cloud(cloud, label) for label in cloud.label_counts()]
 
         def shared_fraction(scale):
             eps = scale * cloud.diameter()
@@ -209,7 +217,7 @@ class TestLabeledPointCloud:
         cloud = point_cloud(np.zeros((5, 1)), labels=["z", "b", "z", "z", "b"])
         wide = LabeledPointCloud(cloud.coords, ("z", "q", "b"), np.array([0, 2, 0, 0, 2]))
         assert cloud.label_counts() == wide.label_counts() == {"b": 2, "z": 3}
-        assert list(wide.label_counts()) == ["b", "z"] and wide.label_set() == ("b", "z")
+        assert list(wide.label_counts()) == ["b", "z"]
 
 
 class TestGridIndex:
@@ -294,12 +302,12 @@ class TestGridIntersection:
         eps = 0.02 * cloud.diameter()
         estimate = grid_intersection_estimate(cloud, cloud, eps)
         assert estimate.cells == GridIndex.from_cloud(cloud, eps).occupied_cells()
-        assert estimate.area == pytest.approx(estimate.cell_count * eps ** 2)
+        assert estimate.area == pytest.approx(len(estimate.cells) * eps ** 2)
 
     def test_disjoint_clouds(self):
         a = point_cloud([[0.0, 0.0]])
         b = point_cloud([[5.0, 5.0]])
-        assert grid_intersection_estimate(a, b, 0.1).cell_count == 0
+        assert len(grid_intersection_estimate(a, b, 0.1).cells) == 0
 
 
 class TestExports:
@@ -340,33 +348,22 @@ class TestExports:
         export_csv(empty, csv_path)
         assert csv_path.read_text().strip() == "n,letter,x1,x2"
         svg_path = tmp_path / "empty.svg"
-        render_svg([empty], svg_path)
+        render_svg(empty, svg_path)
         text = svg_path.read_text()
         assert '<g id="cloud0">' in text and "<circle" not in text
-
-    def test_overlay_uses_distinct_palettes(self, tmp_path):
-        op = tribonacci_operator()
-        a = rauzy_cloud(tribonacci(), 50, op)
-        b = rauzy_cloud(reverse_substitution(tribonacci()), 50, op)
-        path = tmp_path / "overlay.svg"
-        render_svg([a, b], path)
-        text = path.read_text()
-        assert text.count("<g id=") == 2
-        colors_a = {line.split('fill="')[1][:7] for line in text.splitlines() if "circle" in line}
-        assert len(colors_a) == 6  # three letters per cloud, disjoint palettes
 
     def test_one_dimensional_cloud_renders(self, tmp_path):
         fib_op = projection_operator(spectral_split(incidence_matrix(fibonacci())))
         cloud = rauzy_cloud(fibonacci(), 100, fib_op)
         assert cloud.dimension == 1
         path = tmp_path / "line.svg"
-        render_svg([cloud], path)
+        render_svg(cloud, path)
         assert "<svg" in path.read_text()
 
     def test_svg_rejects_high_dimensions(self, tmp_path):
         cloud = point_cloud(np.zeros((1, 3)))
         with pytest.raises(DimensionMismatch):
-            render_svg([cloud], tmp_path / "bad.svg")
+            render_svg(cloud, tmp_path / "bad.svg")
         assert not (tmp_path / "bad.svg").exists()
 
 
@@ -387,29 +384,26 @@ def flipped_intersection_cloud():
 
 
 EXPORT_CASES = {
-    "dimension-0": lambda: [labeled_cloud(0, 7, ("a", "b"))],
-    "dimension-1": lambda: [labeled_cloud(1, 50, ("a", "b"))],
-    "dimension-2": lambda: [labeled_cloud(2, 50, ("a", "b", "c"))],
-    "special-labels": lambda: [labeled_cloud(2, 90, SPECIAL_LABELS)],
-    "palette-wrap": lambda: [labeled_cloud(2, 90, MANY_LABELS)],
-    "empty-label": lambda: [labeled_cloud(1, 5, ("", "e"))],
-    "overlay": lambda: [labeled_cloud(2, 40, MANY_LABELS), labeled_cloud(2, 30, ("a", "z"), seed=1)],
-    "special-values": lambda: [
-        point_cloud(
-            [[-0.0, 1e-300], [1e20, -1e20], [np.inf, -np.inf], [np.nan, 0.5], [0.0, -0.0]],
-            labels=["a", "b", "a", "c", "b"],
-        )
-    ],
-    "empty": lambda: [point_cloud(np.zeros((0, 2)), labels=())],
+    "dimension-0": lambda: labeled_cloud(0, 7, ("a", "b")),
+    "dimension-1": lambda: labeled_cloud(1, 50, ("a", "b")),
+    "dimension-2": lambda: labeled_cloud(2, 50, ("a", "b", "c")),
+    "special-labels": lambda: labeled_cloud(2, 90, SPECIAL_LABELS),
+    "palette-wrap": lambda: labeled_cloud(2, 90, MANY_LABELS),
+    "empty-label": lambda: labeled_cloud(1, 5, ("", "e")),
+    "special-values": lambda: point_cloud(
+        [[-0.0, 1e-300], [1e20, -1e20], [np.inf, -np.inf], [np.nan, 0.5], [0.0, -0.0]],
+        labels=["a", "b", "a", "c", "b"],
+    ),
+    "empty": lambda: point_cloud(np.zeros((0, 2)), labels=()),
     # a label that would be format text if it ever reached the template
-    "percent-labels": lambda: [labeled_cloud(2, 30, ("%", "%s", "%%d"))],
+    "percent-labels": lambda: labeled_cloud(2, 30, ("%", "%s", "%%d")),
     # one block short of, at, and past the writers' block size
-    "block-less-one": lambda: [labeled_cloud(2, _ROWS_PER_WRITE - 1, ("a", "b", "c"))],
-    "block-exact": lambda: [labeled_cloud(2, _ROWS_PER_WRITE, ("a", "b", "c"))],
-    "block-plus-one": lambda: [labeled_cloud(2, _ROWS_PER_WRITE + 1, ("a", "b", "c"))],
-    "two-blocks-plus-one": lambda: [labeled_cloud(1, 2 * _ROWS_PER_WRITE + 1, SPECIAL_LABELS)],
-    "tribonacci": lambda: [rauzy_cloud(tribonacci(), 3000, tribonacci_operator())],
-    "flipped-tribonacci-pairs": lambda: [flipped_intersection_cloud()],
+    "block-less-one": lambda: labeled_cloud(2, _ROWS_PER_WRITE - 1, ("a", "b", "c")),
+    "block-exact": lambda: labeled_cloud(2, _ROWS_PER_WRITE, ("a", "b", "c")),
+    "block-plus-one": lambda: labeled_cloud(2, _ROWS_PER_WRITE + 1, ("a", "b", "c")),
+    "two-blocks-plus-one": lambda: labeled_cloud(1, 2 * _ROWS_PER_WRITE + 1, SPECIAL_LABELS),
+    "tribonacci": lambda: rauzy_cloud(tribonacci(), 3000, tribonacci_operator()),
+    "flipped-tribonacci-pairs": flipped_intersection_cloud,
 }
 
 
@@ -419,18 +413,19 @@ class TestExportsMatchLoopOracle:
     """The streamed writers against the row-at-a-time loop writers, byte for byte."""
 
     def test_csv_bytes(self, case, tmp_path):
-        for i, cloud in enumerate(EXPORT_CASES[case]()):
-            new, ref = tmp_path / f"new{i}.csv", tmp_path / f"ref{i}.csv"
-            export_csv(cloud, new)
-            reference_export_csv(cloud, ref)
-            assert new.read_bytes() == ref.read_bytes()
+        cloud = EXPORT_CASES[case]()
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        export_csv(cloud, new)
+        reference_export_csv(cloud, ref)
+        assert new.read_bytes() == ref.read_bytes()
 
     def test_svg_bytes(self, case, tmp_path):
-        clouds = EXPORT_CASES[case]()
+        cloud = EXPORT_CASES[case]()
         new, ref = tmp_path / "new.svg", tmp_path / "ref.svg"
-        render_svg(clouds, new)
-        reference_render_svg(clouds, ref)
+        render_svg(cloud, new)
+        reference_render_svg([cloud], ref)
         assert new.read_bytes() == ref.read_bytes()
         root = ET.parse(new).getroot()
-        circles = root.findall("{http://www.w3.org/2000/svg}g/{http://www.w3.org/2000/svg}circle")
-        assert len(circles) == sum(len(c) for c in clouds)
+        groups = root.findall("{http://www.w3.org/2000/svg}g")
+        assert [g.get("id") for g in groups] == ["cloud0"]
+        assert len(groups[0].findall("{http://www.w3.org/2000/svg}circle")) == len(cloud)

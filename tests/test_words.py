@@ -105,6 +105,16 @@ class TestPrefixCounts:
     def test_empty_sequence(self):
         assert prefix_counts([], np.eye(2, dtype=np.int64)).shape == (0, 2)
 
+    def test_float_weights_sum_in_float64_to_the_integer_sums(self):
+        rng = random.Random(5)
+        weights = np.array([[rng.randint(-3, 9) for _ in range(4)] for _ in range(5)])
+        idx = [rng.randrange(5) for _ in range(300)]
+        exact = prefix_counts(idx, weights)
+        rows = prefix_counts(idx, weights.astype(np.float64))
+        assert rows.dtype == np.float64 and rows.flags.f_contiguous
+        assert np.array_equal(rows, exact)
+        assert prefix_counts(idx, weights.astype(bool)).dtype == np.int64
+
     def test_balance_points_match_tracker(self):
         rng = random.Random(11)
         for k in range(1, 7):
@@ -398,6 +408,19 @@ class TestStreams:
         for n, got in results:
             assert got == reference[:n]
 
+    @pytest.mark.parametrize("k", [3, 300])
+    def test_readers_are_read_only_views_of_the_buffer(self, k):
+        names = [f"x{i}" for i in range(k)]
+        rules = {name: [names[0], names[(i + 1) % k]] for i, name in enumerate(names)}
+        stream = stream_for(Substitution.from_rules(names, rules))
+        for read in (lambda: stream.prefix_indices(1), lambda: stream.prefix_indices(5000),
+                     lambda: stream.indices_range(100, 4000)):
+            got = read()
+            assert got.dtype == letter_dtype(k)
+            assert np.shares_memory(got, stream._state[0])
+            with pytest.raises(ValueError):
+                got[0] = 0
+
     def test_threads_growing_one_stream_under_fast_switching(self):
         # the buffer and the start of its unexpanded tail change together; a
         # thread that read one of them new and the other old would append
@@ -491,7 +514,7 @@ class TestArrayKernelsAgainstRewriting:
             stream = stream_for(sub)
             n = rng.randint(1, 3000)
             got = stream.prefix_indices(n)
-            assert got.dtype == np.int64
+            assert got.dtype == letter_dtype(sub.alphabet.size)
             want = rewritten_fixed_point(
                 rules_of(sub), sub.alphabet[stream.seed_letter], stream.power, n
             )
