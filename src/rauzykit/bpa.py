@@ -88,8 +88,9 @@ def _codes(top, bottom, k: int) -> np.ndarray:
     return np.asarray(top, dtype=dtype) * k + np.asarray(bottom, dtype=dtype)
 
 
-def _imbalance(codes, k: int) -> np.ndarray:
-    """Running letter counts of top minus bottom, row m after m + 1 letters.
+def _imbalance(codes, k: int, carry=None) -> np.ndarray:
+    """Running letter counts of top minus bottom, row m after m + 1 letters,
+    starting from the imbalance carry (zero when None).
 
     A row is zero exactly where the two prefixes balance.  One prefix_counts
     pass over the letter-pair codes, weighted by the k^2-row table whose row
@@ -97,7 +98,7 @@ def _imbalance(codes, k: int) -> np.ndarray:
     """
     eye = np.eye(k, dtype=np.int64)
     table = (eye[:, None, :] - eye[None, :, :]).reshape(k * k, k)
-    return prefix_counts(codes, table)
+    return prefix_counts(codes, table, carry)
 
 
 def _cuts(codes, k: int, ends) -> list[int]:
@@ -168,14 +169,13 @@ def first_minimal_balanced_pair(
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     k = alphabet.size
-    carry = np.zeros(k, dtype=np.int64)  # top minus bottom counts before the block
+    carry = np.zeros(k, dtype=np.int64)  # top minus bottom counts before the block, where its sums start
     start = 0
     block = 1024
     while start < cutoff:
         stop = min(cutoff, start + block)
         codes = _codes(top_stream.indices_range(start, stop), bottom_stream.indices_range(start, stop), k)
-        imbalance = _imbalance(codes, k)
-        imbalance += carry
+        imbalance = _imbalance(codes, k, carry)
         balanced = ~imbalance.any(axis=1)
         if balanced.any():
             m = start + int(np.argmax(balanced)) + 1

@@ -74,9 +74,11 @@ class ProjectionOperator:
     def project_many(self, vectors: np.ndarray) -> np.ndarray:
         """Row-wise projection of an (n, k) array to (n, d) chart coordinates.
 
-        Float64 input, such as the cloud walk's column-major prefix_counts
-        sums, is read without a copy; integer input is converted first.  The
-        result is row-major, and LabeledPointCloud stores it column-major.
+        Float64 input, such as the column-major prefix_counts sums of one
+        block of the cloud walk, is read without a copy; integer input is
+        converted first.  The result is row-major; the walk writes it into
+        its column-major coordinates, and LabeledPointCloud stores any other
+        input column-major.
         """
         vs = np.asarray(vectors, dtype=float)
         return (vs @ self.matrix.T) @ self.chart.T

@@ -145,13 +145,17 @@ def abelianization(word: Word) -> tuple[int, ...]:
     return tuple(np.bincount(word.array, minlength=word.alphabet.size).tolist())
 
 
-def prefix_counts(indices, weights) -> np.ndarray:
-    """Running sums of weights[indices]: row m is weights[indices[0]] + ... + weights[indices[m]].
+def prefix_counts(indices, weights, carry=None) -> np.ndarray:
+    """Running sums of weights[indices]: row m is carry + weights[indices[0]] + ... + weights[indices[m]].
 
     With the k x k identity as weights, row m counts each letter of the first
     m + 1 letters (a broken-line vertex); two words balance after m + 1
     letters exactly where their rows m are equal.  Float weights are summed
     in float64 (exact while every sum is an integer below 2^53), others in int64.
+
+    carry, a row of k sums (zero when None), is the running sum before
+    indices[0]: with it, a long sequence is summed a block at a time, each
+    block carrying the previous block's last row, to the one-shot rows.
 
     The (n, k) result is column-major: the columns of weights.T are gathered
     into a (k, n) array, summed along its rows and returned transposed, so a
@@ -161,6 +165,8 @@ def prefix_counts(indices, weights) -> np.ndarray:
     weights = np.asarray(weights)
     weights = weights.astype(np.float64 if weights.dtype.kind == "f" else np.int64, copy=False)
     columns = weights.T.take(np.asarray(indices, dtype=np.intp), axis=1)
+    if carry is not None and columns.shape[1]:
+        columns[:, 0] += carry
     return np.cumsum(columns, axis=1, out=columns).T
 
 

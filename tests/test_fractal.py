@@ -1,4 +1,5 @@
 import csv
+import functools
 import xml.etree.ElementTree as ET
 from collections import Counter
 
@@ -29,7 +30,7 @@ from rauzykit import (
     spectral_split,
     stream_for,
 )
-from rauzykit.fractal import _ROWS_PER_WRITE
+from rauzykit.fractal import _ROWS_PER_WRITE, _WALK_ROWS
 from rauzykit.selfcheck import flipped_tribonacci
 
 
@@ -81,10 +82,26 @@ class TestBrokenLine:
         assert ((steps >= 0).all() and (steps.sum(axis=1) == 1).all())
 
 
+@functools.lru_cache(maxsize=None)
+def flipped_pair_system():
+    """The flipped-tribonacci pair substitution against its reverse, and the
+    parents' projection operator."""
+    sub = flipped_tribonacci()
+    op = projection_operator(spectral_split(incidence_matrix(sub)))
+    return run_bpa(sub, reverse_substitution(sub)), op
+
+
+#: Point counts around the walk's blocks of B = _WALK_ROWS rows.  At B + 1 and
+#: 2B + 1 a one-row last block, whose product takes another BLAS path, would
+#: differ from the one-shot reference in the last bits.
+WALK_COUNTS = (1, 2, _WALK_ROWS - 1, _WALK_ROWS, _WALK_ROWS + 1, _WALK_ROWS + 2, 2 * _WALK_ROWS + 1)
+
+
 class TestColumnMajorLayout:
     """Prefix counts and cloud coordinates are column-major, so reductions
     along the short axis read contiguous memory; their values are those of
-    the row-major reference."""
+    the row-major reference, bit for bit, however the walk splits its rows
+    into blocks."""
 
     def test_prefix_counts(self):
         idx = stream_for(tribonacci()).prefix_indices(1000)
@@ -94,21 +111,21 @@ class TestColumnMajorLayout:
             assert sums.flags.f_contiguous and sums.dtype == np.int64
             assert np.array_equal(sums, np.cumsum(w[idx], axis=0))
 
-    def test_rauzy_cloud_and_its_reflection(self):
+    @pytest.mark.parametrize("n", WALK_COUNTS)
+    def test_rauzy_cloud_and_its_reflection(self, n):
         op = tribonacci_operator()
-        cloud = rauzy_cloud(tribonacci(), 1000, op)
-        idx = stream_for(tribonacci()).prefix_indices(1000)
+        cloud = rauzy_cloud(tribonacci(), n, op)
+        idx = stream_for(tribonacci()).prefix_indices(n)
         reference = op.project_many(np.cumsum(np.eye(3, dtype=np.int64)[idx], axis=0))
         assert cloud.coords.flags.f_contiguous and np.array_equal(cloud.coords, reference)
         reflected = reflect_cloud(cloud)
         assert reflected.coords.flags.f_contiguous and np.array_equal(reflected.coords, -reference)
 
-    def test_intersection_cloud(self):
-        sub = flipped_tribonacci()
-        op = projection_operator(spectral_split(incidence_matrix(sub)))
-        pair_sub = run_bpa(sub, reverse_substitution(sub))
-        cloud = intersection_cloud(pair_sub, op, 1000)
-        prefix = stream_for(pair_sub.substitution).prefix_indices(1000)
+    @pytest.mark.parametrize("n", WALK_COUNTS)
+    def test_intersection_cloud(self, n):
+        pair_sub, op = flipped_pair_system()
+        cloud = intersection_cloud(pair_sub, op, n)
+        prefix = stream_for(pair_sub.substitution).prefix_indices(n)
         reference = op.project_many(np.cumsum(pair_sub.letter_images[prefix], axis=0))
         assert cloud.coords.flags.f_contiguous and np.array_equal(cloud.coords, reference)
 
@@ -129,11 +146,21 @@ class TestRauzyCloud:
 
     def test_a_million_points_hold_each_datum_once(self):
         # the letters are the stream's own bytes and the walk's sums the
-        # floats it projects: 96.0 MB with an int64 copy of each, 65.4 MB without
+        # floats it projects: 96.0 MB with an int64 copy of each, 65.4 MB
+        # with the sums and their projection made in one piece, 19.5 MB a
+        # block at a time
         op = tribonacci_operator()
         cloud, peak = traced_peak_mb(lambda: rauzy_cloud(tribonacci(), 10 ** 6, op))
         assert len(cloud) == 10 ** 6 and cloud.letters.dtype == np.uint8
-        assert peak < 75
+        assert peak < 30
+
+    def test_a_million_pair_points_are_walked_a_block_at_a_time(self):
+        # 65.1 MB with the sums and their projection made in one piece, 19.2 MB
+        # a block at a time
+        pair_sub, op = flipped_pair_system()
+        cloud, peak = traced_peak_mb(lambda: intersection_cloud(pair_sub, op, 10 ** 6))
+        assert len(cloud) == 10 ** 6
+        assert peak < 30
 
     def test_diameter_growth_under_one_percent(self):
         op = tribonacci_operator()

@@ -115,6 +115,28 @@ class TestPrefixCounts:
         assert np.array_equal(rows, exact)
         assert prefix_counts(idx, weights.astype(bool)).dtype == np.int64
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_blocks_with_a_carry_give_the_one_shot_sums(self, dtype):
+        rng = np.random.default_rng(17)
+        weights = rng.integers(-4, 9, size=(5, 3)).astype(dtype)
+        idx = rng.integers(0, 5, size=1000).astype(np.uint8)
+        whole = prefix_counts(idx, weights)
+        for cuts in ([0, 1, 1000], [0, 7, 500, 999, 1000], [0, 999, 1000], [0, 0, 400, 400, 1000]):
+            carry, blocks = None, []
+            for a, b in zip(cuts, cuts[1:]):
+                rows = prefix_counts(idx[a:b], weights, carry)
+                assert rows.dtype == dtype and rows.flags.f_contiguous and rows.shape == (b - a, 3)
+                blocks.append(rows)
+                carry = rows[-1].copy() if b > a else carry
+            assert np.array_equal(np.concatenate(blocks), whole)
+
+    def test_a_carry_is_added_to_every_row(self):
+        weights = np.eye(3, dtype=np.int64)
+        idx = [2, 0, 0, 1]
+        carry = np.array([5, -1, 7])
+        assert np.array_equal(prefix_counts(idx, weights, carry), prefix_counts(idx, weights) + carry)
+        assert prefix_counts([], weights, carry).shape == (0, 3)
+
     def test_balance_points_match_tracker(self):
         rng = random.Random(11)
         for k in range(1, 7):
