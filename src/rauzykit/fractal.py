@@ -147,11 +147,29 @@ def _cell_size(eps: float) -> float:
     return eps
 
 
+#: Bound on |coordinate| / eps and on a cell code in GridIndex.from_cloud.
+#: Keys and codes below 2^62 leave a fold step, code * span + key, inside
+#: int64 before the key's minimum is taken off.
+_KEY_LIMIT = 1 << 62
+
+
 class GridIndex:
     """Occupied grid cells of a cloud at cell size eps.
 
     The cell of a point is floor(coordinate / eps) componentwise; cells is the
     (m, d) int64 array of distinct cells in lexicographic order.
+
+    from_cloud folds each point's d keys into one int64 code in mixed radix,
+    the first coordinate most significant, each digit the key minus the
+    coordinate's least key, so the codes sort as the cells do; it sorts the n
+    codes, keeps the first of each run and divides the distinct codes back
+    into cells.  Codes stay below 2^62 by two order-preserving renumberings
+    inside the fold: a coordinate whose keys span more than n values is folded
+    by the dense rank of its key, and before a fold that would reach 2^62 the
+    code folded so far is replaced by its dense rank; the decode maps each
+    rank back through the table of distinct values it came from.  A cloud
+    with some |coordinate| / eps of 2^62 or more (or not finite) is refused
+    with ValueError.
     """
 
     def __init__(self, eps: float, cells: np.ndarray):
@@ -160,14 +178,48 @@ class GridIndex:
 
     @classmethod
     def from_cloud(cls, cloud: LabeledPointCloud, eps: float) -> "GridIndex":
-        # (d, n): one contiguous row of keys per coordinate, as coords is column-major
-        keys = np.floor(cloud.coords / _cell_size(eps)).astype(np.int64).T
-        # lexsort's last key is its primary one and it refuses zero keys: the
-        # point index, least significant, is a key in every dimension
-        keys = keys.take(np.lexsort((np.arange(keys.shape[1]), *keys[::-1])), axis=1)
-        fresh = np.ones(keys.shape[1], dtype=bool)
-        fresh[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-        return cls(eps, keys[:, fresh].T)
+        eps = _cell_size(eps)
+        n = len(cloud)
+        scaled = np.empty(n)
+        keys = np.empty(n, dtype=np.int64)
+        code = np.zeros(n, dtype=np.int64)
+        size = 1  # every code lies in 0..size-1
+        steps = []  # per coordinate: (span, low, its distinct keys, the renumbering before it)
+        for column in cloud.coords.T:  # contiguous, as coords is column-major
+            np.floor(np.divide(column, eps, out=scaled), out=scaled)
+            low, high = (scaled.min(), scaled.max()) if n else (0.0, 0.0)
+            if not -_KEY_LIMIT < low <= high < _KEY_LIMIT:  # a nan fails too
+                raise ValueError(
+                    f"cell size {eps!r} is too fine for int64 cells: some |coordinate| / eps"
+                    " is 2^62 or more, or not finite"
+                )
+            keys[...] = scaled
+            row, values, ranks = keys, None, None
+            low = int(low)
+            span = int(high) - low + 1
+            if span > n:
+                values, row = np.unique(keys, return_inverse=True)
+                span, low = len(values), 0
+            if size * span >= _KEY_LIMIT:
+                ranks, code = np.unique(code, return_inverse=True)
+                size = len(ranks)
+            code *= span
+            code += row
+            code -= low
+            size *= span
+            steps.append((span, low, values, ranks))
+        code.sort()
+        fresh = np.ones(n, dtype=bool)
+        np.not_equal(code[1:], code[:-1], out=fresh[1:])
+        code = code[fresh]
+        cells = np.empty((len(steps), len(code)), dtype=np.int64)
+        for j in reversed(range(len(steps))):
+            span, low, values, ranks = steps[j]
+            code, digit = np.divmod(code, span)
+            cells[j] = digit + low if values is None else values[digit]
+            if ranks is not None:
+                code = ranks[code]
+        return cls(eps, cells.T)
 
     def occupied_cells(self) -> frozenset[tuple[int, ...]]:
         return frozenset(map(tuple, self.cells.tolist()))

@@ -194,6 +194,33 @@ def sympy_contracting_projector(m: IntMatrix, f: IntPolynomial, digits: int = 50
         )
 
 
+# grid oracles: cells as a Python set of floor tuples, distances by pairwise
+# minima; neither grids nor searches through the library
+
+
+def floor_cells(coords, eps: float) -> set[tuple[int, ...]]:
+    """The distinct cells floor(x / eps) of the rows of coords."""
+    return {tuple(math.floor(v / eps) for v in row) for row in np.asarray(coords, dtype=float).tolist()}
+
+
+def cell_hausdorff(a_coords, b_coords, eps: float) -> float:
+    """eps times the Hausdorff distance between the two clouds' cell sets:
+    the larger directed maximum, over the cells of one set, of the distance to
+    the nearest cell of the other, searched by brute force."""
+    a, b = (np.array(sorted(floor_cells(c, eps)), dtype=float) for c in (a_coords, b_coords))
+    if not len(a) or not len(b):
+        return 0.0 if len(a) == len(b) else math.inf
+
+    def one_way(x, y):
+        worst = 0.0
+        for start in range(0, len(x), 256):
+            squared = ((x[start:start + 256, None, :] - y[None, :, :]) ** 2).sum(axis=2)
+            worst = max(worst, float(squared.min(axis=1).max()))
+        return worst
+
+    return eps * math.sqrt(max(one_way(a, b), one_way(b, a)))
+
+
 # export oracles: the row-at-a-time loop writers that export_csv and
 # render_svg must match byte for byte
 

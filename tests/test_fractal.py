@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import fibonacci, traced_peak_mb, tribonacci
-from oracles import reference_export_csv, reference_render_svg
+from oracles import cell_hausdorff, floor_cells, reference_export_csv, reference_render_svg
 from rauzykit import (
     DimensionMismatch,
     GridIndex,
@@ -263,6 +263,45 @@ class TestGridIndex:
         assert grid.cells.dtype == np.int64 and grid.cells.shape == (len(oracle), d)
         assert [tuple(row) for row in grid.cells.tolist()] == sorted(oracle)
 
+    # Fine cells and many dimensions: at d = 9, eps = 1e-3 each coordinate
+    # spans about 8000 cells, so the codes' product passes 2^63 and the code
+    # folded so far is renumbered; at d = 2, eps = 1e-12 and d = 1, eps = 1e-15
+    # a coordinate spans more cells than there are points and is folded by
+    # rank.  At spread = 2^61 the keys span nearly 2^62 values in both of two
+    # coordinates, so folding the second by its key difference would overflow.
+    @pytest.mark.parametrize("d, eps, spread", [(9, 1e-3, 4.0), (2, 1e-12, 4.0), (1, 1e-15, 4.0), (2, 1.0, 2.0 ** 61)])
+    @pytest.mark.parametrize("n", [1, 2, 500])
+    def test_renumbering_folds_match_floor_oracle(self, d, eps, spread, n):
+        rng = np.random.default_rng(n + d)
+        coords = rng.uniform(-spread, spread, size=(n, d))
+        on_boundary = rng.integers(-1000, 1000, size=(n, d)) * eps
+        coords = np.where(rng.random((n, 1)) < 0.3, on_boundary, coords)
+        coords = np.vstack([coords, coords[: max(n // 4, 1)]])  # duplicate points
+        cells = GridIndex.from_cloud(point_cloud(coords), eps).cells
+        oracle = floor_cells(coords, eps)
+        assert cells.dtype == np.int64 and cells.shape == (len(oracle), d)
+        assert [tuple(row) for row in cells.tolist()] == sorted(oracle)
+
+    def test_refuses_a_cell_size_too_fine_for_int64_keys(self):
+        cloud = point_cloud([[1.0, 2.0], [-3.0, 0.5]])
+        assert hausdorff_distance(cloud, reflect_cloud(cloud), 1e-3) == pytest.approx(3.2, abs=0.01)
+        # the keys would wrap to one cell, (-2^63, -2^63), and the distance read 0
+        with pytest.raises(ValueError):
+            GridIndex.from_cloud(cloud, 1e-300)
+        with pytest.raises(ValueError):
+            hausdorff_distance(cloud, reflect_cloud(cloud), 1e-300)
+        with pytest.raises(ValueError):
+            grid_intersection_estimate(cloud, reflect_cloud(cloud), 1e-300)
+        with pytest.raises(ValueError):
+            GridIndex.from_cloud(point_cloud([[0.0, 0.0], [float("nan"), 0.0]]), 1.0)
+        # the bound is |coordinate| / eps < 2^62, on either side of zero
+        for x in (2.0 ** 62, -(2.0 ** 62)):
+            with pytest.raises(ValueError):
+                GridIndex.from_cloud(point_cloud([[0.0, 0.0], [0.0, x]]), 1.0)
+            below = np.nextafter(x, 0.0)
+            cells = GridIndex.from_cloud(point_cloud([[0.0, 0.0], [0.0, below]]), 1.0).cells
+            assert cells.tolist() == sorted([[0, 0], [0, int(below)]])
+
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf"), 0.0, -0.1])
     def test_refuses_a_cell_size_that_is_not_finite_and_positive(self, eps):
         cloud = point_cloud([[0.0, 0.0], [1.0, 1.0]])
@@ -289,6 +328,13 @@ class TestReflection:
         assert np.array_equal(reflect_cloud(cloud).coords, cloud.coords)
 
 
+def symmetry_pair(n):
+    """The first n points of the tribonacci cloud and of its reverse's cloud,
+    both projected by the tribonacci operator."""
+    op = tribonacci_operator()
+    return rauzy_cloud(tribonacci(), n, op), rauzy_cloud(reverse_substitution(tribonacci()), n, op)
+
+
 class TestHausdorff:
     def test_identical_clouds(self):
         op = tribonacci_operator()
@@ -303,12 +349,22 @@ class TestHausdorff:
         b = point_cloud(pts + np.array([10 * eps, 0.0]))
         d = hausdorff_distance(a, b, eps)
         assert 9 * eps <= d <= 11 * eps
+        assert d == cell_hausdorff(a.coords, b.coords, eps)
 
     def test_two_distant_points(self):
         a = point_cloud([[0.0, 0.0]])
         b = point_cloud([[3.0, 4.0]])
         d = hausdorff_distance(a, b, 0.01)
         assert d == pytest.approx(5.0, abs=0.05)
+        assert d == cell_hausdorff(a.coords, b.coords, 0.01)
+
+    def test_symmetry_pair_matches_brute_force_oracle(self):
+        # C6: the reverse tribonacci cloud against the reflected cloud
+        cloud, cloud_rev = symmetry_pair(20000)
+        eps = 0.02 * cloud.diameter()
+        reflected = reflect_cloud(cloud)
+        d = hausdorff_distance(cloud_rev, reflected, eps)
+        assert 0 < d == cell_hausdorff(cloud_rev.coords, reflected.coords, eps)
 
     def test_dimension_mismatch(self):
         a = point_cloud([[0.0, 0.0]])
@@ -330,6 +386,12 @@ class TestGridIntersection:
         estimate = grid_intersection_estimate(cloud, cloud, eps)
         assert estimate.cells == GridIndex.from_cloud(cloud, eps).occupied_cells()
         assert estimate.area == pytest.approx(len(estimate.cells) * eps ** 2)
+
+    def test_symmetry_pair_matches_floor_oracle(self):
+        cloud, cloud_rev = symmetry_pair(200000)
+        eps = 0.02 * cloud.diameter()
+        common = floor_cells(cloud.coords, eps) & floor_cells(cloud_rev.coords, eps)
+        assert common and grid_intersection_estimate(cloud, cloud_rev, eps).cells == common
 
     def test_disjoint_clouds(self):
         a = point_cloud([[0.0, 0.0]])
