@@ -47,6 +47,9 @@ class LabeledPointCloud:
         letters = np.asarray(self.letters)
         if coords.ndim != 2:
             raise ValueError("coords must be a 2-d array")
+        # nan and inf reach the min or the max, so no n-sized mask is made
+        if coords.size and not np.isfinite([coords.min(), coords.max()]).all():
+            raise ValueError("coords must be finite")
         if letters.shape != (coords.shape[0],):
             raise ValueError("letters must hold one entry per point")
         if not np.issubdtype(letters.dtype, np.integer):
@@ -188,7 +191,7 @@ class GridIndex:
         for column in cloud.coords.T:  # contiguous, as coords is column-major
             np.floor(np.divide(column, eps, out=scaled), out=scaled)
             low, high = (scaled.min(), scaled.max()) if n else (0.0, 0.0)
-            if not -_KEY_LIMIT < low <= high < _KEY_LIMIT:  # a nan fails too
+            if not -_KEY_LIMIT < low <= high < _KEY_LIMIT:  # an overflow to inf fails too
                 raise ValueError(
                     f"cell size {eps!r} is too fine for int64 cells: some |coordinate| / eps"
                     " is 2^62 or more, or not finite"

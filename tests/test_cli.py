@@ -45,6 +45,7 @@ INTERVAL_2 = {"alphabet": ["a", "b"], "rules": {"a": "aba", "b": "ba"}}
 FIB = {"alphabet": ["a", "b"], "rules": {"a": "ab", "b": "a"}}
 FIB_REV = {"alphabet": ["a", "b"], "rules": {"a": "ba", "b": "a"}}
 DET_2 = {"alphabet": ["a", "b"], "rules": {"a": "ba", "b": "babb"}}
+REPEATED_COFACTOR = {"alphabet": list("abcde"), "rules": {"a": "eaa", "b": "a", "c": "ccb", "d": "c", "e": "bcd"}}
 
 
 def family(i):
@@ -59,11 +60,14 @@ def reversed_rules(data):
 def files(tmp_path):
     paths = {}
     for name, data in (
-        ("trib", TRIB), ("trib_rev", TRIB_REV), ("fam3", FAMILY_3), ("growth", GROWTH), ("fib", FIB), ("fib_rev", FIB_REV)
+        ("trib", TRIB), ("trib_rev", TRIB_REV), ("fam3", FAMILY_3), ("growth", GROWTH), ("fib", FIB), ("fib_rev", FIB_REV),
+        ("flipped", FLIPPED), ("flipped_rev", reversed_rules(FLIPPED)), ("det2", DET_2), ("det2_rev", reversed_rules(DET_2)),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         paths[name] = str(path)
+    paths["bad"] = str(tmp_path / "bad.json")
+    (tmp_path / "bad.json").write_text('{"alphabet": ["a"', encoding="utf-8")
     paths["dir"] = tmp_path
     return paths
 
@@ -92,9 +96,7 @@ class TestAnalyze:
         assert json.loads(out)["char_poly"]["text"] == "x^3 - 3x^2 - 3x - 1"
 
     def test_malformed_json_exits_one(self, files, capsys):
-        bad = files["dir"] / "bad.json"
-        bad.write_text('{"alphabet": ["a"', encoding="utf-8")
-        code, _, err = run(capsys, ["analyze", str(bad)])
+        code, _, err = run(capsys, ["analyze", files["bad"]])
         assert code == 1
         assert "line" in err
 
@@ -228,6 +230,7 @@ class TestConcurrentExport:
         "intersect": ["trib", "trib_rev"],
         "intersect-1d": ["fib", "fib_rev"],
     }
+    EXPORT = ["--n", "5000", "--csv", "{dir}/out.csv", "--svg", "{dir}/out.svg"]
 
     @classmethod
     def args(cls, case, files, n, **paths):
@@ -312,23 +315,35 @@ class TestConcurrentExport:
         assert err == f"error: the SVG writer exited with status {-signal.SIGKILL}\n"
         assert_no_child_left()
 
-    @pytest.mark.parametrize("case", ["fractal", "intersect"])
-    def test_the_entry_point_prints_one_json_object_to_a_pipe(self, case, files):
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["fractal", "{trib}", *EXPORT], 0),
+            (["intersect", "{trib}", "{trib_rev}", *EXPORT], 0),
+            (["analyze", "{bad}"], 1),
+            (["fractal", "{det2}"], 3),
+            (["bpa", "{flipped}", "{flipped_rev}", "--max-pairs", "2"], 4),
+        ],
+        ids=["fractal", "intersect", "malformed", "non-unimodular", "limit-hit"],
+    )
+    def test_the_entry_point_prints_and_exits_as_main_returns(self, args, code, files, capsys):
         # piped stdout is block-buffered: a child that flushed what it
-        # inherited, or returned into the command, would print a second object
+        # inherited, or returned into the command, would print a second
+        # object; and run() passes main's code to sys.exit
         import rauzykit
 
         src = os.path.dirname(os.path.dirname(os.path.abspath(rauzykit.__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        d = files["dir"]
-        args = self.args(case, files, 5000, csv=d / "out.csv", svg=d / "out.svg")
+        args = [a.format(**files) for a in args]
         proc = subprocess.run(
             [sys.executable, "-c", "from rauzykit.cli import run; run()", *args],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, check=True,
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
-        assert proc.stderr == ""
-        assert json.loads(proc.stdout)["points"] == 5000
+        assert proc.returncode == code
+        if code in (0, 4):
+            json.loads(proc.stdout)  # a second object is "Extra data"
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, args)
 
 
 class TestBpaCommand:
@@ -383,11 +398,8 @@ class TestBpaCommand:
 
     def test_analyze_classifies_the_pair_system(self, files, capsys):
         # flipped tribonacci's pair system has 15 letters and a reducible char poly
-        first, second = files["dir"] / "flipped.json", files["dir"] / "flipped_rev.json"
-        first.write_text(json.dumps(FLIPPED))
-        second.write_text(json.dumps(reversed_rules(FLIPPED)))
         pairs = files["dir"] / "pairs.json"
-        assert run(capsys, ["bpa", str(first), str(second), "--out", str(pairs)])[0] == 0
+        assert run(capsys, ["bpa", files["flipped"], files["flipped_rev"], "--out", str(pairs)])[0] == 0
         code, out, _ = run(capsys, ["analyze", str(pairs)])
         assert code == 0
         report = json.loads(out)
@@ -404,31 +416,30 @@ class TestBpaCommand:
         assert code == 4
         assert json.loads(out) == {"status": "no-balanced-prefix", "cutoff": 100000}
 
-    @pytest.mark.parametrize("data", [FLIPPED, FLIPPED_MULTI], ids=["single", "multi"])
-    def test_limit_hit_reports_partial_state(self, data, files, capsys):
+    @pytest.mark.parametrize(
+        "data, longer",
+        [(FLIPPED, []), (FLIPPED_MULTI, []), (substitution_to_dict(kbonacci(17)), ["--max-pairs", "40"])],
+        ids=["single", "multi", "17-letters"],
+    )
+    def test_limit_hit_reports_partial_state(self, data, longer, files, capsys):
         # a limit report writes its pairs as the complete report does: strings
-        # over one-character letters, arrays of names otherwise
-        flipped = files["dir"] / "flipped.json"
-        flipped.write_text(json.dumps(data))
-        flipped_rev = files["dir"] / "flipped_rev.json"
-        run(capsys, ["reverse", str(flipped), str(flipped_rev)])
-        code, out, _ = run(
-            capsys, ["bpa", str(flipped), str(flipped_rev), "--max-pairs", "4"]
-        )
+        # over one-character letters, arrays of names otherwise; its pairs are
+        # the first of a longer run, in that run's order (17 letters make
+        # two-byte letter-pair codes)
+        first, second = files["dir"] / "first.json", files["dir"] / "second.json"
+        first.write_text(json.dumps(data))
+        run(capsys, ["reverse", str(first), str(second)])
+        code, out, _ = run(capsys, ["bpa", str(first), str(second), "--max-pairs", "5"])
         assert code == 4
         payload = json.loads(out)
-        assert payload["status"] == "non-termination"
-        assert payload["limit"] == "max_pairs"
-        assert payload["pairs_found"] <= 4
-        code, out, _ = run(capsys, ["bpa", str(flipped), str(flipped_rev)])
-        assert code == 0
-        full = list(json.loads(out)["pairs"].items())
-        assert payload["pairs"] == dict(full[: payload["pairs_found"]])
+        assert (payload["status"], payload["limit"], payload["pairs_found"]) == ("non-termination", "max_pairs", 5)
+        code, out, _ = run(capsys, ["bpa", str(first), str(second), *longer])
+        full = json.loads(out)
+        assert (code, full.get("pairs_found")) == ((4, 40) if longer else (0, None))
+        assert list(payload["pairs"].items()) == list(full["pairs"].items())[:5]
 
     def test_mismatched_matrices_exit_three(self, files, capsys):
-        fib = files["dir"] / "fib.json"
-        fib.write_text(json.dumps({"alphabet": ["a", "b"], "rules": {"a": "ab", "b": "a"}}))
-        code, _, err = run(capsys, ["bpa", files["trib"], str(fib)])
+        code, _, err = run(capsys, ["bpa", files["trib"], files["fib"]])
         assert code == 3
         assert "incidence" in err
 
@@ -452,11 +463,8 @@ class TestIntersect:
     def test_non_unimodular_input_exits_three(self, command, files, capsys):
         # a -> ba, b -> babb: Pisot, char poly x^2 - 4x + 2, det 2; three pairs
         # against its reverse, and both commands refuse it before writing
-        first, second = files["dir"] / "det2.json", files["dir"] / "det2_rev.json"
-        first.write_text(json.dumps(DET_2))
-        second.write_text(json.dumps(reversed_rules(DET_2)))
         csv_path = files["dir"] / "out.csv"
-        paths = [str(first)] if command == "fractal" else [str(first), str(second)]
+        paths = [files["det2"]] if command == "fractal" else [files["det2"], files["det2_rev"]]
         code, out, err = run(capsys, [command, *paths, "--n", "100", "--csv", str(csv_path)])
         assert code == 3
         assert out == "" and not csv_path.exists()
@@ -481,11 +489,7 @@ class TestIntersect:
         assert substitution_to_dict(pairs)["rules"] == bpa_rules
 
     def test_limit_hit_prints_the_bpa_payload(self, files, capsys):
-        flipped = files["dir"] / "flipped.json"
-        flipped.write_text(json.dumps(FLIPPED))
-        flipped_rev = files["dir"] / "flipped_rev.json"
-        run(capsys, ["reverse", str(flipped), str(flipped_rev)])
-        paths = [str(flipped), str(flipped_rev)]
+        paths = [files["flipped"], files["flipped_rev"]]
         bpa_code, bpa_out, _ = run(capsys, ["bpa", *paths, "--max-pairs", "2"])
         code, out, err = run(capsys, ["intersect", *paths, "--n", "100", "--max-pairs", "2"])
         assert code == bpa_code == 4
@@ -625,19 +629,23 @@ class TestRefusals:
         assert "Traceback" not in err and "No such option '--tol'" in err
 
     @pytest.mark.parametrize("command", ["analyze", "fractal"])
-    def test_five_bonacci_passes_the_fixed_projector_checks(self, command, files, capsys):
-        # at --tol 1e-15 this input used to exit 3 with a stalled root; the
-        # fixed checks accept its projector and chart
-        path = files["dir"] / "k5.json"
-        path.write_text(json.dumps(substitution_to_dict(kbonacci(5))), encoding="utf-8")
-        args = [command, str(path)] + (["--n", "50"] if command == "fractal" else [])
+    @pytest.mark.parametrize(
+        "data, dimension", [(substitution_to_dict(kbonacci(5)), 4), (REPEATED_COFACTOR, 2)], ids=["k5", "repeated-cofactor"]
+    )
+    def test_the_fixed_projector_checks_pass(self, data, dimension, command, files, capsys):
+        # at --tol 1e-15 5-bonacci used to exit 3 with a stalled root; the
+        # other char poly, (x - 1)^2 (x^3 - 2x^2 - x - 1), makes the
+        # projector's Bezout part E differ from the identity
+        path = files["dir"] / "input.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        args = [command, str(path)] + (["--n", "100"] if command == "fractal" else [])
         code, out, err = run(capsys, args)
         assert code == 0 and err == ""
         report = json.loads(out)
         if command == "analyze":
-            assert report["spectral"]["contracting_dimension"] == 4
+            assert report["spectral"]["contracting_dimension"] == dimension
         else:
-            assert (report["points"], report["dimension"]) == (50, 4)
+            assert (report["points"], report["dimension"]) == (100, dimension)
 
     @pytest.mark.parametrize("k, i", [(16, 2), (8, 8)])
     def test_a_large_perron_root_classifies_projects_and_draws(self, k, i, files, capsys):
@@ -653,6 +661,9 @@ class TestRefusals:
         code, out, err = run(capsys, ["fractal", str(path), "--n", "100"])
         assert code == 0 and err == ""
         assert (json.loads(out)["points"], json.loads(out)["dimension"]) == (100, k - 1)
+        code, out, err = run(capsys, ["analyze", str(path)])
+        assert code == 0 and err == ""
+        assert json.loads(out)["spectral"]["contracting_dimension"] == k - 1
 
     @pytest.mark.parametrize(
         "rules, message",

@@ -9,6 +9,7 @@ from conftest import (
     iterate,
     random_primitive_substitution,
     random_substitution,
+    traced_peak_mb,
     tracked_balance_points,
     tribonacci,
 )
@@ -58,6 +59,15 @@ class TestApply:
         sub = Substitution.from_rules(["1", "2", "3"], {"1": "12", "2": "13", "3": "1"})
         w = Word.from_letters(sub.alphabet, "12")
         assert str(sub.apply(w)) == "1213"
+
+    def test_long_images_are_gathered_a_block_at_a_time(self):
+        # one gather pads 10^5 letters to the longest image, 255: 51.8 MB
+        sub = Substitution.from_rules(["a", "b"], {"a": "a" + "b" * 254, "b": "a"})
+        idx = np.ones(10 ** 5, dtype=np.uint8)
+        idx[::997] = 0
+        image, peak = traced_peak_mb(lambda: sub.apply_indices(idx))
+        assert peak < 12
+        assert image.tolist() == [j for i in idx.tolist() for j in sub.image(i).indices]
 
     def test_empty_word(self):
         sub = tribonacci()
