@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage or parse error, 2 indeterminate
-classification, 3 precondition violation, 4 search or termination limit.
+classification, 3 precondition violation, 4 search or termination limit, or
+out of memory (MemoryError).
 """
 
 from __future__ import annotations
@@ -350,7 +351,8 @@ def main(argv=None) -> int:
     """Dispatch with the documented exit-code mapping; returns the exit code.
 
     A command returns its exit code, or None for success; click returns
-    that value, and the exit code of --help and --version.
+    that value, and the exit code of --help and --version.  A MemoryError
+    anywhere prints one line and exits 4, as a limit does.
     """
     try:
         return cli.main(args=argv, standalone_mode=False) or EXIT_OK
@@ -369,6 +371,9 @@ def main(argv=None) -> int:
     except RauzykitError as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_PRECONDITION
+    except MemoryError as exc:
+        click.echo(f"error: out of memory: {exc}", err=True)
+        return EXIT_LIMIT
 
 
 def run() -> None:

@@ -74,13 +74,21 @@ class LabeledPointCloud:
 
     def diameter(self) -> float:
         """Length of the bounding-box diagonal; relative tolerances reference this."""
-        lo, hi = self.bounding_box()
-        return float(np.linalg.norm(hi - lo))
+        return _diagonal(*self.bounding_box())
 
     def label_counts(self) -> dict[str, int]:
         """Points per label, for the labels present, in sorted label order."""
         counts = np.bincount(self.letters, minlength=len(self.alphabet)).tolist()
         return dict(sorted((self.alphabet[j], c) for j, c in enumerate(counts) if c))
+
+
+def _diagonal(lo: np.ndarray, hi: np.ndarray) -> float:
+    """|hi - lo|, taken on hi and lo scaled by the power of two that brings
+    their largest magnitude into [1/2, 1), and scaled back: the scaling is
+    exact, so the bits are np.linalg.norm(hi - lo)'s wherever that is
+    finite, and finite coordinates past 1e154 square without overflow."""
+    _, exp = math.frexp(float(np.abs([lo, hi]).max(initial=0.0)))
+    return math.ldexp(float(np.linalg.norm(np.ldexp(hi, -exp) - np.ldexp(lo, -exp))), exp)
 
 
 #: Rows per block of _walk_cloud.  rauzy_cloud(tribonacci, 10^6) on one
@@ -225,14 +233,160 @@ class GridIndex:
         return cls(eps, cells.T)
 
     def occupied_cells(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(map(tuple, self.cells.tolist()))
+        columns = self.cells.T.tolist()  # zipped into tuples, twice as fast as row by row
+        return frozenset(zip(*columns)) if columns else frozenset([()] * len(self.cells))
+
+
+def _rows_below(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """For each row of queries, the number of rows of keys lexicographically
+    below it.  Both are int64 arrays of one width whose rows are in
+    lexicographic order; the queries may repeat."""
+    both = np.concatenate([queries, keys])
+    # stable, so each query sorts before a key equal to it, and the queries
+    # keep their order among themselves
+    order = np.lexsort(both.T[::-1]) if both.shape[1] else np.arange(len(both))
+    is_key = order >= len(queries)
+    return np.cumsum(is_key)[~is_key]
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between int64 cells, broadcast over the leading axes:
+    differences in int64 (cell keys lie below 2^62 in magnitude, so they
+    cannot wrap), squares summed in float64 over the coordinates in order."""
+    total = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-1])
+    for c in range(a.shape[-1]):
+        diff = (a[..., c] - b[..., c]).astype(np.float64)
+        total += diff * diff
+    return total
+
+
+#: Rows whose nearest distance is searched by brute force after the walk's
+#: first step, to seed the bound below which rows are dropped.  Both ways
+#: on the 2*10^5-point tribonacci pair at eps 0.1 % of the diameter (187k
+#: cells), one core of a 2-core x86-64 VM, median of 5: 4 rows 97 ms, 8
+#: rows 105 ms, 32 rows 157 ms, 64 rows 263 ms, as the brute force costs
+#: O(rows * cells); on 5*10^4 scattered cells at d = 3, 4 rows 6.9 s and 8
+#: rows 5.4 s, as a lower seed leaves more rows walking.
+_SEED_ROWS = 8
+
+#: Cells of y per block of the brute-force search.
+_SEED_BLOCK = 1 << 12
+
+#: A last-coordinate gap larger than any between two cells.
+_FAR = np.iinfo(np.int64).max
+
+
+def _directed_squared(x: np.ndarray, y: np.ndarray) -> float:
+    """The largest, over the cells of x, of the squared distance to the
+    nearest cell of y; x and y are non-empty (m, d) int64 arrays of distinct
+    cells in lexicographic order, d >= 1.
+
+    y is cut into lines, runs that share every coordinate but the last, and
+    each cell of x walks outward from the lexicographic insertion point of
+    its first d - 1 coordinates among the lines, one line per side per step.
+    In a line, the nearest cell lies beside the line's insertion point of
+    the cell's last coordinate.  The lines' first coordinates do not
+    decrease, so their gap to the cell's grows outward from that point, and
+    a side closes once the gap squared reaches the cell's best distance so
+    far: no cell beyond it is nearer.  A cell whose sides have both closed
+    holds its exact distance, and the largest such distance is a bound: a
+    cell whose best is at or below it cannot raise the maximum and is
+    dropped.  After the first step, the _SEED_ROWS cells of largest best
+    are searched by brute force to seed the bound.  (The early break and
+    the seed follow Taha & Hanbury, "An efficient algorithm for calculating
+    the exact Hausdorff distance", IEEE TPAMI 37, 2015.)
+
+    Differences are taken in int64 and their squares summed in float64 in
+    coordinate order, by the walk and the brute force alike.  Rounding is
+    monotone, so a computed sum is never below its first term: the closing
+    test holds for the computed distances, and the result is, bit for bit,
+    that of a brute-force search in the same arithmetic.
+    """
+    d = x.shape[1]
+    new_line = np.ones(len(y), dtype=bool)
+    np.any(y[1:, :-1] != y[:-1, :-1], axis=1, out=new_line[1:])
+    line_of = np.cumsum(new_line) - 1
+    starts = np.flatnonzero(new_line)
+    ends = np.append(starts[1:], len(y))
+    lines = len(starts)
+    heads = [y[starts, c] for c in range(d - 1)]  # each line's first d - 1 coordinates
+    tail = y[:, -1]
+    columns = [x[:, c] for c in range(d)]
+    # y sorts as (line, last coordinate): one sorted key, line * radix + the
+    # rank of the last coordinate, finds a value's place in any line
+    values = np.unique(tail)
+    radix = len(values) + 1
+    key = line_of * radix + np.searchsorted(values, tail)
+    rank = np.searchsorted(values, columns[-1])
+
+    rows = np.arange(len(x))
+    up = _rows_below(y[starts, :-1], x[:, :-1])  # the next line above, or lines
+    down = up - 1  # the next line below, or -1
+    best = np.full(len(x), np.inf)
+    bound = 0.0
+    seeded = False
+    while len(rows):
+        walked = np.zeros(len(rows), dtype=bool)
+        for side, step in ((down, -1), (up, 1)):
+            open_ = (0 <= side) & (side < lines)
+            i, j = rows[open_], side[open_]
+            # the squared distance to the line's first d - 1 coordinates,
+            # summed in order; its first term, the gap, may close the side
+            squared = np.zeros(len(i))
+            if d > 1:
+                gap = (heads[0][j] - columns[0][i]).astype(np.float64)
+                squared = gap * gap
+                nearer = squared < best[open_]
+                open_[open_] = nearer
+                i, j, squared = i[nearer], j[nearer], squared[nearer]
+            for head, column in zip(heads[1:], columns[1:-1]):
+                diff = (head[j] - column[i]).astype(np.float64)
+                squared += diff * diff
+            # the nearest last coordinate in the line: the cell at the
+            # value's place, or the one before it
+            at = np.searchsorted(key, j * radix + rank[i])
+            value = columns[-1][i]
+            reach = np.where(at < ends[j], tail[np.minimum(at, len(y) - 1)] - value, _FAR)
+            np.minimum(reach, np.where(at > starts[j], value - tail[at - 1], _FAR), out=reach)
+            reach = reach.astype(np.float64)
+            squared += reach * reach
+            best[open_] = np.minimum(best[open_], squared)
+            side[open_] += step
+            walked |= open_
+        if not walked.all():
+            bound = max(bound, float(best[~walked].max()))
+        keep = walked & (best > bound)
+        if not seeded:
+            seeded = True
+            top = np.flatnonzero(keep)
+            top = top[np.argsort(best[top])[-_SEED_ROWS:]]
+            exact = np.full(len(top), np.inf)
+            for lo in range(0, len(y), _SEED_BLOCK):
+                block = _squared_distances(y[None, lo:lo + _SEED_BLOCK], x[rows[top], None])
+                np.minimum(exact, block.min(axis=1), out=exact)
+            bound = max(bound, float(exact.max(initial=0.0)))
+            keep[top] = False
+            keep &= best > bound
+        rows, up, down, best = rows[keep], up[keep], down[keep], best[keep]
+    return bound
 
 
 def hausdorff_distance(a: LabeledPointCloud, b: LabeledPointCloud, eps: float) -> float:
     """Symmetric grid Hausdorff estimate between occupied cell sets, quantized at eps.
 
     Zero exactly when the occupied cell sets coincide; infinite when exactly
-    one cloud is empty.
+    one cloud is empty.  Otherwise eps times the larger of the two directed
+    distances between the cell sets, each found exactly by the walk of
+    _directed_squared: cell differences in int64, their squares summed in
+    float64.
+
+    Cost: a sort of each cell set, then one step per line walked, each step
+    a few numpy calls over the cells still searching, plus a brute-force
+    search of _SEED_ROWS cells against all of the other set.  On a fractal
+    cloud the lines are long and most cells close within a few lines.  On
+    cells scattered so thinly that each line holds one cell, the walk
+    sweeps along the first coordinate instead: 5*10^4 uniform random cells
+    in a 10^6-wide box take about 1.3 s at d = 2 and 6 s at d = 3.
     """
     if a.dimension != b.dimension:
         raise DimensionMismatch(f"dimensions {a.dimension} and {b.dimension} differ")
@@ -242,11 +396,7 @@ def hausdorff_distance(a: LabeledPointCloud, b: LabeledPointCloud, eps: float) -
         return 0.0
     if not len(cells_a) or not len(cells_b):
         return math.inf
-    from scipy.spatial import cKDTree  # deferred: scipy takes most of the import time
-
-    d_ab, _ = cKDTree(cells_b).query(cells_a)
-    d_ba, _ = cKDTree(cells_a).query(cells_b)
-    return eps * float(max(d_ab.max(), d_ba.max()))
+    return eps * math.sqrt(max(_directed_squared(cells_a, cells_b), _directed_squared(cells_b, cells_a)))
 
 
 @dataclass(frozen=True)
@@ -258,10 +408,18 @@ class IntersectionEstimate:
 def grid_intersection_estimate(
     a: LabeledPointCloud, b: LabeledPointCloud, eps: float
 ) -> IntersectionEstimate:
-    """Cells occupied by both clouds; area estimate is count * eps^d."""
+    """Cells occupied by both clouds; area estimate is count * eps^d.
+
+    The two sorted cell arrays are intersected in numpy; tuples are built
+    for the common cells only."""
     if a.dimension != b.dimension:
         raise DimensionMismatch(f"dimensions {a.dimension} and {b.dimension} differ")
-    common = GridIndex.from_cloud(a, eps).occupied_cells() & GridIndex.from_cloud(b, eps).occupied_cells()
+    cells_a = GridIndex.from_cloud(a, eps).cells
+    cells_b = GridIndex.from_cloud(b, eps).cells
+    at = _rows_below(cells_b, cells_a)
+    found = at < len(cells_b)
+    found[found] = (cells_b[at[found]] == cells_a[found]).all(axis=1)
+    common = GridIndex(eps, cells_a[found]).occupied_cells()
     return IntersectionEstimate(cells=common, area=len(common) * eps ** max(a.dimension, 1))
 
 
@@ -348,7 +506,7 @@ def render_svg(cloud: LabeledPointCloud, path) -> None:
         lo, hi = xy.min(axis=1), xy.max(axis=1)
         margin = 0.05 * np.maximum(hi - lo, 1e-9)
         lo, hi = lo - margin, hi + margin
-    diam = float(np.linalg.norm(hi - lo))
+    diam = _diagonal(lo, hi)
     # a letter absent from the cloud gets no colour and is never looked up
     colors = dict(zip(cloud.label_counts(), itertools.cycle(PALETTE)))
     palette = np.array([colors.get(label) for label in cloud.alphabet], dtype=object)

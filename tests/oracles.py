@@ -203,6 +203,18 @@ def floor_cells(coords, eps: float) -> set[tuple[int, ...]]:
     return {tuple(math.floor(v / eps) for v in row) for row in np.asarray(coords, dtype=float).tolist()}
 
 
+def nearest_distances(points, cloud) -> np.ndarray:
+    """For each row of points, the distance to the nearest row of cloud,
+    searched by brute force a block of 32 points at a time."""
+    points, cloud = (np.asarray(c, dtype=float) for c in (points, cloud))
+    out = np.empty(len(points))
+    for start in range(0, len(points), 32):
+        block = points[start:start + 32]
+        squared = ((block[:, None, :] - cloud[None, :, :]) ** 2).sum(axis=2)
+        out[start:start + 32] = np.sqrt(squared.min(axis=1))
+    return out
+
+
 def cell_hausdorff(a_coords, b_coords, eps: float) -> float:
     """eps times the Hausdorff distance between the two clouds' cell sets:
     the larger directed maximum, over the cells of one set, of the distance to
@@ -210,15 +222,7 @@ def cell_hausdorff(a_coords, b_coords, eps: float) -> float:
     a, b = (np.array(sorted(floor_cells(c, eps)), dtype=float) for c in (a_coords, b_coords))
     if not len(a) or not len(b):
         return 0.0 if len(a) == len(b) else math.inf
-
-    def one_way(x, y):
-        worst = 0.0
-        for start in range(0, len(x), 256):
-            squared = ((x[start:start + 256, None, :] - y[None, :, :]) ** 2).sum(axis=2)
-            worst = max(worst, float(squared.min(axis=1).max()))
-        return worst
-
-    return eps * math.sqrt(max(one_way(a, b), one_way(b, a)))
+    return eps * float(max(nearest_distances(a, b).max(), nearest_distances(b, a).max()))
 
 
 # export oracles: the row-at-a-time loop writers that export_csv and

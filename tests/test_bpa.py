@@ -6,7 +6,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 
 from conftest import (
     kbonacci,
@@ -16,7 +15,7 @@ from conftest import (
     tracked_balance_points,
     tribonacci,
 )
-from oracles import corrupt_rule
+from oracles import corrupt_rule, nearest_distances
 from rauzykit import (
     Alphabet,
     BalancedPair,
@@ -622,8 +621,7 @@ class TestIntersectionCloud:
         cloud = intersection_cloud(self.ps, self.op, 10 ** 3)
         for sub in (self.first, self.second):
             parent = rauzy_cloud(sub, n, self.op)
-            dists, _ = cKDTree(parent.coords).query(cloud.coords)
-            assert dists.max() < 0.02 * parent.diameter()
+            assert nearest_distances(cloud.coords, parent.coords).max() < 0.02 * parent.diameter()
 
 
 class TestVerifyCommonPoints:

@@ -678,6 +678,38 @@ class TestRefusals:
         assert out == ""
         assert err == f"error: {message} (field 'rules.a')\n"
 
+    def test_out_of_memory_is_one_line_and_exit_four(self, files, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array with shape (10000000000,)")
+
+        monkeypatch.setattr(cli, "rauzy_cloud", exhausted)
+        code, out, err = run(capsys, ["fractal", files["trib"], "--n", "10"])
+        assert (code, out) == (4, "")
+        assert err == "error: out of memory: Unable to allocate 7.45 GiB for an array with shape (10000000000,)\n"
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmSize from /proc")
+    def test_an_allocation_past_the_address_space_limit_exits_four(self, files):
+        # the process caps its own address space 256 MiB above its size after
+        # import; a 10^9-letter fixed-point prefix cannot fit
+        import rauzykit
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(rauzykit.__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import re, resource, sys\n"
+            "import rauzykit.cli\n"
+            "size = int(re.search(r'VmSize:\\s+(\\d+)', open('/proc/self/status').read()).group(1)) * 1024\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (size + (256 << 20),) * 2)\n"
+            "sys.exit(rauzykit.cli.main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "fractal", files["trib"], "--n", str(10 ** 9)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: out of memory: ")
+
     @pytest.mark.parametrize("command", ["fractal", "intersect"])
     def test_svg_above_two_dimensions_writes_nothing(self, command, files, capsys):
         sub = kbonacci(4)  # contracting dimension 3

@@ -1,13 +1,23 @@
 import csv
 import functools
+import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import fibonacci, traced_peak_mb, tribonacci
-from oracles import cell_hausdorff, floor_cells, reference_export_csv, reference_render_svg
+from conftest import fibonacci, kbonacci, traced_peak_mb, tribonacci
+from oracles import (
+    cell_hausdorff,
+    floor_cells,
+    nearest_distances,
+    reference_export_csv,
+    reference_render_svg,
+)
 from rauzykit import (
     DimensionMismatch,
     GridIndex,
@@ -249,6 +259,30 @@ class TestLabeledPointCloud:
         with pytest.raises(ValueError, match="finite"):
             LabeledPointCloud(coords, ("a",), np.zeros(3, dtype=np.int64))
 
+    def test_diameter_past_the_square_overflow_is_finite(self, tmp_path):
+        # the squared diagonal, about 2e600, overflows float64; the SVG's
+        # radius is 1 percent of the viewBox diagonal
+        cloud = point_cloud([[0.0, 1.0], [1e300, -1e300]])
+        assert cloud.diameter() == pytest.approx(math.hypot(1e300, 1e300 + 1), rel=1e-15)
+        path = tmp_path / "far.svg"
+        render_svg(cloud, path)
+        radius = {float(c.get("r")) for c in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}circle")}
+        assert len(radius) == 1 and math.isfinite(radius.pop())
+
+    def test_diameter_has_the_bits_of_the_unscaled_norm(self):
+        op = tribonacci_operator()
+        clouds = [
+            rauzy_cloud(tribonacci(), 2 * 10 ** 5, op),
+            rauzy_cloud(reverse_substitution(tribonacci()), 2 * 10 ** 5, op),
+            intersection_cloud(*flipped_pair_system(), 10 ** 5),
+        ]
+        rng = np.random.default_rng(5)
+        for scale in (1e-150, 1e-3, 1.0, 1e5, 1e150):
+            clouds += [point_cloud(rng.normal(size=(50, d)) * scale) for d in (1, 2, 3)]
+        for cloud in clouds:
+            lo, hi = cloud.bounding_box()
+            assert cloud.diameter() == float(np.linalg.norm(hi - lo))
+
     def test_label_counts_are_sorted_and_skip_absent_letters(self):
         cloud = point_cloud(np.zeros((5, 1)), labels=["z", "b", "z", "z", "b"])
         wide = LabeledPointCloud(cloud.coords, ("z", "q", "b"), np.array([0, 2, 0, 0, 2]))
@@ -375,6 +409,76 @@ class TestHausdorff:
         d = hausdorff_distance(cloud_rev, reflected, eps)
         assert 0 < d == cell_hausdorff(cloud_rev.coords, reflected.coords, eps)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_random_cell_sets_match_brute_force_oracle(self, d):
+        # half-integer points at eps 1 fill the integer cells; the sets
+        # overlap, lie side by side or a few cells apart
+        rng = np.random.default_rng(d)
+        for trial in range(40):
+            span = (2, 5, 20, 1000)[trial % 4]
+            shift = (0, 3, 50)[trial % 3]
+            a = rng.integers(-span, span, size=(rng.integers(1, 80), d)) + 0.5
+            b = rng.integers(-span, span, size=(rng.integers(1, 80), d)) + shift + 0.5
+            assert hausdorff_distance(point_cloud(a), point_cloud(b), 1.0) == cell_hausdorff(a, b, 1.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_sets_far_apart_match_brute_force_oracle(self, d):
+        rng = np.random.default_rng(10 + d)
+        a = rng.uniform(0, 3, size=(300, d))
+        for shift in (np.full(d, 1e4), -1e4 * np.eye(d)[-1], 1e4 * np.eye(d)[0]):
+            b = rng.uniform(0, 3, size=(200, d)) + shift
+            assert hausdorff_distance(point_cloud(a), point_cloud(b), 0.1) == cell_hausdorff(a, b, 0.1)
+
+    @pytest.mark.parametrize("k, scale", [(3, 0.02), (4, 0.05)])
+    def test_a_cloud_against_itself_shifted_along_each_axis(self, k, scale):
+        sub = kbonacci(k)  # tribonacci draws in 2 dimensions, 4-bonacci in 3
+        cloud = rauzy_cloud(sub, 5000, projection_operator(spectral_split(incidence_matrix(sub))))
+        eps = scale * cloud.diameter()
+        for axis in range(cloud.dimension):
+            for cells in (1, 3, 50):
+                shifted = cloud.coords + cells * eps * np.eye(cloud.dimension)[axis]
+                d = hausdorff_distance(cloud, point_cloud(shifted), eps)
+                assert 0 < d == cell_hausdorff(cloud.coords, shifted, eps)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_one_cell_sets(self, d):
+        rng = np.random.default_rng(20 + d)
+        one, other, many = (rng.uniform(-5, 5, size=(n, d)) for n in (1, 1, 200))
+        for a, b in ((one, other), (one, many), (many, one), (one, one + 0.3)):
+            assert hausdorff_distance(point_cloud(a), point_cloud(b), 0.25) == cell_hausdorff(a, b, 0.25)
+
+    def test_cells_whose_squared_differences_pass_int64(self):
+        # cell keys near 10^12, so a squared difference near 10^24 would
+        # wrap if squared in int64
+        cloud, cloud_rev = symmetry_pair(300)
+        reflected = reflect_cloud(cloud)
+        d = hausdorff_distance(cloud_rev, reflected, 1e-12)
+        assert d == cell_hausdorff(cloud_rev.coords, reflected.coords, 1e-12)
+        points = max(
+            nearest_distances(cloud_rev.coords, reflected.coords).max(),
+            nearest_distances(reflected.coords, cloud_rev.coords).max(),
+        )
+        assert d == pytest.approx(points, abs=1e-11) and d > 0.01
+
+    def test_runs_with_scipy_unimportable(self):
+        import rauzykit
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(rauzykit.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None  # any import of scipy raises ImportError\n"
+            "import rauzykit as rk\n"
+            "from rauzykit.selfcheck import CHECK_GROUPS\n"
+            "cloud = rk.LabeledPointCloud([[0.0, 0.0], [1.0, 2.0]], ('a',), [0, 0])\n"
+            "print(repr(rk.hausdorff_distance(cloud, rk.reflect_cloud(cloud), 0.5)))\n"
+            "print([r.name for r in CHECK_GROUPS['symmetry']() if not r.ok])\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        cloud = point_cloud([[0.0, 0.0], [1.0, 2.0]])
+        assert out.stdout.splitlines() == [repr(hausdorff_distance(cloud, reflect_cloud(cloud), 0.5)), "[]"]
+
     def test_dimension_mismatch(self):
         a = point_cloud([[0.0, 0.0]])
         b = point_cloud([[0.0]])
@@ -401,6 +505,14 @@ class TestGridIntersection:
         eps = 0.02 * cloud.diameter()
         common = floor_cells(cloud.coords, eps) & floor_cells(cloud_rev.coords, eps)
         assert common and grid_intersection_estimate(cloud, cloud_rev, eps).cells == common
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 4])
+    def test_random_cell_sets_match_floor_oracle(self, d):
+        rng = np.random.default_rng(30 + d)
+        a = rng.integers(-6, 6, size=(400, d)) + 0.5
+        b = rng.integers(-4, 8, size=(300, d)) + 0.5
+        common = floor_cells(a, 1.0) & floor_cells(b, 1.0)
+        assert common and grid_intersection_estimate(point_cloud(a), point_cloud(b), 1.0).cells == common
 
     def test_disjoint_clouds(self):
         a = point_cloud([[0.0, 0.0]])
