@@ -1,7 +1,9 @@
+import os
 import random
 import string
 import tracemalloc
 
+import rauzykit
 from rauzykit import Substitution, incidence_matrix, is_primitive
 
 LETTERS = "abcdef"
@@ -33,6 +35,15 @@ def random_substitution(rng: random.Random, k: int | None = None, max_len: int =
         for letter in letters
     }
     return Substitution.from_rules(letters, rules)
+
+
+def package_env(**extra: str) -> dict[str, str]:
+    """This process's environment plus extra, with the source tree of the
+    imported rauzykit first on PYTHONPATH, for a child Python process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rauzykit.__file__)))
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def traced_peak_mb(call):

@@ -13,7 +13,7 @@ import rauzykit.algebra as algebra
 import rauzykit.bpa as bpa
 import rauzykit.cli as cli
 import rauzykit.selfcheck as selfcheck
-from conftest import kbonacci
+from conftest import kbonacci, package_env
 from oracles import reference_export_csv, reference_render_svg, sympy_factor_list
 from rauzykit import (
     IntPolynomial,
@@ -330,11 +330,7 @@ class TestConcurrentExport:
         # piped stdout is block-buffered: a child that flushed what it
         # inherited, or returned into the command, would print a second
         # object; and run() passes main's code to sys.exit
-        import rauzykit
-
-        src = os.path.dirname(os.path.dirname(os.path.abspath(rauzykit.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = package_env()
         args = [a.format(**files) for a in args]
         proc = subprocess.run(
             [sys.executable, "-c", "from rauzykit.cli import run; run()", *args],
@@ -691,11 +687,7 @@ class TestRefusals:
     def test_an_allocation_past_the_address_space_limit_exits_four(self, files):
         # the process caps its own address space 256 MiB above its size after
         # import; a 10^9-letter fixed-point prefix cannot fit
-        import rauzykit
-
-        src = os.path.dirname(os.path.dirname(os.path.abspath(rauzykit.__file__)))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = package_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
         code = (
             "import re, resource, sys\n"
             "import rauzykit.cli\n"
@@ -776,11 +768,7 @@ class TestSelftest:
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    import rauzykit
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(rauzykit.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = package_env()
     code = "import sys, rauzykit.cli; print('scipy' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

@@ -1,7 +1,6 @@
 import csv
 import functools
 import math
-import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -10,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import fibonacci, kbonacci, traced_peak_mb, tribonacci
+from conftest import fibonacci, kbonacci, package_env, traced_peak_mb, tribonacci
 from oracles import (
     cell_hausdorff,
     floor_cells,
@@ -461,11 +460,7 @@ class TestHausdorff:
         assert d == pytest.approx(points, abs=1e-11) and d > 0.01
 
     def test_runs_with_scipy_unimportable(self):
-        import rauzykit
-
-        src = os.path.dirname(os.path.dirname(os.path.abspath(rauzykit.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = package_env()
         code = (
             "import sys\n"
             "sys.modules['scipy'] = None  # any import of scipy raises ImportError\n"
