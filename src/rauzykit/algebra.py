@@ -28,6 +28,7 @@ A reciprocal minimal polynomial of degree >= 3 is decided "not Pisot" exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -54,15 +55,24 @@ CLASSIFICATION_MARGIN = 1e-9
 # matrices
 
 
+def _integer(value, what: str) -> int:
+    """value as a Python int: an int or a numpy integer, never a bool (an int
+    subclass), nor a float or a string that int() would truncate or parse."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class IntMatrix:
-    """Square matrix with arbitrary-precision integer entries."""
+    """Square matrix with arbitrary-precision integer entries; an entry that
+    is not an int or a numpy integer (a bool included) raises TypeError."""
 
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         # any iterable of rows, an iterator or a generator included, is read once
-        rows = tuple(tuple(int(e) for e in row) for row in self.rows)
+        rows = tuple(tuple(_integer(e, "matrix entry") for e in row) for row in self.rows)
         if not rows:
             raise ValueError("matrix must have dimension >= 1")
         if any(len(row) != len(rows) for row in rows):
@@ -109,12 +119,14 @@ def is_primitive(m: IntMatrix) -> bool:
 
 @dataclass(frozen=True)
 class IntPolynomial:
-    """Integer polynomial, coefficients lowest degree first, trailing zeros trimmed."""
+    """Integer polynomial, coefficients lowest degree first, trailing zeros
+    trimmed; a coefficient that is not an int or a numpy integer (a bool
+    included) raises TypeError."""
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = tuple(_integer(c, "coefficient") for c in self.coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)
@@ -504,32 +516,14 @@ def _cyclotomic_orders(n: int) -> list[tuple[int, int]]:
     return orders
 
 
-def _mobius(n: int) -> int:
-    mu, q = 1, 2
-    while q * q <= n:
-        if n % q == 0:
-            n //= q
-            if n % q == 0:
-                return 0
-            mu = -mu
-        q += 1
-    return -mu if n > 1 else mu
-
-
-def _cyclotomic(m: int, phi: int) -> list[int]:
-    """Phi_m, from the power series of prod over d | m of (1 - x^d)^mu(m/d)."""
-    if m == 1:
-        return [-1, 1]
-    c = [1] + [0] * phi
-    for d in range(1, m + 1):
-        mu = 0 if m % d else _mobius(m // d)
-        if mu == 1:  # times (1 - x^d)
-            for i in range(phi, d - 1, -1):
-                c[i] -= c[i - d]
-        elif mu == -1:  # divided by (1 - x^d)
-            for i in range(d, phi + 1):
-                c[i] += c[i - d]
-    return c
+@functools.cache
+def _cyclotomic(m: int) -> tuple[int, ...]:
+    """Phi_m: x^m - 1 divided exactly by Phi_d for each proper divisor d of m."""
+    phi = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m // 2 + 1):
+        if m % d == 0:
+            phi = _zdiv(phi, _cyclotomic(d))
+    return tuple(phi)
 
 
 def _frobenius(f: list[int], p: int) -> list[list[int]]:
@@ -723,7 +717,7 @@ def factor_over_z(p: IntPolynomial) -> tuple[Factor, ...]:
     tol = 1e-9 * float(np.abs(coeffs).sum())
     for (m, phi), v in zip(orders, values):
         if not v > tol and phi < len(rest):
-            take(_cyclotomic(m, phi), True)
+            take(_cyclotomic(m), True)
     if len(rest) > 1:
         prime = next(q for q in _primes(101, 2) if rest[-1] % q)
         if not _squarefree_mod(_zreduce(rest, prime), prime):
@@ -770,28 +764,18 @@ def _largest_real_estimate(p: IntPolynomial) -> float:
     return max((z.real for z in est if abs(z.imag) <= 1e-7 * (1 + abs(z))), default=-math.inf)
 
 
-def _sign_at(coeffs: Sequence[int], a: int, e: int) -> int:
-    """Sign of q(a / 2^e), q the polynomial with these coefficients: the sign
-    of the integer 2^(e n) q(a / 2^e) = sum_j c_j a^j 2^(e (n - j)), n = deg q,
-    summed by Horner's rule."""
-    acc, shift = coeffs[-1], e
-    for c in reversed(coeffs[:-1]):
-        acc = acc * a + (c << shift)
-        shift += e
-    return (acc > 0) - (acc < 0)
-
-
 def dominant_real_root(p: IntPolynomial) -> DominantRoot:
     """Largest real root, bracketed by an exact sign change and bisected.
 
     The bracket's ends are dyadic, a / 2^e with one e per call, so each sign
-    of p is the sign of an integer sum (_sign_at).  The grid step 2^-e is at
-    most max(1, ceil |r|) / 2^80 for the floating estimate r, which seeds a
-    bracket, widened at most six times until p changes sign over it;
-    bisection then narrows it to one grid step (80 bits).  A simple root,
-    such as every root of a squarefree p, always has such a bracket; when
-    none is found (at a root of even multiplicity, say), NoConvergence is
-    raised rather than a guess returned.
+    of p is that of the integer 2^(e n) p(a / 2^e), n = deg p: the value at a
+    of the polynomial with coefficients c_j 2^(e (n - j)), built once.  The
+    grid step 2^-e is at most max(1, ceil |r|) / 2^80 for the floating
+    estimate r, which seeds a bracket, widened at most six times until p
+    changes sign over it; bisection then narrows it to one grid step (80
+    bits).  A simple root, such as every root of a squarefree p, always has
+    such a bracket; when none is found (at a root of even multiplicity,
+    say), NoConvergence is raised rather than a guess returned.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
@@ -800,11 +784,17 @@ def dominant_real_root(p: IntPolynomial) -> DominantRoot:
     if r0 == -math.inf:
         raise NoConvergence("no real root found")
     e = max(0, 81 - max(1, math.ceil(abs(r0))).bit_length())
+    scaled = IntPolynomial(tuple(c << e * (q.degree - j) for j, c in enumerate(q.coeffs)))
+
+    def sign(a: int) -> int:
+        value = scaled.evaluate(a)
+        return (value > 0) - (value < 0)
+
     center = int(math.ldexp(r0, e))
     delta = max(1, int(math.ldexp(1e-7 * (1 + abs(r0)), e)))
     for _ in range(6):
         lo, hi = center - delta, center + delta
-        s_lo, s_hi = _sign_at(q.coeffs, lo, e), _sign_at(q.coeffs, hi, e)
+        s_lo, s_hi = sign(lo), sign(hi)
         if s_lo * s_hi <= 0:
             break
         delta *= 16
@@ -812,7 +802,7 @@ def dominant_real_root(p: IntPolynomial) -> DominantRoot:
         raise NoConvergence(f"no exact sign change near the root estimate {r0!r}")
     while s_lo * s_hi and hi - lo > 1:
         mid = (lo + hi) // 2
-        s_mid = _sign_at(q.coeffs, mid, e)
+        s_mid = sign(mid)
         if s_mid == s_lo:
             lo = mid
         else:

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import IntMatrix, PisotReport, _qinverse, _zmul, classify_pisot, poly_exact_div
+from .algebra import IntMatrix, IntPolynomial, PisotReport, _qinverse, _zmul, classify_pisot, poly_exact_div
 from .errors import IllConditioned, NotPisot, NotPrimitive
 
 #: Largest entry of P^2 - P and of P P_lambda that projection_operator accepts.
@@ -138,10 +138,10 @@ def spectral_split(matrix_or_report: IntMatrix | PisotReport) -> SpectralSplit:
     a, s = ((report.perron_bracket.lower + report.perron_bracket.upper) / 2).as_integer_ratio()
 
     numerator, den = _bezout_idempotent(report)
-    h, h_lam = [minpoly.coeffs[-1]], minpoly.coeffs[-1]  # s^i h_(n-1-i), and s^(n-1) h(lambda)
+    h = [minpoly.coeffs[-1]]  # s^i h_(n-1-i)
     for i, coeff in enumerate(minpoly.coeffs[-2:0:-1], 1):  # synthetic division by x - a / s
         h.append(coeff * s**i + a * h[-1])
-        h_lam = h_lam * a + h[-1]
+    h_lam = IntPolynomial(tuple(h[::-1])).evaluate(a)  # s^(n-1) h(lambda)
     h_a = _matrix_horner([c * s**j for j, c in enumerate(h[::-1])], np.array(report.matrix.rows, dtype=object), numerator)
 
     conjugates = sorted((r.value for r in report.conjugates), key=lambda z: (round(z.real, 9), round(z.imag, 9)))

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import IntMatrix
+from .algebra import IntMatrix, _integer
 from .errors import NoSeedFound, SubstitutionParseError
 
 
@@ -48,10 +48,10 @@ class Alphabet:
     _index: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        letters = tuple(str(x) for x in self.letters)
+        letters = tuple(self.letters)
         if not letters:
             raise ValueError("alphabet must contain at least one letter")
-        if any(not name for name in letters):
+        if any(not isinstance(name, str) or not name for name in letters):
             raise ValueError("letter names must be nonempty strings")
         if len(set(letters)) != len(letters):
             raise ValueError("letter names must be distinct")
@@ -97,14 +97,11 @@ class Word:
 
     def __post_init__(self):
         k = self.alphabet.size
-        indices = tuple(self.indices)
+        indices = tuple(_integer(i, "letter index") for i in self.indices)
         for i in indices:
-            # bool is an int subclass, and int() would truncate a float
-            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-                raise TypeError(f"letter index {i!r} is not an integer")
             if not 0 <= i < k:
                 raise ValueError(f"letter index {i} out of range for alphabet of size {k}")
-        object.__setattr__(self, "indices", tuple(map(int, indices)))
+        object.__setattr__(self, "indices", indices)
 
     @classmethod
     def from_letters(cls, alphabet: Alphabet, names: Iterable[str]) -> "Word":

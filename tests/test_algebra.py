@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import fibonacci, kbonacci, random_substitution, tribonacci
@@ -38,7 +39,7 @@ from rauzykit import (
     reverse_substitution,
     run_bpa,
 )
-from rauzykit.algebra import _add, _ddf, _edf, _good_primes, _powmod, _squarefree_mod, _xgcd, _zdivmod, _zmul, _zreduce
+from rauzykit.algebra import _add, _cyclotomic, _cyclotomic_orders, _ddf, _edf, _good_primes, _powmod, _squarefree_mod, _xgcd, _zdivmod, _zmul, _zreduce
 
 TRIB_POLY = IntPolynomial((-1, -1, -1, 1))  # x^3 - x^2 - x - 1
 GOLDEN_POLY = IntPolynomial((-1, -1, 1))  # x^2 - x - 1
@@ -99,6 +100,17 @@ class TestIntMatrix:
     def test_refuses_rows_that_are_not_square(self, rows):
         with pytest.raises(ValueError, match="square"):
             IntMatrix(rows)
+
+    @pytest.mark.parametrize("rows", [((1.7, 0), (True, 1)), ((1, 0), (True, 1))], ids=["float", "bool"])
+    def test_refuses_entries_that_are_not_integers(self, rows):
+        # int() would truncate 1.7 and read True as 1
+        with pytest.raises(TypeError, match="not an integer"):
+            IntMatrix(rows)
+
+    def test_keeps_numpy_integers_as_int(self):
+        m = IntMatrix(np.array(self.ROWS, dtype=np.int64))
+        assert m.rows == ((2, 0, 1), (1, 0, 0), (0, 1, 2))
+        assert all(type(e) is int for row in m.rows for e in row)
 
 
 class TestCharPoly:
@@ -224,6 +236,16 @@ class TestPolynomialOps:
     def test_exact_div_recovers_cofactor(self):
         prod = TRIB_POLY * IntPolynomial((-1, 1, 1, 1))
         assert poly_exact_div(prod, TRIB_POLY) == IntPolynomial((-1, 1, 1, 1))
+
+    @pytest.mark.parametrize("coeffs", [(0.5, 1.9), ("3", 1)], ids=["float", "str"])
+    def test_refuses_coefficients_that_are_not_integers(self, coeffs):
+        # int() would make x of the first and x + 3 of the second
+        with pytest.raises(TypeError, match="not an integer"):
+            IntPolynomial(coeffs)
+
+    def test_keeps_numpy_integers_as_int(self):
+        p = IntPolynomial((np.int64(-1), np.uint8(1), np.int32(0)))
+        assert p.coeffs == (-1, 1) and all(type(c) is int for c in p.coeffs)
 
 
 class TestIrreducibility:
@@ -702,6 +724,14 @@ class TestAgainstSympy:
             assert factor_pairs(p) == sympy_factor_list(p), str(p)
             keys = [(f.poly.degree, f.poly.coeffs) for f in factors]
             assert keys == sorted(keys)
+
+    def test_cyclotomic_polynomials_match_sympy(self):
+        # every order that factor_over_z tries on a polynomial of degree <= 120
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for m, phi in _cyclotomic_orders(120):
+            expected = [int(c) for c in reversed(sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs())]
+            assert list(_cyclotomic(m)) == expected and sympy.totient(m) == phi, m
 
     def test_perron_root_matches_sympy_on_random_substitutions(self):
         # the largest real root of the char poly, whatever its multiplicity,

@@ -487,6 +487,12 @@ class TestValidation:
             with pytest.raises(TypeError, match="not an integer"):
                 Word(AB, bad)
 
+    @pytest.mark.parametrize("names", [(1, 2), ("a", 2)], ids=["ints", "mixed"])
+    def test_alphabet_refuses_names_that_are_not_strings(self, names):
+        # str() would rename 1 to "1", after which index(1) raises KeyError
+        with pytest.raises(ValueError, match="nonempty strings"):
+            Alphabet(names)
+
     def test_public_constructor_keeps_numpy_integers_as_int(self):
         w = Word(AB, np.array([0, 1, 1], dtype=np.uint8))
         assert w.indices == (0, 1, 1) and all(type(i) is int for i in w.indices)
